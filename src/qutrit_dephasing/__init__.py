@@ -6,7 +6,6 @@ Monte-Carlo trajectory oracle.  See the ``sim`` CLI for sweeps and figure
 reproduction.
 """
 
-from ._kernels import USING_NUMBA
 from .dynamics import (
     PhaseLaw,
     SystemParams,
@@ -43,7 +42,6 @@ from .noise import (
 )
 
 __all__ = [
-    "USING_NUMBA",
     "NoiseSpec",
     "autocorrelation",
     "beta_closed",

@@ -239,6 +239,7 @@ def _cmd_oracle(opts: dict) -> int:
         omega=opts["omega"],
         r=opts["r"],
         outputs=opts.get("out"),
+        grid_points=opts["tau_steps"],
     )
     if path:
         print(path)

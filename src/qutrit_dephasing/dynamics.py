@@ -26,6 +26,10 @@ EIGENVALUE_TOL = 1e-8
 
 # Fourier harmonics present in U rho U+ entries.
 _HARMONICS = np.arange(-2, 3)
+# Phases of the 5 fifth roots of unity and the DFT that maps samples of
+# U rho U+ there to the coefficients of _HARMONICS.
+_ROOTS = 2.0 * np.pi * np.arange(5) / 5.0
+_DFT = np.exp(-1j * np.outer(_HARMONICS, _ROOTS)) / 5.0
 
 
 @dataclass(frozen=True)
@@ -68,16 +72,20 @@ def spin1_operators() -> tuple[np.ndarray, np.ndarray]:
     return sx, sz
 
 
-def propagator(phi: float, eps0: float = 0.0, t: float = 0.0) -> np.ndarray:
-    """Closed-form propagator exp(-i t eps0) exp(-i phi Sx)."""
+def propagator(phi, eps0: float = 0.0, t: float = 0.0) -> np.ndarray:
+    """Closed-form propagator exp(-i t eps0) exp(-i phi Sx).
+
+    phi may be a scalar or an array of phases; the result has shape
+    phi.shape + (3, 3).
+    """
+    phi = np.asarray(phi, dtype=float)
     c = np.cos(phi)
-    s = np.sin(phi)
-    half = np.cos(0.5 * phi) ** 2
-    off = -1j * s / SQRT2
-    corner = 0.5 * (c - 1.0)
-    u = np.array(
-        [[half, off, corner], [off, c, off], [corner, off, half]], dtype=complex
-    )
+    off = -1j * np.sin(phi) / SQRT2
+    u = np.empty(phi.shape + (3, 3), dtype=complex)
+    u[..., 0, 0] = u[..., 2, 2] = np.cos(0.5 * phi) ** 2
+    u[..., 0, 2] = u[..., 2, 0] = 0.5 * (c - 1.0)
+    u[..., 1, 1] = c
+    u[..., 0, 1] = u[..., 1, 0] = u[..., 1, 2] = u[..., 2, 1] = off
     return np.exp(-1j * t * eps0) * u
 
 
@@ -118,15 +126,9 @@ def fourier_components(rho0: np.ndarray) -> np.ndarray:
     at the 5 fifth roots of unity and applying a DFT recovers the
     coefficients exactly.  Returns an array of shape (5, 3, 3) ordered by n.
     """
-    phis = 2.0 * np.pi * np.arange(5) / 5.0
-    samples = np.empty((5, 3, 3), dtype=complex)
-    for k, phi in enumerate(phis):
-        u = propagator(phi)
-        samples[k] = u @ rho0 @ u.conj().T
-    coeffs = np.empty((5, 3, 3), dtype=complex)
-    for i, n in enumerate(_HARMONICS):
-        coeffs[i] = np.tensordot(np.exp(-1j * n * phis) / 5.0, samples, axes=1)
-    return coeffs
+    u = propagator(_ROOTS)
+    samples = u @ rho0 @ u.conj().swapaxes(-1, -2)
+    return np.tensordot(_DFT, samples, axes=1)
 
 
 def evolve_averaged(

@@ -115,7 +115,7 @@ def sweep_rows(
     for tau in tau_grid:
         beta = beta_closed(spec, float(tau))
         sigma2 = omega * omega * beta
-        row = [float(tau), beta, purity_closed(sigma2), vn_entropy_closed(sigma2)]
+        row = [float(tau), beta, purity_closed(sigma2, r), vn_entropy_closed(sigma2, r)]
         if extra == "dephasing_n2":
             row.append(dephasing_factor(2, spec, float(tau), omega))
         if with_matrix:

@@ -2,7 +2,8 @@
 
 For the fully polarized initial state (r=1, omega=1) the averaged matrix has
 rank <= 2 with nonzero eigenvalues (3 +- sqrt(exp(-4 beta) + 8)) / 6, which
-gives the closed forms implemented here.  Entropy uses the natural logarithm
+gives the closed forms implemented here; a partly mixed initial state (r < 1)
+shifts and scales that spectrum.  Entropy uses the natural logarithm
 throughout; the long-time saturation values are purity 17/18 and entropy
 ~0.1298.
 """
@@ -33,11 +34,13 @@ def purity(rho: np.ndarray) -> float:
     return float(np.sum(np.abs(rho) ** 2))
 
 
-def purity_closed(beta: float) -> float:
-    """(17 + exp(-4 beta)) / 18 for the r=1, omega=1 averaged state."""
+def purity_closed(beta: float, r: float = 1.0) -> float:
+    """(1-r^2)/3 + r^2 (17 + exp(-4 beta)) / 18 for the omega=1 averaged state
+    from initial_state(r): averaging is linear and unital, so that state is
+    (1-r)/3 * I + r * (the r=1 state)."""
     if beta < 0.0:
         raise ValueError("beta must be nonnegative")
-    return (17.0 + math.exp(-4.0 * beta)) / 18.0
+    return (1.0 - r * r) / 3.0 + r * r * (17.0 + math.exp(-4.0 * beta)) / 18.0
 
 
 def vn_entropy(rho: np.ndarray) -> float:
@@ -48,18 +51,19 @@ def vn_entropy(rho: np.ndarray) -> float:
     return max(float(-np.sum(nonzero * np.log(nonzero))), 0.0)
 
 
-def vn_entropy_closed(beta: float) -> float:
-    """Entropy of the r=1, omega=1 averaged state as a function of beta.
+def vn_entropy_closed(beta: float, r: float = 1.0) -> float:
+    """Entropy of the omega=1 averaged state started from initial_state(r).
 
-    The two nonzero eigenvalues are (3 +- sqrt(exp(-4 beta) + 8)) / 6; the
-    rank-deficiency zero eigenvalue contributes nothing.
+    The r=1 state has eigenvalues (3 +- sqrt(exp(-4 beta) + 8)) / 6 and 0;
+    mixing in (1-r)/3 * I maps each eigenvalue lam to (1-r)/3 + r * lam.
+    Eigenvalues below the clamp tolerance contribute nothing.
     """
     if beta < 0.0:
         raise ValueError("beta must be nonnegative")
     root = math.sqrt(math.exp(-4.0 * beta) + 8.0)
-    lam_plus = (3.0 + root) / 6.0
-    lam_minus = (3.0 - root) / 6.0
-    out = -lam_plus * math.log(lam_plus)
-    if lam_minus > _CLAMP_TOL:
-        out -= lam_minus * math.log(lam_minus)
+    mixed = (1.0 - r) / 3.0
+    out = 0.0
+    for lam in (mixed + r * (3.0 + root) / 6.0, mixed + r * (3.0 - root) / 6.0, mixed):
+        if lam > _CLAMP_TOL:
+            out -= lam * math.log(lam)
     return max(out, 0.0)

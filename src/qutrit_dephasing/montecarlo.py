@@ -3,7 +3,8 @@ and average the evolved qutrit states over the ensemble.
 
 This path never touches the analytic dephasing factors: paths are drawn from
 the exact covariance by dense Cholesky, phases are trapezoid integrals of the
-sampled field, and states are averaged matrix-by-matrix.  Agreement with
+sampled field, and the states U(phi) rho0 U(phi)+ are averaged
+matrix-by-matrix with the closed-form ``propagator``.  Agreement with
 ``evolve_averaged`` within the 3/sqrt(N) statistical bound is the independent
 check of the analytic averaging rule.
 
@@ -18,8 +19,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import average_propagated, phases_trapezoid
-from .dynamics import PhaseLaw, SystemParams, check_density_matrix, evolve_averaged
+from .dynamics import (
+    PhaseLaw,
+    SystemParams,
+    check_density_matrix,
+    evolve_averaged,
+    propagator,
+)
 from .noise import NoiseSpec, autocorrelation, beta_closed
 
 RNG_ALGORITHM = "numpy.random.Philox (4x64), per-path jumped substreams"
@@ -118,9 +124,21 @@ def phase_of(path, t_grid, omega: float):
     t_grid = np.asarray(t_grid, dtype=float)
     if path.shape[-1] != t_grid.size:
         raise ValueError("path and grid lengths differ")
-    single = path.ndim == 1
-    phases = phases_trapezoid(np.atleast_2d(path), t_grid, omega)
-    return phases[0] if single else phases
+    phases = np.zeros_like(path)
+    increments = 0.5 * np.diff(t_grid) * (path[..., 1:] + path[..., :-1])
+    np.cumsum(increments, axis=-1, out=phases[..., 1:])
+    return omega * phases
+
+
+def _trapezoid_weights(t_grid: np.ndarray, at_index: int) -> np.ndarray:
+    """Weights w with path @ w the trapezoid integral from t_grid[0] to
+    t_grid[at_index]; entries past at_index are zero."""
+    stop = at_index % t_grid.size
+    half_steps = 0.5 * np.diff(t_grid[: stop + 1])
+    w = np.zeros(t_grid.size)
+    w[:stop] += half_steps
+    w[1 : stop + 1] += half_steps
+    return w
 
 
 def mc_average_state(
@@ -131,8 +149,9 @@ def mc_average_state(
 ) -> OracleReport:
     """Ensemble-averaged evolved state at one grid time, vs the analytic state.
 
-    Each path is evolved unitarily with its own accumulated phase and the
-    resulting matrices are averaged; the analytic reference is
+    Each path is evolved unitarily with its own accumulated phase (the
+    trapezoid integral up to at_index, taken as one weighted sum per path)
+    and the resulting matrices are averaged; the analytic reference is
     evolve_averaged with variance omega^2 * beta_closed(spec, tau).
     """
     check_density_matrix(rho0)
@@ -140,9 +159,10 @@ def mc_average_state(
         raise ValueError("ensemble is empty")
     if not -ensemble.t_grid.size <= at_index < ensemble.t_grid.size:
         raise IndexError("at_index outside the time grid")
-    phases = phases_trapezoid(ensemble.paths, ensemble.t_grid, params.omega)
-    phis = phases[:, at_index]
-    empirical = average_propagated(phis, np.asarray(rho0, dtype=complex))
+    weights = _trapezoid_weights(ensemble.t_grid, at_index)
+    u = propagator(params.omega * (ensemble.paths @ weights))
+    rho0 = np.asarray(rho0, dtype=complex)
+    empirical = np.einsum("nij,jk,nlk->nil", u, rho0, u.conj()).mean(axis=0)
     tau = float(ensemble.t_grid[at_index] - ensemble.t_grid[0])
     variance = params.omega**2 * beta_closed(ensemble.spec, tau)
     analytic = evolve_averaged(rho0, params, PhaseLaw(variance))

@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf
 
 KINDS = ("fgn", "gn", "ou", "pl")
 
@@ -115,7 +114,7 @@ def beta_closed(spec: NoiseSpec, tau: float) -> float:
         return tau ** (2.0 * h1) / (2.0 * h1)
     if spec.kind == "gn":
         x = g * tau
-        return ((math.exp(-x * x) - 1.0) / math.sqrt(math.pi) + x * erf(x)) / g
+        return ((math.exp(-x * x) - 1.0) / math.sqrt(math.pi) + x * math.erf(x)) / g
     if spec.kind == "ou":
         x = g * tau
         return (x + math.exp(-x) - 1.0) / g

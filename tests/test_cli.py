@@ -3,11 +3,14 @@
 import csv
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from qutrit_dephasing import cli
+import qutrit_dephasing
+from qutrit_dephasing import cli, metrics
 from qutrit_dephasing.experiments import FIGURES
 
 
@@ -95,6 +98,19 @@ class TestSweep:
         assert "rho_re_00" in rows[0]
         assert float(rows[0]["rho_re_00"]) == pytest.approx(1.0 / 3.0)
 
+    @pytest.mark.parametrize("r", ["0", "0.5", "1"])
+    def test_metric_columns_match_row_matrix(self, r, tmp_path):
+        argv = ["sweep", "--noise", "ou", "--r", r, "--tau-max", "50", "--with-matrix"]
+        assert run(argv + ["--out", str(tmp_path)]) == 0
+        for row in read_csv(tmp_path / "sweep_ou_g1.csv"):
+            # matrix columns follow the stats as re, im pairs in row-major order
+            parts = [float(v) for v in list(row.values())[4:]]
+            rho = np.array(parts).view(complex).reshape(3, 3)
+            assert float(row["purity"]) == pytest.approx(metrics.purity(rho), abs=1e-10)
+            assert float(row["entropy"]) == pytest.approx(
+                metrics.vn_entropy(rho), abs=1e-10
+            )
+
     def test_byte_identical_reruns(self, tmp_path):
         a = tmp_path / "a"
         b = tmp_path / "b"
@@ -137,6 +153,16 @@ class TestOracle:
         assert (tmp_path / "oracle_ou_g1.txt").read_bytes() == first
         assert b"rng_algorithm" in first
         assert b"within_bound = True" in first
+
+    def test_tau_steps_sets_grid(self, tmp_path):
+        argv = [
+            "oracle", "--noise", "ou", "--tau-max", "1", "--tau-steps", "51",
+            "--samples", "2000", "--out", str(tmp_path),
+        ]
+        assert run(argv) == 0
+        report = (tmp_path / "oracle_ou_g1.txt").read_text().splitlines()
+        (step,) = [line.split(" = ")[1] for line in report if line.startswith("grid_step")]
+        assert float(step) == pytest.approx(0.02, rel=1e-12)
 
     def test_zero_samples_usage_error(self):
         assert run(["oracle", "--noise", "ou", "--samples", "0", "--tau-max", "1"]) == 1
@@ -212,3 +238,17 @@ class TestConfigFile:
         config = tmp_path / "bad.cfg"
         config.write_text("just words\n")
         assert run(["beta", "--config", str(config), "--noise", "ou"]) == 1
+
+
+def test_import_loads_numpy_only():
+    # Beyond numpy, importing the CLI may load only the package and the
+    # standard library: no scipy, no optional accelerator.
+    code = (
+        "import sys, numpy; before = set(sys.modules); import qutrit_dephasing.cli; "
+        "added = {m.split('.')[0] for m in set(sys.modules) - before}; "
+        "print(sorted(added - set(sys.stdlib_module_names) - {'qutrit_dephasing'}))"
+    )
+    src = os.path.dirname(os.path.dirname(qutrit_dephasing.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0 and out.stdout.strip() == "[]", out.stderr

@@ -33,8 +33,10 @@ class TestSpinOperators:
 
     def test_exponential_matches_propagator(self):
         sx, _ = spin1_operators()
-        for phi in (0.0, 0.3, np.pi, 2.4):
+        phis = (0.0, 0.3, np.pi, 2.4)
+        for phi, stacked in zip(phis, propagator(np.array(phis))):
             assert np.allclose(expm(-1j * phi * sx), propagator(phi), atol=1e-12)
+            assert np.max(np.abs(stacked - propagator(phi))) < 1e-15
 
     def test_center_entry_at_pi(self):
         sx, _ = spin1_operators()

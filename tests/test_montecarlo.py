@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from qutrit_dephasing import (
     NoiseSpec,
@@ -12,7 +13,9 @@ from qutrit_dephasing import (
     mc_average_state,
     phase_of,
     sample_trajectories,
+    spin1_operators,
 )
+from qutrit_dephasing.montecarlo import _trapezoid_weights
 
 
 class TestSampleTrajectories:
@@ -96,6 +99,15 @@ class TestPhaseOf:
         with pytest.raises(ValueError):
             phase_of(np.ones(4), np.linspace(0, 1, 5), 1.0)
 
+    @pytest.mark.parametrize("at_index", [1, 37, -1])
+    def test_trapezoid_weights_match_cumulative_phase(self, at_index):
+        rng = np.random.default_rng(3)
+        grid = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 2.0, size=63))])
+        paths = rng.normal(size=(50, 64))
+        weighted = 1.7 * (paths @ _trapezoid_weights(grid, at_index))
+        cumulative = phase_of(paths, grid, 1.7)[:, at_index]
+        assert np.max(np.abs(weighted - cumulative)) < 1e-13
+
 
 class TestMcAverageState:
     def _manual_ensemble(self, paths, grid, spec):
@@ -113,6 +125,23 @@ class TestMcAverageState:
         report = mc_average_state(rho0, ensemble, SystemParams(), -1)
         expected = evolve_noiseless(rho0, SystemParams(eta_const=0.0), 1.0)
         assert np.max(np.abs(report.empirical - expected)) < 1e-14
+
+    def test_matches_per_path_matrix_exponential(self):
+        rng = np.random.default_rng(5)
+        a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        rho0 = a @ a.conj().T
+        rho0 /= np.trace(rho0).real
+        grid = np.linspace(0.0, 1.0, 11)
+        paths = rng.normal(size=(4, 11))
+        params = SystemParams(omega=1.3)
+        ensemble = self._manual_ensemble(paths, grid, NoiseSpec.ou(1.0))
+        report = mc_average_state(rho0, ensemble, params, -1)
+        sx, _ = spin1_operators()
+        expected = np.zeros((3, 3), dtype=complex)
+        for phi in phase_of(paths, grid, params.omega)[:, -1]:
+            u = expm(-1j * phi * sx)
+            expected += u @ rho0 @ u.conj().T / len(paths)
+        assert np.max(np.abs(report.empirical - expected)) < 1e-13
 
     def test_empirical_state_well_formed(self):
         spec = NoiseSpec.gn(1.0)
