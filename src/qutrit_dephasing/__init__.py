@@ -7,7 +7,6 @@ reproduction.
 """
 
 from .dynamics import (
-    PhaseLaw,
     SystemParams,
     evolve_averaged,
     evolve_noiseless,
@@ -47,7 +46,6 @@ __all__ = [
     "beta_closed",
     "beta_quadrature",
     "dephasing_factor",
-    "PhaseLaw",
     "SystemParams",
     "spin1_operators",
     "propagator",

@@ -218,7 +218,8 @@ def _cmd_sweep(opts: dict) -> int:
 def _cmd_preservation(opts: dict) -> int:
     spec = _single_spec(opts)
     result = preservation_time(
-        spec, omega=opts["omega"], delta=opts["delta"], measure=opts["measure"]
+        spec, omega=opts["omega"], delta=opts["delta"], measure=opts["measure"],
+        r=opts["r"],
     )
     print(
         f"noise={spec.label()} measure={result.measure} delta={result.delta:g} "

@@ -54,17 +54,6 @@ class SystemParams:
             raise ValueError(f"r must lie in [0, 1], got {self.r}")
 
 
-@dataclass(frozen=True)
-class PhaseLaw:
-    """Zero-mean Gaussian law of the accumulated phase; variance = omega^2 * beta."""
-
-    variance: float
-
-    def __post_init__(self) -> None:
-        if self.variance < 0.0:
-            raise ValueError(f"phase variance must be nonnegative, got {self.variance}")
-
-
 def spin1_operators() -> tuple[np.ndarray, np.ndarray]:
     """Spin-1 matrices (Sx, Sz) in the {|0>, |1>, |2>} basis."""
     sx = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=complex) / SQRT2
@@ -131,40 +120,33 @@ def fourier_components(rho0: np.ndarray) -> np.ndarray:
     return np.tensordot(_DFT, samples, axes=1)
 
 
-def evolve_averaged(
-    rho0: np.ndarray, params: SystemParams, law: PhaseLaw
-) -> np.ndarray:
-    """Average of U(phi) rho0 U(phi)+ over phi ~ N(0, law.variance).
+def evolve_averaged(rho0: np.ndarray, variance) -> np.ndarray:
+    """Average of U(phi) rho0 U(phi)+ over phi ~ N(0, variance).
 
     Exact: each Fourier component C_n exp(i n phi) averages to
-    C_n exp(-n^2 var / 2).
+    C_n exp(-n^2 var / 2).  variance may be a scalar or an array; the result
+    has shape variance.shape + (3, 3).
     """
+    variance = np.asarray(variance, dtype=float)
+    if np.any(variance < 0.0):
+        raise ValueError("phase variance must be nonnegative")
     check_density_matrix(rho0)
-    coeffs = fourier_components(rho0)
-    damping = np.exp(-0.5 * _HARMONICS**2 * law.variance)
-    rho = np.tensordot(damping, coeffs, axes=1)
+    damping = np.exp(-0.5 * _HARMONICS**2 * variance[..., None])
+    rho = np.tensordot(damping, fourier_components(rho0), axes=1)
     # Hermitian up to rounding; symmetrize away the residue.
-    return 0.5 * (rho + rho.conj().T)
+    return 0.5 * (rho + rho.conj().swapaxes(-1, -2))
 
 
-def fluctuation_series(params: SystemParams, t_grid) -> dict[str, np.ndarray]:
-    """Noiseless matrix entries along a time grid.
+def fluctuation_series(params: SystemParams, t_grid) -> np.ndarray:
+    """Noiseless states along a time grid, shape (T, 3, 3).
 
-    Returns a mapping with the grid under "t" and, for each entry (i, j),
-    real and imaginary parts under "rho_re_ij" / "rho_im_ij".
+    The phase at time t is omega * eta_const * t; the global eps0 phase of
+    the propagator cancels and is left out.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.size == 0:
         raise ValueError("time grid must be nonempty")
     if np.any(np.diff(t_grid) < 0.0) or np.any(t_grid < 0.0):
         raise ValueError("time grid must be sorted and nonnegative")
-    rho0 = initial_state(params.r)
-    series: dict[str, np.ndarray] = {"t": t_grid}
-    stacked = np.empty((t_grid.size, 3, 3), dtype=complex)
-    for k, t in enumerate(t_grid):
-        stacked[k] = evolve_noiseless(rho0, params, t)
-    for i in range(3):
-        for j in range(3):
-            series[f"rho_re_{i}{j}"] = stacked[:, i, j].real
-            series[f"rho_im_{i}{j}"] = stacked[:, i, j].imag
-    return series
+    u = propagator(params.omega * params.eta_const * t_grid)
+    return u @ initial_state(params.r) @ u.conj().swapaxes(-1, -2)

@@ -9,19 +9,15 @@ byte-identical outputs.
 
 from __future__ import annotations
 
+import math
 import os
 import tempfile
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dynamics import PhaseLaw, SystemParams, evolve_averaged, fluctuation_series, initial_state
-from .metrics import (
-    ENTROPY_SATURATION,
-    PURITY_SATURATION,
-    purity_closed,
-    vn_entropy_closed,
-)
+from .dynamics import SystemParams, evolve_averaged, fluctuation_series, initial_state
+from .metrics import purity_closed, vn_entropy_closed
 from .montecarlo import OracleReport, mc_average_state, sample_trajectories
 from .noise import NoiseSpec, beta_closed, dephasing_factor
 
@@ -93,11 +89,17 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
-def write_rows(path: str, header: list[str], rows: list[list[float]]) -> None:
+def write_rows(path: str, header: list[str], rows: np.ndarray) -> None:
     """Atomic CSV write; 17 significant digits, dot decimal separator."""
     lines = [",".join(header)]
-    lines.extend(",".join(fmt(v) for v in row) for row in rows)
+    lines.extend(",".join(fmt(v) for v in row) for row in rows.tolist())
     _atomic_write(path, "\n".join(lines) + "\n")
+
+
+def _matrix_columns(states: np.ndarray) -> np.ndarray:
+    """(T, 3, 3) states as the (T, 18) real columns named by _MATRIX_COLUMNS."""
+    flat = states.reshape(len(states), 9)
+    return np.stack([flat.real, flat.imag], axis=-1).reshape(len(states), 18)
 
 
 def sweep_rows(
@@ -107,24 +109,18 @@ def sweep_rows(
     r: float = 1.0,
     with_matrix: bool = False,
     extra: str | None = None,
-) -> list[list[float]]:
-    """CSV rows (tau, beta, purity, entropy[, extra][, matrix]) for one spec."""
-    rho0 = initial_state(r) if with_matrix else None
-    params = SystemParams(omega=omega, r=r)
-    rows = []
-    for tau in tau_grid:
-        beta = beta_closed(spec, float(tau))
-        sigma2 = omega * omega * beta
-        row = [float(tau), beta, purity_closed(sigma2, r), vn_entropy_closed(sigma2, r)]
-        if extra == "dephasing_n2":
-            row.append(dephasing_factor(2, spec, float(tau), omega))
-        if with_matrix:
-            rho = evolve_averaged(rho0, params, PhaseLaw(sigma2))
-            for i in range(3):
-                for j in range(3):
-                    row.extend([rho[i, j].real, rho[i, j].imag])
-        rows.append(row)
-    return rows
+) -> np.ndarray:
+    """CSV rows (tau, beta, purity, entropy[, extra][, matrix]) for one spec,
+    as one (T, ncols) array."""
+    tau = np.asarray(tau_grid, dtype=float)
+    beta = beta_closed(spec, tau)
+    sigma2 = omega * omega * beta
+    columns = [tau, beta, purity_closed(sigma2, r), vn_entropy_closed(sigma2, r)]
+    if extra == "dephasing_n2":
+        columns.append(dephasing_factor(2, spec, tau, omega))
+    if with_matrix:
+        columns.append(_matrix_columns(evolve_averaged(initial_state(r), sigma2)))
+    return np.column_stack(columns)
 
 
 def run_sweep(config: SweepConfig) -> list[str]:
@@ -152,11 +148,13 @@ def preservation_time(
     delta: float = 1e-3,
     measure: str = "purity",
     rel_tol: float = 1e-4,
+    r: float = 1.0,
 ) -> PreservationTime:
     """Smallest tau at which the metric is within delta of its saturation.
 
-    Monotone beta makes the crossing unique; located by doubling then
-    bisection to the given relative tolerance.
+    The state starts from initial_state(r); the saturation level is the
+    closed form at beta = inf.  Monotone beta makes the crossing unique;
+    located by doubling then bisection to the given relative tolerance.
     """
     if delta <= 0.0:
         raise ValueError("delta must be positive")
@@ -166,8 +164,8 @@ def preservation_time(
     def satisfied(tau: float) -> bool:
         sigma2 = omega * omega * beta_closed(spec, tau)
         if measure == "purity":
-            return purity_closed(sigma2) - PURITY_SATURATION <= delta
-        return ENTROPY_SATURATION - vn_entropy_closed(sigma2) <= delta
+            return purity_closed(sigma2, r) - purity_closed(math.inf, r) <= delta
+        return vn_entropy_closed(math.inf, r) - vn_entropy_closed(sigma2, r) <= delta
 
     if satisfied(0.0):
         raise ValueError(
@@ -273,20 +271,13 @@ def figure(name: str, outputs: str = ".") -> list[str]:
 
 def _figure_noiseless(outputs: str) -> list[str]:
     t_grid = np.linspace(0.0, 15.0, 1501)
+    zeros, ones = np.zeros_like(t_grid), np.ones_like(t_grid)
+    header = list(CSV_HEADER) + _MATRIX_COLUMNS
     written = []
     for omega in (0.5, 1.0):
         params = SystemParams(omega=omega, eta_const=1.0, r=1.0)
-        series = fluctuation_series(params, t_grid)
-        header = list(CSV_HEADER) + _MATRIX_COLUMNS
-        rows = []
-        for k, t in enumerate(t_grid):
-            row = [float(t), 0.0, 1.0, 0.0]
-            for i in range(3):
-                for j in range(3):
-                    row.extend(
-                        [series[f"rho_re_{i}{j}"][k], series[f"rho_im_{i}{j}"][k]]
-                    )
-            rows.append(row)
+        states = fluctuation_series(params, t_grid)
+        rows = np.column_stack([t_grid, zeros, ones, zeros, _matrix_columns(states)])
         path = os.path.join(outputs, f"noiseless_omega{omega:g}.csv")
         write_rows(path, header, rows)
         written.append(path)

@@ -34,13 +34,14 @@ def purity(rho: np.ndarray) -> float:
     return float(np.sum(np.abs(rho) ** 2))
 
 
-def purity_closed(beta: float, r: float = 1.0) -> float:
+def purity_closed(beta, r: float = 1.0):
     """(1-r^2)/3 + r^2 (17 + exp(-4 beta)) / 18 for the omega=1 averaged state
     from initial_state(r): averaging is linear and unital, so that state is
-    (1-r)/3 * I + r * (the r=1 state)."""
-    if beta < 0.0:
-        raise ValueError("beta must be nonnegative")
-    return (1.0 - r * r) / 3.0 + r * r * (17.0 + math.exp(-4.0 * beta)) / 18.0
+    (1-r)/3 * I + r * (the r=1 state).  beta may be a scalar (the result is a
+    float) or an array."""
+    beta = _nonnegative(beta)
+    out = (1.0 - r * r) / 3.0 + r * r * (17.0 + np.exp(-4.0 * beta)) / 18.0
+    return out if out.ndim else float(out)
 
 
 def vn_entropy(rho: np.ndarray) -> float:
@@ -51,19 +52,25 @@ def vn_entropy(rho: np.ndarray) -> float:
     return max(float(-np.sum(nonzero * np.log(nonzero))), 0.0)
 
 
-def vn_entropy_closed(beta: float, r: float = 1.0) -> float:
+def vn_entropy_closed(beta, r: float = 1.0):
     """Entropy of the omega=1 averaged state started from initial_state(r).
 
     The r=1 state has eigenvalues (3 +- sqrt(exp(-4 beta) + 8)) / 6 and 0;
     mixing in (1-r)/3 * I maps each eigenvalue lam to (1-r)/3 + r * lam.
-    Eigenvalues below the clamp tolerance contribute nothing.
+    Eigenvalues below the clamp tolerance contribute nothing.  beta may be a
+    scalar (the result is a float) or an array.
     """
-    if beta < 0.0:
+    beta = _nonnegative(beta)
+    root = np.sqrt(np.exp(-4.0 * beta) + 8.0)
+    spectrum = np.stack([3.0 + root, 3.0 - root, np.zeros_like(root)])
+    lams = (1.0 - r) / 3.0 + r * spectrum / 6.0
+    logs = np.log(np.where(lams > _CLAMP_TOL, lams, 1.0))
+    out = np.maximum(-np.sum(lams * logs, axis=0), 0.0)
+    return out if out.ndim else float(out)
+
+
+def _nonnegative(beta) -> np.ndarray:
+    beta = np.asarray(beta, dtype=float)
+    if np.any(beta < 0.0):
         raise ValueError("beta must be nonnegative")
-    root = math.sqrt(math.exp(-4.0 * beta) + 8.0)
-    mixed = (1.0 - r) / 3.0
-    out = 0.0
-    for lam in (mixed + r * (3.0 + root) / 6.0, mixed + r * (3.0 - root) / 6.0, mixed):
-        if lam > _CLAMP_TOL:
-            out -= lam * math.log(lam)
-    return max(out, 0.0)
+    return beta

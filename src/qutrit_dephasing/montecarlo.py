@@ -19,13 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import (
-    PhaseLaw,
-    SystemParams,
-    check_density_matrix,
-    evolve_averaged,
-    propagator,
-)
+from .dynamics import SystemParams, check_density_matrix, evolve_averaged, propagator
 from .noise import NoiseSpec, autocorrelation, beta_closed
 
 RNG_ALGORITHM = "numpy.random.Philox (4x64), per-path jumped substreams"
@@ -165,7 +159,7 @@ def mc_average_state(
     empirical = np.einsum("nij,jk,nlk->nil", u, rho0, u.conj()).mean(axis=0)
     tau = float(ensemble.t_grid[at_index] - ensemble.t_grid[0])
     variance = params.omega**2 * beta_closed(ensemble.spec, tau)
-    analytic = evolve_averaged(rho0, params, PhaseLaw(variance))
+    analytic = evolve_averaged(rho0, variance)
     deviation = float(np.max(np.abs(empirical - analytic)))
     steps = np.diff(ensemble.t_grid)
     return OracleReport(

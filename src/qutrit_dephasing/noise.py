@@ -102,26 +102,52 @@ def autocorrelation(spec: NoiseSpec, s, s_prime):
     return out if out.ndim else float(out)
 
 
-def beta_closed(spec: NoiseSpec, tau: float) -> float:
-    """Analytic double integral of the kernel over [0, tau]^2."""
-    if tau < 0.0:
+# Below this (scaled) x the ou and pl forms lose digits to cancellation and
+# are summed as their Taylor series from x^2 instead; _SERIES_TERMS terms
+# reach double precision there.
+_SERIES_X = 0.05
+_SERIES_TERMS = 14
+_erf = np.vectorize(math.erf, otypes=[float])
+
+
+def _series(x, c2: float, ratio) -> np.ndarray:
+    """Sum_{k>=2} c_k x^k with c_{k+1} = c_k * ratio(k)."""
+    coeffs = [c2]
+    for k in range(2, _SERIES_TERMS + 1):
+        coeffs.append(coeffs[-1] * ratio(k))
+    return x * x * np.polyval(coeffs[::-1], x)
+
+
+def beta_closed(spec: NoiseSpec, tau):
+    """Analytic double integral of the kernel over [0, tau]^2.
+
+    tau may be a scalar (the result is a float) or an array.  With x = g*tau
+    the gn, ou and pl forms are written with expm1/log1p, and ou and pl are
+    summed as their series at small x, so beta keeps full relative precision
+    as x -> 0.
+    """
+    tau = np.asarray(tau, dtype=float)
+    if np.any(tau < 0.0):
         raise ValueError("tau must be nonnegative")
-    if tau == 0.0:
-        return 0.0
-    g = spec.g
+    x = spec.g * tau
     if spec.kind == "fgn":
         h1 = spec.hurst + 1.0
-        return tau ** (2.0 * h1) / (2.0 * h1)
-    if spec.kind == "gn":
-        x = g * tau
-        return ((math.exp(-x * x) - 1.0) / math.sqrt(math.pi) + x * math.erf(x)) / g
-    if spec.kind == "ou":
-        x = g * tau
-        return (x + math.exp(-x) - 1.0) / g
-    # pl; alpha > 2 enforced at construction
-    a = spec.alpha
-    x = g * tau
-    return (x * (a - 2.0) - 1.0 + (1.0 + x) ** (2.0 - a)) / (g * (a - 2.0))
+        out = tau ** (2.0 * h1) / (2.0 * h1)
+    elif spec.kind == "gn":
+        out = (np.expm1(-x * x) / math.sqrt(math.pi) + x * _erf(x)) / spec.g
+    elif spec.kind == "ou":
+        small = x < _SERIES_X
+        series = _series(np.where(small, x, 0.0), 0.5, lambda k: -1.0 / (k + 1))
+        out = np.where(small, series, x + np.expm1(-x)) / spec.g
+    else:  # pl; alpha > 2 enforced at construction
+        a = spec.alpha
+        small = (a - 1.0) * x < _SERIES_X
+        series = _series(
+            np.where(small, x, 0.0), 0.5 * (a - 1.0), lambda k: (2.0 - a - k) / (k + 1)
+        )
+        direct = (x * (a - 2.0) + np.expm1((2.0 - a) * np.log1p(x))) / (a - 2.0)
+        out = np.where(small, series, direct) / spec.g
+    return out if out.ndim else float(out)
 
 
 def beta_quadrature(spec: NoiseSpec, tau: float, panels: int = 1024) -> float:
@@ -156,15 +182,15 @@ def _trapezoid_2d(spec: NoiseSpec, tau: float, panels: int) -> float:
     return float(np.einsum("i,j,ij->", w, w, values))
 
 
-def dephasing_factor(n: int, spec: NoiseSpec, tau: float, omega: float = 1.0) -> float:
+def dephasing_factor(n: int, spec: NoiseSpec, tau, omega: float = 1.0):
     """Expectation <exp(i n phi)> for the Gaussian phase at time tau.
 
     phi has zero mean and variance omega^2 * beta(tau), so the expectation is
     exp(-n^2 omega^2 beta / 2).  This is the factor damping the n-th Fourier
-    component of the evolved density matrix.
+    component of the evolved density matrix.  tau may be a scalar (the
+    result is a float) or an array.
     """
-    if tau < 0.0:
-        raise ValueError("tau must be nonnegative")
     if omega <= 0.0:
         raise ValueError("omega must be positive")
-    return math.exp(-0.5 * n * n * omega * omega * beta_closed(spec, tau))
+    out = np.exp(-0.5 * n * n * omega * omega * beta_closed(spec, tau))
+    return out if out.ndim else float(out)

@@ -11,7 +11,6 @@ import pytest
 
 from qutrit_dephasing import (
     NoiseSpec,
-    PhaseLaw,
     SystemParams,
     beta_closed,
     beta_quadrature,
@@ -106,7 +105,7 @@ def test_criterion_04_oracle_equivalence():
 @criterion("05 analytic averaged-matrix identity to 1e-12")
 def test_criterion_05_matrix_identity():
     for beta in (0.0, 0.5, 2.0, 10.0):
-        rho = evolve_averaged(initial_state(1.0), SystemParams(), PhaseLaw(beta))
+        rho = evolve_averaged(initial_state(1.0), beta)
         corner = (3.0 + math.exp(-2.0 * beta)) / 12.0
         center = 0.5 - math.exp(-2.0 * beta) / 6.0
         expected = np.full((3, 3), 1.0 / 3.0, dtype=complex)
@@ -120,7 +119,7 @@ def test_criterion_05_matrix_identity():
 @criterion("06 averaged state is rank 2 at r=1")
 def test_criterion_06_rank_two():
     for beta in (0.0, 0.1, 0.5, 2.0, 10.0, 50.0):
-        rho = evolve_averaged(initial_state(1.0), SystemParams(), PhaseLaw(beta))
+        rho = evolve_averaged(initial_state(1.0), beta)
         eigs = np.sort(np.abs(np.linalg.eigvalsh(rho)))
         assert eigs[0] <= 1e-10
 

@@ -3,8 +3,10 @@
 import csv
 import math
 import os
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +14,9 @@ import pytest
 import qutrit_dephasing
 from qutrit_dephasing import cli, metrics
 from qutrit_dephasing.experiments import FIGURES
+from qutrit_dephasing.noise import NoiseSpec, beta_closed
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run(argv):
@@ -54,6 +59,12 @@ class TestBeta:
 
     def test_invalid_alpha_is_numerical_error(self):
         assert run(["beta", "--noise", "pl", "--alpha", "2"]) == 2
+
+    def test_tiny_g_tau_stays_positive(self, capsys):
+        # g*tau <= 1e-8: the closed forms cancel unless summed as a series
+        assert run(["beta", "--noise", "pl", "--g", "1e-3", "--tau-max", "1e-5"]) == 0
+        rows = capsys.readouterr().out.splitlines()[2:]
+        assert all(float(row.split(",")[1]) > 0.0 for row in rows)
 
 
 class TestSweep:
@@ -132,6 +143,21 @@ class TestPreservation:
 
     def test_oversized_delta_rejected(self):
         assert run(["preservation", "--noise", "ou", "--g", "1", "--delta", "1"]) == 2
+
+    def test_r_sets_the_saturation_gap(self, capsys):
+        # purity - saturation = r^2 exp(-4 beta) / 18, so the crossing lies
+        # at beta = -ln(18 delta / r^2) / 4
+        r, delta = 0.5, 1e-3
+        assert run(
+            ["preservation", "--noise", "ou", "--g", "1e-3", "--delta", str(delta),
+             "--r", str(r)]
+        ) == 0
+        tau_star = float(capsys.readouterr().out.split("tau_star=")[1])
+        target = -math.log(18.0 * delta / r**2) / 4.0
+        spec = NoiseSpec.ou(1e-3)
+        # bisection stops once its bracket is within rel_tol = 1e-4 of tau_star
+        assert beta_closed(spec, tau_star * (1.0 - 1e-4)) <= target
+        assert beta_closed(spec, tau_star) >= target
 
     def test_entropy_measure(self, capsys):
         assert run(
@@ -238,6 +264,22 @@ class TestConfigFile:
         config = tmp_path / "bad.cfg"
         config.write_text("just words\n")
         assert run(["beta", "--config", str(config), "--noise", "ou"]) == 1
+
+
+def readme_commands() -> list[list[str]]:
+    """Each ``sim ...`` line of README's CLI block, continuations joined."""
+    block = README.read_text(encoding="utf-8").split("## CLI", 1)[1].split("```sh", 1)[1]
+    block = block.split("```", 1)[0].replace("\\\n", " ")
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("sim ")]
+
+
+def test_readme_cli_examples_run(tmp_path):
+    commands = readme_commands()
+    assert len(commands) == 5
+    for argv in commands:
+        if "--out" in argv:
+            del argv[argv.index("--out") : argv.index("--out") + 2]
+        assert run(argv + ["--out", str(tmp_path)]) == 0, argv
 
 
 def test_import_loads_numpy_only():

@@ -5,7 +5,6 @@ import pytest
 from scipy.linalg import expm
 
 from qutrit_dephasing import (
-    PhaseLaw,
     SystemParams,
     evolve_averaged,
     evolve_noiseless,
@@ -136,18 +135,18 @@ class TestFourierComponents:
 
 class TestEvolveAveraged:
     def test_no_noise_limit(self):
-        out = evolve_averaged(initial_state(1.0), SystemParams(), PhaseLaw(0.0))
+        out = evolve_averaged(initial_state(1.0), 0.0)
         assert np.allclose(out, np.full((3, 3), 1.0 / 3.0), atol=1e-14)
 
     def test_no_noise_equals_noiseless_any_state(self):
         for _ in range(5):
             rho0 = random_state(RNG)
-            averaged = evolve_averaged(rho0, SystemParams(), PhaseLaw(0.0))
+            averaged = evolve_averaged(rho0, 0.0)
             direct = evolve_noiseless(rho0, SystemParams(eta_const=0.0), 1.0)
             assert np.allclose(averaged, direct, atol=1e-12)
 
     def test_strong_noise_limit(self):
-        out = evolve_averaged(initial_state(1.0), SystemParams(), PhaseLaw(1e4))
+        out = evolve_averaged(initial_state(1.0), 1e4)
         expected = np.full((3, 3), 1.0 / 3.0, dtype=complex)
         expected[0, 0] = expected[2, 2] = expected[0, 2] = expected[2, 0] = 0.25
         expected[1, 1] = 0.5
@@ -156,7 +155,7 @@ class TestEvolveAveraged:
 
     def test_closed_form_matrix(self):
         beta = 0.5
-        out = evolve_averaged(initial_state(1.0), SystemParams(), PhaseLaw(beta))
+        out = evolve_averaged(initial_state(1.0), beta)
         corner = (3.0 + np.exp(-2.0 * beta)) / 12.0
         assert out[0, 0].real == pytest.approx(corner, abs=1e-13)
         assert out[1, 1].real == pytest.approx(0.5 - np.exp(-2.0 * beta) / 6.0, abs=1e-13)
@@ -164,31 +163,38 @@ class TestEvolveAveraged:
 
     @pytest.mark.parametrize("variance", [0.0, 0.1, 1.0, 7.5, 100.0])
     def test_valid_state_out(self, variance):
-        out = evolve_averaged(initial_state(1.0), SystemParams(), PhaseLaw(variance))
+        out = evolve_averaged(initial_state(1.0), variance)
         assert np.max(np.abs(out - out.conj().T)) < 1e-12
         assert np.trace(out).real == pytest.approx(1.0, abs=1e-12)
         assert np.linalg.eigvalsh(out).min() > -1e-10
 
     @pytest.mark.parametrize("variance", [0.0, 0.3, 2.0, 40.0])
     def test_rank_two_null_vector(self, variance):
-        out = evolve_averaged(initial_state(1.0), SystemParams(), PhaseLaw(variance))
+        out = evolve_averaged(initial_state(1.0), variance)
         null = np.array([1.0, 0.0, -1.0]) / np.sqrt(2.0)
         assert np.max(np.abs(out @ null)) < 1e-12
 
     def test_corner_deviation_shrinks_with_variance(self):
         limit = 0.25
         deviations = [
-            abs(
-                evolve_averaged(initial_state(1.0), SystemParams(), PhaseLaw(v))[0, 0]
-                - limit
-            )
+            abs(evolve_averaged(initial_state(1.0), v)[0, 0] - limit)
             for v in (0.0, 0.5, 1.0, 2.0, 5.0)
         ]
         assert all(b <= a for a, b in zip(deviations, deviations[1:]))
 
     def test_negative_variance_rejected(self):
         with pytest.raises(ValueError):
-            PhaseLaw(-0.1)
+            evolve_averaged(initial_state(1.0), -0.1)
+        with pytest.raises(ValueError):
+            evolve_averaged(initial_state(1.0), np.array([0.0, 1.0, -1e-12]))
+
+    def test_array_matches_stacked_scalars(self):
+        rho0 = random_state(np.random.default_rng(11))
+        variances = np.array([[0.0, 1e-9, 0.2], [1.0, 7.5, 300.0]])
+        out = evolve_averaged(rho0, variances)
+        assert out.shape == (2, 3, 3, 3)
+        stacked = np.array([[evolve_averaged(rho0, v) for v in row] for row in variances])
+        assert np.max(np.abs(out - stacked)) <= 1e-15
 
 
 class TestFluctuationSeries:
@@ -197,12 +203,12 @@ class TestFluctuationSeries:
         rho0 = initial_state(0.6)
         for i in range(3):
             for j in range(3):
-                assert series[f"rho_re_{i}{j}"][0] == pytest.approx(rho0[i, j].real)
+                assert series[0, i, j].real == pytest.approx(rho0[i, j].real)
 
     def test_entry_period_pi(self):
         t = np.linspace(0.0, 3.0 * np.pi, 1000)
         series = fluctuation_series(SystemParams(omega=1.0, eta_const=1.0), t)
-        corner = series["rho_re_00"]
+        corner = series[:, 0, 0].real
         shifted = np.interp(t[t <= 2.0 * np.pi] + np.pi, t, corner)
         assert np.allclose(shifted, np.interp(t[t <= 2.0 * np.pi], t, corner), atol=1e-6)
 
@@ -211,9 +217,18 @@ class TestFluctuationSeries:
         counts = {}
         for omega in (0.5, 1.0):
             series = fluctuation_series(SystemParams(omega=omega), t)
-            signal = series["rho_re_00"] - np.mean(series["rho_re_00"])
+            signal = series[:, 0, 0].real - np.mean(series[:, 0, 0].real)
             counts[omega] = int(np.sum(np.diff(np.sign(signal)) != 0))
         assert counts[1.0] == pytest.approx(2 * counts[0.5], abs=1)
+
+    @pytest.mark.parametrize("omega, eta_const, r", [(1.0, 1.0, 1.0), (0.5, 2.0, 0.6)])
+    def test_matches_noiseless_evolution(self, omega, eta_const, r):
+        params = SystemParams(eps0=1.3, omega=omega, eta_const=eta_const, r=r)
+        t = np.linspace(0.0, 15.0, 301)
+        series = fluctuation_series(params, t)
+        assert series.shape == (t.size, 3, 3)
+        direct = np.array([evolve_noiseless(initial_state(r), params, s) for s in t])
+        assert np.max(np.abs(series - direct)) <= 1e-13
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):

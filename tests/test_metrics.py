@@ -8,8 +8,6 @@ import pytest
 from qutrit_dephasing import (
     ENTROPY_SATURATION,
     PURITY_SATURATION,
-    PhaseLaw,
-    SystemParams,
     evolve_averaged,
     initial_state,
     purity,
@@ -29,7 +27,7 @@ class TestPurity:
         assert purity(np.full((3, 3), 1.0 / 3.0)) == pytest.approx(1.0)
 
     def test_averaged_state_value(self):
-        rho = evolve_averaged(initial_state(1.0), SystemParams(), PhaseLaw(0.5))
+        rho = evolve_averaged(initial_state(1.0), 0.5)
         assert purity(rho) == pytest.approx((17.0 + math.exp(-2.0)) / 18.0, abs=1e-12)
 
 
@@ -47,6 +45,8 @@ class TestPurityClosed:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             purity_closed(-0.1)
+        with pytest.raises(ValueError):
+            purity_closed(np.array([0.5, -1e-9]), 0.5)
 
 
 class TestVnEntropy:
@@ -57,7 +57,7 @@ class TestVnEntropy:
         assert vn_entropy(np.eye(3) / 3.0) == pytest.approx(math.log(3.0), abs=1e-12)
 
     def test_saturation_value(self):
-        rho = evolve_averaged(initial_state(1.0), SystemParams(), PhaseLaw(1e4))
+        rho = evolve_averaged(initial_state(1.0), 1e4)
         assert vn_entropy(rho) == pytest.approx(0.130, abs=1e-3)
         assert ENTROPY_SATURATION == pytest.approx(0.1298, abs=5e-4)
 
@@ -72,17 +72,30 @@ class TestVnEntropyClosed:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             vn_entropy_closed(-1.0)
+        with pytest.raises(ValueError):
+            vn_entropy_closed(np.array([0.5, -1e-9]), 0.5)
 
     @pytest.mark.parametrize("beta", BETAS)
     def test_matches_eigensolver(self, beta):
-        rho = evolve_averaged(initial_state(1.0), SystemParams(), PhaseLaw(beta))
+        rho = evolve_averaged(initial_state(1.0), beta)
         assert vn_entropy_closed(beta) == pytest.approx(vn_entropy(rho), abs=1e-10)
+
+
+@pytest.mark.parametrize("closed", [purity_closed, vn_entropy_closed])
+@pytest.mark.parametrize("r", [0.0, 0.5, 1.0])
+def test_array_input_matches_scalar(closed, r):
+    betas = np.array(BETAS + [1e-12, math.inf])
+    values = closed(betas, r)
+    assert values.shape == betas.shape
+    scalars = [closed(float(b), r) for b in betas]
+    assert all(type(v) is float for v in scalars)
+    np.testing.assert_allclose(values, scalars, rtol=1e-15, atol=0.0)
 
 
 class TestConsistency:
     @pytest.mark.parametrize("beta", BETAS)
     def test_purity_closed_vs_matrix(self, beta):
-        rho = evolve_averaged(initial_state(1.0), SystemParams(), PhaseLaw(beta))
+        rho = evolve_averaged(initial_state(1.0), beta)
         assert abs(purity_closed(beta) - purity(rho)) <= 1e-10
 
     def test_monotone_in_beta(self):
@@ -109,7 +122,7 @@ class TestConsistency:
     def test_rank_deficiency_harmless(self):
         # zero eigenvalue contributes nothing at any beta
         for beta in BETAS:
-            rho = evolve_averaged(initial_state(1.0), SystemParams(), PhaseLaw(beta))
+            rho = evolve_averaged(initial_state(1.0), beta)
             eigs = np.linalg.eigvalsh(rho)
             assert abs(eigs[0]) < 1e-10
             nonzero = eigs[1:]

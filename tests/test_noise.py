@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,6 +27,20 @@ ALL_SPECS = [
     NoiseSpec.pl(1.0, 3.0),
     NoiseSpec.pl(5.0, 10.0),
 ]
+
+# x = g*tau from deep in the cancellation region to far past the kernel scale.
+SMALL_TO_LARGE_X = np.logspace(-12.0, 4.0, 161)
+
+
+def beta_reference(kind: str, x: float, alpha: float) -> float:
+    """g * beta at x = g*tau, evaluated in 50-digit arithmetic."""
+    with mpmath.workdps(50):
+        x, a = mpmath.mpf(x), mpmath.mpf(alpha)
+        if kind == "gn":
+            return float((mpmath.exp(-x * x) - 1) / mpmath.sqrt(mpmath.pi) + x * mpmath.erf(x))
+        if kind == "ou":
+            return float(x + mpmath.exp(-x) - 1)
+        return float((x * (a - 2) - 1 + (1 + x) ** (2 - a)) / (a - 2))
 
 
 class TestNoiseSpec:
@@ -95,6 +110,8 @@ class TestBetaClosed:
     def test_negative_tau_rejected(self):
         with pytest.raises(ValueError):
             beta_closed(NoiseSpec.ou(1.0), -0.5)
+        with pytest.raises(ValueError):
+            beta_closed(NoiseSpec.gn(1.0), np.array([0.0, 1.0, -1e-3]))
 
     def test_fgn_crossover_in_hurst(self):
         early = [beta_closed(NoiseSpec.fgn(h), 0.5) for h in (0.1, 0.5, 0.9)]
@@ -107,6 +124,26 @@ class TestBetaClosed:
         for tau in (0.3, 1.0, 2.5):
             betas = [beta_closed(NoiseSpec(kind, g=g), tau) for g in (0.5, 1.0, 3.0, 10.0)]
             assert all(b1 < b2 for b1, b2 in zip(betas, betas[1:]))
+
+    @pytest.mark.parametrize(
+        "spec",
+        [NoiseSpec.gn(1.0), NoiseSpec.ou(1.0)]
+        + [NoiseSpec.pl(1.0, a) for a in (2.001, 2.5, 3.0, 5.0, 10.0)],
+        ids=lambda spec: spec.label(),
+    )
+    def test_relative_accuracy_small_to_large_x(self, spec):
+        got = beta_closed(spec, SMALL_TO_LARGE_X)
+        want = np.array([beta_reference(spec.kind, x, spec.alpha) for x in SMALL_TO_LARGE_X])
+        assert np.max(np.abs(got - want) / want) <= 1e-13
+
+    @pytest.mark.parametrize("spec", ALL_SPECS)
+    def test_array_matches_scalar(self, spec):
+        taus = np.array([0.0, 1e-9, 0.01, 0.3, 1.0, 2.5, 40.0])
+        values = beta_closed(spec, taus)
+        assert values.shape == taus.shape
+        scalars = [beta_closed(spec, float(t)) for t in taus]
+        assert all(type(v) is float for v in scalars)
+        np.testing.assert_allclose(values, scalars, rtol=1e-15, atol=0.0)
 
     @pytest.mark.parametrize("spec", ALL_SPECS)
     def test_nondecreasing_in_tau(self, spec):
@@ -159,6 +196,15 @@ class TestDephasingFactor:
     def test_bounded_in_unit_interval(self, tau, n, omega):
         value = dephasing_factor(n, NoiseSpec.ou(1.0), tau, omega)
         assert 0.0 < value <= 1.0
+
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_array_matches_scalar(self, n):
+        spec = NoiseSpec.pl(2.0, 4.0)
+        taus = np.linspace(0.0, 3.0, 13)
+        values = dephasing_factor(n, spec, taus, omega=0.7)
+        scalars = [dephasing_factor(n, spec, float(t), omega=0.7) for t in taus]
+        assert all(type(v) is float for v in scalars)
+        np.testing.assert_allclose(values, scalars, rtol=1e-15, atol=0.0)
 
     def test_monotone_in_arguments(self):
         spec = NoiseSpec.gn(1.0)
