@@ -7,10 +7,11 @@ and figure reproduction.
     sim oracle       --noise fgn --hurst 0.5 --tau-max 1 --samples 50000 --seed 7 --out DIR
     sim figure joint --out DIR
 
-A config file (--config, line-oriented ``key = value`` with the same names as
-the long flags) supplies defaults; explicit flags win.  Exit codes: 0 ok,
-1 usage error, 2 numerical failure or invalid parameters, 3 oracle bound
-violation.
+Each subcommand declares only the flags it reads.  A config file (--config,
+``key = value`` lines keyed by that subcommand's long flags) is read as
+``--key=value`` flags placed before the command line: its values pass the
+same types and choices, and explicit flags win.  Exit codes: 0 ok, 1 usage
+error, 2 numerical failure or invalid parameters, 3 oracle bound violation.
 """
 
 from __future__ import annotations
@@ -51,57 +52,82 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-_DEFAULTS = {
-    "hurst": 0.5,
-    "g": 1.0,
-    "alpha": 3.0,
-    "omega": 1.0,
-    "r": 1.0,
-    "tau_max": 2.0,
-    "tau_steps": 201,
-    "delta": 1e-3,
-    "samples": 50000,
-    "seed": 0,
-    "measure": "purity",
-}
+def _floats(text: str) -> tuple[float, ...]:
+    """A comma-separated list of floats (the swept values of ``sim sweep``)."""
+    return tuple(float(part) for part in text.split(","))
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _boolean(text: str) -> bool:
+    """An on/off switch: bare on the command line, or true/false in a config."""
+    word = text.lower()
+    if word not in ("1", "true", "yes", "0", "false", "no"):
+        raise argparse.ArgumentTypeError(f"expected true or false, got {text!r}")
+    return word in ("1", "true", "yes")
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="sim", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: _Parser, noise_required: bool = True) -> None:
-        p.add_argument("--noise", choices=KINDS, required=False)
-        p.add_argument("--hurst", type=str, default=None)
-        p.add_argument("--g", type=str, default=None)
-        p.add_argument("--alpha", type=str, default=None)
-        p.add_argument("--omega", type=float, default=None)
-        p.add_argument("--r", type=float, default=None)
-        p.add_argument("--tau-max", type=float, default=None)
-        p.add_argument("--tau-steps", type=int, default=None)
-        p.add_argument("--delta", type=float, default=None)
-        p.add_argument("--samples", type=int, default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--config", default=None, help="key = value defaults file")
+    def system(p: _Parser, number=float) -> _Parser:
+        """The noise family and its parameter, the coupling and the state."""
+        p.add_argument("--noise", choices=KINDS, required=True)
+        p.add_argument("--hurst", type=number, default="0.5")
+        p.add_argument("--g", type=number, default="1.0")
+        p.add_argument("--alpha", type=number, default="3.0")
+        p.add_argument("--omega", type=float, default=1.0)
+        p.add_argument("--r", type=float, default=1.0)
+        p.add_argument("--config", help="key = value defaults file")
+        return p
 
-    common(sub.add_parser("beta", help="tabulate beta/purity/entropy vs tau"))
-    p = sub.add_parser("sweep", help="sweep a noise parameter, one CSV per value")
-    common(p)
-    p.add_argument("--with-matrix", action="store_true")
-    p = sub.add_parser("preservation", help="time to reach saturation proximity")
-    common(p)
-    p.add_argument("--measure", choices=("purity", "entropy"), default=None)
-    common(sub.add_parser("oracle", help="Monte-Carlo check of the averaged state"))
+    def grid(p: _Parser, number=float) -> _Parser:
+        system(p, number)
+        p.add_argument("--tau-max", type=float, default=2.0)
+        p.add_argument("--tau-steps", type=int, default=201)
+        p.add_argument("--out", help="output directory")
+        return p
+
+    p = grid(sub.add_parser("beta", help="tabulate beta/purity/entropy vs tau"))
+    p.set_defaults(run=_cmd_beta)
+    p = grid(
+        sub.add_parser("sweep", help="sweep a noise parameter, one CSV per value"),
+        number=_floats,
+    )
+    p.add_argument(
+        "--with-matrix", type=_boolean, nargs="?", const=True, default=False, metavar="BOOL"
+    )
+    p.set_defaults(run=_cmd_sweep)
+    p = system(sub.add_parser("preservation", help="time to reach saturation proximity"))
+    p.add_argument("--delta", type=float, default=1e-3)
+    p.add_argument("--measure", choices=("purity", "entropy"), default="purity")
+    p.set_defaults(run=_cmd_preservation)
+    p = grid(sub.add_parser("oracle", help="Monte-Carlo check of the averaged state"))
+    p.add_argument("--samples", type=_positive_int, default=50000)
+    p.add_argument("--seed", type=int, default=0)
+    p.set_defaults(run=_cmd_oracle)
     p = sub.add_parser("figure", help="reproduce a canned figure recipe")
     p.add_argument("name", choices=FIGURES)
-    p.add_argument("--out", default=None)
-    p.add_argument("--config", default=None)
+    p.add_argument("--out", help="output directory")
+    p.set_defaults(run=_cmd_figure)
     return parser
 
 
-def read_config(path: str) -> dict[str, str]:
-    values: dict[str, str] = {}
+def config_flags(argv: list[str]) -> list[str]:
+    """The ``key = value`` lines of the ``--config`` file in argv, as
+    ``--key=value`` flags; empty when argv names no config file."""
+    pre = _Parser(add_help=False)
+    pre.add_argument("--config")
+    path = pre.parse_known_args(argv)[0].config
+    if path is None:
+        return []
+    flags = []
     with open(path, encoding="utf-8") as handle:
         for lineno, raw in enumerate(handle, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -110,70 +136,23 @@ def read_config(path: str) -> dict[str, str]:
             if "=" not in line:
                 raise UsageError(f"{path}:{lineno}: expected 'key = value'")
             key, value = line.split("=", 1)
-            values[key.strip().replace("-", "_")] = value.strip()
-    return values
+            key = key.strip().replace("_", "-")
+            if key == "config":
+                raise UsageError(f"{path}:{lineno}: config files do not nest")
+            flags.append(f"--{key}={value.strip()}")
+    return flags
 
 
-def _resolve(args: argparse.Namespace) -> dict:
-    """Layer defaults < config file < explicit flags."""
-    merged = dict(_DEFAULTS)
-    if getattr(args, "config", None):
-        config = read_config(args.config)
-        unknown = set(config) - set(_DEFAULTS) - {"noise", "out", "with_matrix"}
-        if unknown:
-            raise UsageError(f"unknown config keys: {sorted(unknown)}")
-        for key, value in config.items():
-            if key in ("noise", "out"):
-                merged[key] = value
-            elif key in ("tau_steps", "samples", "seed"):
-                merged[key] = int(value)
-            elif key == "measure":
-                merged[key] = value
-            elif key == "with_matrix":
-                merged[key] = value.lower() in ("1", "true", "yes")
-            else:
-                merged[key] = value if key in ("hurst", "g", "alpha") else float(value)
-    for key in list(_DEFAULTS) + ["noise", "out", "with_matrix"]:
-        value = getattr(args, key, None)
-        if value is not None and value is not False:
-            merged[key] = value
-    return merged
+def _spec(args: argparse.Namespace) -> NoiseSpec:
+    return NoiseSpec(args.noise, hurst=args.hurst, g=args.g, alpha=args.alpha)
 
 
-def _values(raw) -> tuple[float, ...]:
-    if isinstance(raw, (int, float)):
-        return (float(raw),)
-    try:
-        return tuple(float(part) for part in str(raw).split(","))
-    except ValueError as exc:
-        raise UsageError(f"bad numeric list {raw!r}") from exc
-
-
-def _single_value(opts: dict, name: str) -> float:
-    values = _values(opts[name])
-    if len(values) != 1:
-        raise UsageError(f"--{name} takes a single value for this command")
-    return values[0]
-
-
-def _single_spec(opts: dict) -> NoiseSpec:
-    kind = opts.get("noise")
-    if kind is None:
-        raise UsageError("--noise is required")
-    return NoiseSpec(
-        kind,
-        hurst=_single_value(opts, "hurst"),
-        g=_single_value(opts, "g"),
-        alpha=_single_value(opts, "alpha"),
-    )
-
-
-def _cmd_beta(opts: dict) -> int:
-    spec = _single_spec(opts)
-    tau_grid = np.linspace(0.0, opts["tau_max"], opts["tau_steps"])
-    rows = sweep_rows(spec, tau_grid, opts["omega"], opts["r"])
-    if opts.get("out"):
-        path = f'{opts["out"]}/beta_{spec.label()}.csv'
+def _cmd_beta(args: argparse.Namespace) -> int:
+    spec = _spec(args)
+    tau_grid = np.linspace(0.0, args.tau_max, args.tau_steps)
+    rows = sweep_rows(spec, tau_grid, args.omega, args.r)
+    if args.out:
+        path = f"{args.out}/beta_{spec.label()}.csv"
         write_rows(path, CSV_HEADER, rows)
         print(path)
     else:
@@ -183,43 +162,31 @@ def _cmd_beta(opts: dict) -> int:
     return EXIT_OK
 
 
-def _cmd_sweep(opts: dict) -> int:
-    kind = opts.get("noise")
-    if kind is None:
-        raise UsageError("--noise is required")
-    if kind == "fgn":
-        param, values = "hurst", _values(opts["hurst"])
-    elif kind == "pl" and len(_values(opts["alpha"])) > 1:
-        param, values = "alpha", _values(opts["alpha"])
-    else:
-        param, values = "g", _values(opts["g"])
-    base = NoiseSpec(
-        kind,
-        hurst=_values(opts["hurst"])[0],
-        g=_values(opts["g"])[0],
-        alpha=_values(opts["alpha"])[0],
-    )
+def _cmd_sweep(args: argparse.Namespace) -> int:
+    param = "hurst" if args.noise == "fgn" else "g"
+    if args.noise == "pl" and len(args.alpha) > 1:
+        param = "alpha"
+    base = NoiseSpec(args.noise, hurst=args.hurst[0], g=args.g[0], alpha=args.alpha[0])
     config = SweepConfig(
         base=base,
         param=param,
-        values=values,
-        tau_max=opts["tau_max"],
-        tau_steps=opts["tau_steps"],
-        omega=opts["omega"],
-        r=opts["r"],
-        outputs=opts.get("out") or ".",
-        with_matrix=bool(opts.get("with_matrix")),
+        values=getattr(args, param),
+        tau_max=args.tau_max,
+        tau_steps=args.tau_steps,
+        omega=args.omega,
+        r=args.r,
+        outputs=args.out or ".",
+        with_matrix=args.with_matrix,
     )
     for path in run_sweep(config):
         print(path)
     return EXIT_OK
 
 
-def _cmd_preservation(opts: dict) -> int:
-    spec = _single_spec(opts)
+def _cmd_preservation(args: argparse.Namespace) -> int:
+    spec = _spec(args)
     result = preservation_time(
-        spec, omega=opts["omega"], delta=opts["delta"], measure=opts["measure"],
-        r=opts["r"],
+        spec, omega=args.omega, delta=args.delta, measure=args.measure, r=args.r
     )
     print(
         f"noise={spec.label()} measure={result.measure} delta={result.delta:g} "
@@ -228,19 +195,17 @@ def _cmd_preservation(opts: dict) -> int:
     return EXIT_OK
 
 
-def _cmd_oracle(opts: dict) -> int:
-    spec = _single_spec(opts)
-    if opts["samples"] < 1:
-        raise UsageError("--samples must be at least 1")
+def _cmd_oracle(args: argparse.Namespace) -> int:
+    spec = _spec(args)
     report, path = run_oracle(
         spec,
-        tau=opts["tau_max"],
-        n=opts["samples"],
-        seed=opts["seed"],
-        omega=opts["omega"],
-        r=opts["r"],
-        outputs=opts.get("out"),
-        grid_points=opts["tau_steps"],
+        tau=args.tau_max,
+        n=args.samples,
+        seed=args.seed,
+        omega=args.omega,
+        r=args.r,
+        outputs=args.out,
+        grid_points=args.tau_steps,
     )
     if path:
         print(path)
@@ -256,26 +221,19 @@ def _cmd_oracle(opts: dict) -> int:
     return EXIT_OK
 
 
-def _cmd_figure(opts: dict, name: str) -> int:
-    for path in experiments.figure(name, opts.get("out") or "."):
+def _cmd_figure(args: argparse.Namespace) -> int:
+    for path in experiments.figure(args.name, args.out or "."):
         print(path)
     return EXIT_OK
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
-        opts = _resolve(args)
-        if args.command == "beta":
-            return _cmd_beta(opts)
-        if args.command == "sweep":
-            return _cmd_sweep(opts)
-        if args.command == "preservation":
-            return _cmd_preservation(opts)
-        if args.command == "oracle":
-            return _cmd_oracle(opts)
-        return _cmd_figure(opts, args.name)
+        # config flags go first, so that argparse's last-wins lets explicit
+        # flags override them
+        args = build_parser().parse_args(argv[:1] + config_flags(argv[1:]) + argv[1:])
+        return args.run(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -112,6 +112,7 @@ def sweep_rows(
 ) -> np.ndarray:
     """CSV rows (tau, beta, purity, entropy[, extra][, matrix]) for one spec,
     as one (T, ncols) array."""
+    SystemParams(omega=omega, r=r)  # rejects omega <= 0 and r outside [0, 1]
     tau = np.asarray(tau_grid, dtype=float)
     beta = beta_closed(spec, tau)
     sigma2 = omega * omega * beta
@@ -156,6 +157,7 @@ def preservation_time(
     closed form at beta = inf.  Monotone beta makes the crossing unique;
     located by doubling then bisection to the given relative tolerance.
     """
+    SystemParams(omega=omega, r=r)  # rejects omega <= 0 and r outside [0, 1]
     if delta <= 0.0:
         raise ValueError("delta must be positive")
     if measure not in ("purity", "entropy"):

@@ -1,8 +1,10 @@
 """CLI surface: subcommands, config layering, CSV schema, exit codes."""
 
+import argparse
 import csv
 import math
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -245,6 +247,27 @@ class TestFigure:
         )
 
 
+class TestSystemParameters:
+    COMMANDS = {
+        "beta": ["beta", "--noise", "ou", "--tau-steps", "2"],
+        "sweep": ["sweep", "--noise", "ou", "--tau-steps", "2"],
+        "preservation": ["preservation", "--noise", "ou"],
+        "oracle": ["oracle", "--noise", "ou", "--tau-max", "1", "--samples", "10"],
+    }
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    @pytest.mark.parametrize(
+        "flags", [["--r", "3"], ["--r", "-0.5"], ["--omega", "0"], ["--omega", "-1"]]
+    )
+    def test_out_of_range_is_numerical_error(
+        self, command, flags, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        assert run(self.COMMANDS[command] + flags) == 2
+        assert capsys.readouterr().out == ""
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestConfigFile:
     def test_config_supplies_defaults_cli_wins(self, tmp_path, capsys):
         config = tmp_path / "run.cfg"
@@ -265,6 +288,57 @@ class TestConfigFile:
         config.write_text("just words\n")
         assert run(["beta", "--config", str(config), "--noise", "ou"]) == 1
 
+    @pytest.mark.parametrize(
+        "command, text",
+        [
+            ("beta", "tau_steps = 2.5\n"),
+            ("beta", "noise = xyz\n"),
+            ("preservation", "measure = bogus\n"),
+            ("sweep", "with_matrix = maybe\n"),
+            ("beta", "samples = 3\n"),
+            ("figure", "g = 5\n"),
+            ("beta", "config = other.cfg\n"),
+        ],
+    )
+    def test_value_or_key_the_command_rejects(self, command, text, tmp_path, monkeypatch):
+        # bad types, bad choices and keys the command does not read
+        monkeypatch.chdir(tmp_path)
+        Path("bad.cfg").write_text(text)
+        argv = [command, "ou"] if command == "figure" else [command, "--noise", "ou"]
+        assert run(argv + ["--config", "bad.cfg"]) == 1
+        assert list(tmp_path.iterdir()) == [tmp_path / "bad.cfg"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["beta", "--noise", "ou", "--samples", "7"],
+            ["sweep", "--noise", "ou", "--seed", "3"],
+            ["preservation", "--noise", "ou", "--tau-max", "3"],
+            ["oracle", "--noise", "ou", "--with-matrix"],
+            ["figure", "ou", "--g", "5"],
+        ],
+    )
+    def test_flag_the_command_does_not_read(self, argv, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert run(argv) == 1
+        assert list(tmp_path.iterdir()) == []
+
+    def test_sweep_list_and_matrix_switch(self, tmp_path):
+        config = tmp_path / "sweep.cfg"
+        config.write_text("noise = ou\ng = 1,3\nwith_matrix = true\ntau_steps = 3\n")
+        assert run(["sweep", "--config", str(config), "--out", str(tmp_path)]) == 0
+        for g in (1, 3):
+            rows = read_csv(tmp_path / f"sweep_ou_g{g}.csv")
+            assert len(rows) == 3
+            assert "rho_re_00" in rows[0] and "rho_im_22" in rows[0]
+
+    def test_explicit_switch_overrides_config(self, tmp_path):
+        config = tmp_path / "sweep.cfg"
+        config.write_text("noise = ou\nwith-matrix = yes\n")
+        argv = ["sweep", "--config", str(config), "--with-matrix", "false"]
+        assert run(argv + ["--tau-steps", "2", "--out", str(tmp_path)]) == 0
+        assert "rho_re_00" not in read_csv(tmp_path / "sweep_ou_g1.csv")[0]
+
 
 def readme_commands() -> list[list[str]]:
     """Each ``sim ...`` line of README's CLI block, continuations joined."""
@@ -278,8 +352,37 @@ def test_readme_cli_examples_run(tmp_path):
     assert len(commands) == 5
     for argv in commands:
         if "--out" in argv:
-            del argv[argv.index("--out") : argv.index("--out") + 2]
-        assert run(argv + ["--out", str(tmp_path)]) == 0, argv
+            argv[argv.index("--out") + 1] = str(tmp_path)
+        assert run(argv) == 0, argv
+
+
+def readme_flag_table() -> dict[str, set[str]]:
+    """Subcommand -> the long flags README's CLI table lists for it."""
+    section = README.read_text(encoding="utf-8").split("## CLI", 1)[1].split("\n## ", 1)[0]
+    table = {}
+    for line in section.splitlines():
+        match = re.match(r"\| `(\w+)` \|(.*)\|$", line)
+        if match:
+            table[match[1]] = set(re.findall(r"`(--[\w-]+)`", match[2]))
+    return table
+
+
+def test_readme_flag_table_matches_parser():
+    subparsers = next(
+        action.choices
+        for action in cli.build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    declared = {
+        name: {
+            flag
+            for action in parser._actions
+            for flag in action.option_strings
+            if flag.startswith("--") and flag != "--help"
+        }
+        for name, parser in subparsers.items()
+    }
+    assert readme_flag_table() == declared
 
 
 def test_import_loads_numpy_only():
