@@ -10,13 +10,15 @@ and figure reproduction.
 Each subcommand declares only the flags it reads.  A config file (--config,
 ``key = value`` lines keyed by that subcommand's long flags) is read as
 ``--key=value`` flags placed before the command line: its values pass the
-same types and choices, and explicit flags win.  Exit codes: 0 ok, 1 usage
-error, 2 numerical failure or invalid parameters, 3 oracle bound violation.
+same types and choices, and explicit flags win.  Flags and keys are spelt in
+full, and every float must be finite.  Exit codes: 0 ok, 1 usage error,
+2 numerical failure or invalid parameters, 3 oracle bound violation.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from . import experiments
@@ -24,18 +26,17 @@ from .experiments import (
     CSV_HEADER,
     FIGURES,
     OracleBoundError,
-    SweepConfig,
+    csv_text,
     fmt,
     preservation_time,
     run_oracle,
     run_sweep,
     sweep_rows,
+    tau_grid,
     write_rows,
 )
 from .montecarlo import CovarianceError
 from .noise import KINDS, NoiseSpec
-
-import numpy as np
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -48,13 +49,27 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):  # flags and config keys are spelt in full
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     def error(self, message: str):  # exit 1, not argparse's default 2
         raise UsageError(message)
 
 
+def _finite(text: str) -> float:
+    """A float flag: nan and inf are rejected like any other bad number."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def _floats(text: str) -> tuple[float, ...]:
     """A comma-separated list of floats (the swept values of ``sim sweep``)."""
-    return tuple(float(part) for part in text.split(","))
+    return tuple(_finite(part) for part in text.split(","))
 
 
 def _positive_int(text: str) -> int:
@@ -76,20 +91,20 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="sim", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def system(p: _Parser, number=float) -> _Parser:
+    def system(p: _Parser, number=_finite) -> _Parser:
         """The noise family and its parameter, the coupling and the state."""
         p.add_argument("--noise", choices=KINDS, required=True)
         p.add_argument("--hurst", type=number, default="0.5")
         p.add_argument("--g", type=number, default="1.0")
         p.add_argument("--alpha", type=number, default="3.0")
-        p.add_argument("--omega", type=float, default=1.0)
-        p.add_argument("--r", type=float, default=1.0)
+        p.add_argument("--omega", type=_finite, default=1.0)
+        p.add_argument("--r", type=_finite, default=1.0)
         p.add_argument("--config", help="key = value defaults file")
         return p
 
-    def grid(p: _Parser, number=float) -> _Parser:
+    def grid(p: _Parser, number=_finite) -> _Parser:
         system(p, number)
-        p.add_argument("--tau-max", type=float, default=2.0)
+        p.add_argument("--tau-max", type=_finite, default=2.0)
         p.add_argument("--tau-steps", type=int, default=201)
         p.add_argument("--out", help="output directory")
         return p
@@ -105,7 +120,7 @@ def build_parser() -> _Parser:
     )
     p.set_defaults(run=_cmd_sweep)
     p = system(sub.add_parser("preservation", help="time to reach saturation proximity"))
-    p.add_argument("--delta", type=float, default=1e-3)
+    p.add_argument("--delta", type=_finite, default=1e-3)
     p.add_argument("--measure", choices=("purity", "entropy"), default="purity")
     p.set_defaults(run=_cmd_preservation)
     p = grid(sub.add_parser("oracle", help="Monte-Carlo check of the averaged state"))
@@ -127,19 +142,23 @@ def config_flags(argv: list[str]) -> list[str]:
     path = pre.parse_known_args(argv)[0].config
     if path is None:
         return []
+    try:
+        with open(path, encoding="utf-8") as handle:
+            lines = handle.readlines()
+    except (OSError, UnicodeError) as exc:
+        raise UsageError(f"cannot read config file: {exc}") from exc
     flags = []
-    with open(path, encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise UsageError(f"{path}:{lineno}: expected 'key = value'")
-            key, value = line.split("=", 1)
-            key = key.strip().replace("_", "-")
-            if key == "config":
-                raise UsageError(f"{path}:{lineno}: config files do not nest")
-            flags.append(f"--{key}={value.strip()}")
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise UsageError(f"{path}:{lineno}: expected 'key = value'")
+        key, value = line.split("=", 1)
+        key = key.strip().replace("_", "-")
+        if key == "config":
+            raise UsageError(f"{path}:{lineno}: config files do not nest")
+        flags.append(f"--{key}={value.strip()}")
     return flags
 
 
@@ -149,16 +168,13 @@ def _spec(args: argparse.Namespace) -> NoiseSpec:
 
 def _cmd_beta(args: argparse.Namespace) -> int:
     spec = _spec(args)
-    tau_grid = np.linspace(0.0, args.tau_max, args.tau_steps)
-    rows = sweep_rows(spec, tau_grid, args.omega, args.r)
+    rows = sweep_rows(spec, tau_grid(args.tau_max, args.tau_steps), args.omega, args.r)
     if args.out:
         path = f"{args.out}/beta_{spec.label()}.csv"
         write_rows(path, CSV_HEADER, rows)
         print(path)
     else:
-        print(",".join(CSV_HEADER))
-        for row in rows:
-            print(",".join(fmt(v) for v in row))
+        sys.stdout.write(csv_text(CSV_HEADER, rows))
     return EXIT_OK
 
 
@@ -166,31 +182,29 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     param = "hurst" if args.noise == "fgn" else "g"
     if args.noise == "pl" and len(args.alpha) > 1:
         param = "alpha"
-    base = NoiseSpec(args.noise, hurst=args.hurst[0], g=args.g[0], alpha=args.alpha[0])
-    config = SweepConfig(
-        base=base,
-        param=param,
-        values=getattr(args, param),
-        tau_max=args.tau_max,
-        tau_steps=args.tau_steps,
-        omega=args.omega,
-        r=args.r,
-        outputs=args.out or ".",
-        with_matrix=args.with_matrix,
-    )
-    for path in run_sweep(config):
+    fixed = {name: getattr(args, name) for name in ("hurst", "g", "alpha") if name != param}
+    listed = [f"--{name}" for name, values in fixed.items() if len(values) > 1]
+    if listed:
+        raise UsageError(
+            f"--noise {args.noise} sweeps --{param}; give {listed[0]} a single value"
+        )
+    base = {name: values[0] for name, values in fixed.items()}
+    specs = [NoiseSpec(args.noise, **base, **{param: v}) for v in getattr(args, param)]
+    grid = tau_grid(args.tau_max, args.tau_steps)
+    outputs = args.out or "."
+    for path in run_sweep(specs, grid, args.omega, args.r, args.with_matrix, outputs):
         print(path)
     return EXIT_OK
 
 
 def _cmd_preservation(args: argparse.Namespace) -> int:
     spec = _spec(args)
-    result = preservation_time(
+    tau_star = preservation_time(
         spec, omega=args.omega, delta=args.delta, measure=args.measure, r=args.r
     )
     print(
-        f"noise={spec.label()} measure={result.measure} delta={result.delta:g} "
-        f"tau_star={fmt(result.tau_star)}"
+        f"noise={spec.label()} measure={args.measure} delta={args.delta:g} "
+        f"tau_star={fmt(tau_star)}"
     )
     return EXIT_OK
 
@@ -199,13 +213,12 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     spec = _spec(args)
     report, path = run_oracle(
         spec,
-        tau=args.tau_max,
+        tau_grid(args.tau_max, args.tau_steps),
         n=args.samples,
         seed=args.seed,
         omega=args.omega,
         r=args.r,
         outputs=args.out,
-        grid_points=args.tau_steps,
     )
     if path:
         print(path)

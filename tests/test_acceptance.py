@@ -166,9 +166,9 @@ def test_criterion_09_fgn_crossover():
 @criterion("10 preservation-time ratio OU/PL = sqrt(2), OU slowest")
 def test_criterion_10_preservation_ratio():
     delta = 1e-3
-    tau_ou = preservation_time(NoiseSpec.ou(1e-3), delta=delta).tau_star
-    tau_pl = preservation_time(NoiseSpec.pl(1e-3, 3.0), delta=delta).tau_star
-    tau_gn = preservation_time(NoiseSpec.gn(1e-3), delta=delta).tau_star
+    tau_ou = preservation_time(NoiseSpec.ou(1e-3), delta=delta)
+    tau_pl = preservation_time(NoiseSpec.pl(1e-3, 3.0), delta=delta)
+    tau_gn = preservation_time(NoiseSpec.gn(1e-3), delta=delta)
     ratio = tau_ou / tau_pl
     assert abs(ratio - math.sqrt(2.0)) / math.sqrt(2.0) <= 0.05
     assert tau_ou > tau_gn > tau_pl

@@ -30,6 +30,38 @@ def read_csv(path):
         return list(csv.DictReader(handle))
 
 
+BASE = ["tau", "beta", "purity", "entropy"]
+MATRIX = [f"rho_{part}_{i}{j}" for i in range(3) for j in range(3) for part in ("re", "im")]
+
+
+def sweep_outputs(labels, kind):
+    return [(f"sweep_{label}.csv", BASE, 201) for label in labels] + [f"plot_sweep_{kind}.py"]
+
+
+# Printed outputs of each figure, in order: (csv, header, rows) or a script name.
+FIGURE_OUTPUTS = {
+    "noiseless": [(f"noiseless_omega{w}.csv", BASE + MATRIX, 1501) for w in ("0.5", "1")]
+    + ["plot_noiseless.py"],
+    "noisephase": [
+        (f"noisephase_{label}.csv", BASE + ["dephasing_n2"], 301)
+        for label in ("fgn_H0.5", "gn_g1", "ou_g1", "pl_g1_a5")
+    ]
+    + ["plot_noisephase.py"],
+    "fgn": sweep_outputs(["fgn_H0.1", "fgn_H0.5", "fgn_H0.9"], "fgn"),
+    "gn": sweep_outputs(["gn_g1", "gn_g3", "gn_g10"], "gn"),
+    "ou": sweep_outputs(["ou_g1", "ou_g3", "ou_g10"], "ou"),
+    "pl": sweep_outputs(["pl_g1_a3", "pl_g3_a3", "pl_g10_a3"], "pl")
+    + sweep_outputs(["pl_g0.5_a3", "pl_g0.5_a5", "pl_g0.5_a10"], "pl"),
+    "joint": [
+        (f"joint_{label}.csv", BASE, 501)
+        for label in (
+            "gn_g0.001", "ou_g0.001", "pl_g0.001_a3", "gn_g0.01", "ou_g0.01", "pl_g0.01_a3"
+        )
+    ]
+    + ["plot_joint.py"],
+}
+
+
 def check_schema(path):
     rows = read_csv(path)
     assert rows, path
@@ -61,6 +93,30 @@ class TestBeta:
 
     def test_invalid_alpha_is_numerical_error(self):
         assert run(["beta", "--noise", "pl", "--alpha", "2"]) == 2
+
+    def test_stdout_matches_file(self, tmp_path, capsys):
+        argv = ["beta", "--noise", "gn", "--g", "2", "--r", "0.5", "--tau-steps", "51"]
+        assert run(argv) == 0
+        table = capsys.readouterr().out
+        assert run(argv + ["--out", str(tmp_path)]) == 0
+        assert (tmp_path / "beta_gn_g2.csv").read_text(encoding="utf-8") == table
+
+    @pytest.mark.parametrize("flags", [["--tau-steps", "1"], ["--tau-max", "0"]])
+    def test_degenerate_grid_is_numerical_error(self, flags, capsys):
+        # the same grid rule as sweep and oracle: at least 2 points, tau_max > 0
+        assert run(["beta", "--noise", "ou"] + flags) == 2
+        assert capsys.readouterr().out == ""
+
+    def test_file_mode_is_that_of_open(self, tmp_path):
+        old = os.umask(0o027)
+        try:
+            assert run(["beta", "--noise", "ou", "--out", str(tmp_path)]) == 0
+            with open(tmp_path / "reference", "w"):
+                pass
+        finally:
+            os.umask(old)
+        mode = os.stat(tmp_path / "beta_ou_g1.csv").st_mode
+        assert mode == os.stat(tmp_path / "reference").st_mode
 
     def test_tiny_g_tau_stays_positive(self, capsys):
         # g*tau <= 1e-8: the closed forms cancel unless summed as a series
@@ -124,6 +180,20 @@ class TestSweep:
                 metrics.vn_entropy(rho), abs=1e-10
             )
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--noise", "fgn", "--g", "1,3"],
+            ["--noise", "ou", "--hurst", "0.1,0.2"],
+            ["--noise", "gn", "--alpha", "3,5"],
+            ["--noise", "pl", "--g", "1,3", "--alpha", "3,5"],
+        ],
+    )
+    def test_list_on_a_parameter_it_does_not_sweep(self, flags, tmp_path, capsys):
+        assert run(["sweep", *flags, "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().out == ""
+        assert list(tmp_path.iterdir()) == []
+
     def test_byte_identical_reruns(self, tmp_path):
         a = tmp_path / "a"
         b = tmp_path / "b"
@@ -157,7 +227,7 @@ class TestPreservation:
         tau_star = float(capsys.readouterr().out.split("tau_star=")[1])
         target = -math.log(18.0 * delta / r**2) / 4.0
         spec = NoiseSpec.ou(1e-3)
-        # bisection stops once its bracket is within rel_tol = 1e-4 of tau_star
+        # bisection stops once its bracket is within 1e-4 of tau_star, relative
         assert beta_closed(spec, tau_star * (1.0 - 1e-4)) <= target
         assert beta_closed(spec, tau_star) >= target
 
@@ -225,6 +295,24 @@ class TestFigure:
             if n.endswith(".csv"):
                 check_schema(tmp_path / n)
 
+    @pytest.mark.parametrize("name", FIGURES)
+    def test_printed_outputs(self, name, tmp_path, capsys):
+        assert run(["figure", name, "--out", str(tmp_path)]) == 0
+        outputs = FIGURE_OUTPUTS[name]
+        names = [item if isinstance(item, str) else item[0] for item in outputs]
+        assert capsys.readouterr().out.splitlines() == [str(tmp_path / n) for n in names]
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(set(names))
+        for item in outputs:
+            if isinstance(item, str):
+                continue
+            file_name, header, count = item
+            rows = read_csv(tmp_path / file_name)
+            assert list(rows[0]) == header and len(rows) == count, file_name
+            if name == "noisephase":
+                for row in rows:
+                    expected = math.exp(-2.0 * float(row["beta"]))
+                    assert abs(float(row["dephasing_n2"]) - expected) <= 1e-15
+
     def test_unknown_name(self):
         assert run(["figure", "fig9"]) == 1
 
@@ -267,6 +355,25 @@ class TestSystemParameters:
         assert capsys.readouterr().out == ""
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["beta", "--noise", "ou", "--tau-max", "nan"],
+            ["sweep", "--noise", "ou", "--tau-max=-inf"],
+            ["oracle", "--noise", "ou", "--tau-max", "inf", "--samples", "10"],
+            ["beta", "--noise", "ou", "--g", "inf"],
+            ["sweep", "--noise", "ou", "--g", "1,nan"],
+            ["preservation", "--noise", "ou", "--omega", "nan"],
+            ["oracle", "--noise", "ou", "--omega", "inf", "--samples", "10"],
+            ["preservation", "--noise", "ou", "--delta", "inf"],
+        ],
+    )
+    def test_non_finite_is_usage_error(self, argv, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert run(argv) == 1
+        assert capsys.readouterr().out == ""
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestConfigFile:
     def test_config_supplies_defaults_cli_wins(self, tmp_path, capsys):
@@ -282,6 +389,13 @@ class TestConfigFile:
         config = tmp_path / "bad.cfg"
         config.write_text("gg = 5\n")
         assert run(["beta", "--config", str(config), "--noise", "ou"]) == 1
+
+    @pytest.mark.parametrize("name", ["missing.cfg", "directory", "binary.cfg"])
+    def test_unreadable_config_is_usage_error(self, name, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        Path("directory").mkdir()
+        Path("binary.cfg").write_bytes(b"noise = ou\n\xff\xfe\n")
+        assert run(["beta", "--noise", "ou", "--config", name]) == 1
 
     def test_malformed_line(self, tmp_path):
         config = tmp_path / "bad.cfg"
@@ -316,12 +430,18 @@ class TestConfigFile:
             ["preservation", "--noise", "ou", "--tau-max", "3"],
             ["oracle", "--noise", "ou", "--with-matrix"],
             ["figure", "ou", "--g", "5"],
+            # abbreviations: of a flag, of --config itself, and of a config key
+            ["beta", "--noise", "ou", "--om", "2"],
+            ["beta", "--noise", "ou", "--conf", "../abbreviated.cfg"],
+            ["sweep", "--noise", "ou", "--config", "../abbreviated.cfg"],
         ],
     )
     def test_flag_the_command_does_not_read(self, argv, tmp_path, monkeypatch):
-        monkeypatch.chdir(tmp_path)
+        (tmp_path / "abbreviated.cfg").write_text("tau-m = 1\n")
+        (tmp_path / "run").mkdir()
+        monkeypatch.chdir(tmp_path / "run")
         assert run(argv) == 1
-        assert list(tmp_path.iterdir()) == []
+        assert list((tmp_path / "run").iterdir()) == []
 
     def test_sweep_list_and_matrix_switch(self, tmp_path):
         config = tmp_path / "sweep.cfg"
