@@ -11,14 +11,16 @@ Each subcommand declares only the flags it reads.  A config file (--config,
 ``key = value`` lines keyed by that subcommand's long flags) is read as
 ``--key=value`` flags placed before the command line: its values pass the
 same types and choices, and explicit flags win.  Flags and keys are spelt in
-full, and every float must be finite.  Exit codes: 0 ok, 1 usage error,
-2 numerical failure or invalid parameters, 3 oracle bound violation.
+full, and every float must be finite.  Exit codes: 0 ok, 1 usage error
+(including an unreadable config file or an output path that cannot be
+written), 2 numerical failure or invalid parameters, 3 oracle bound violation.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 
 from . import experiments
@@ -170,7 +172,7 @@ def _cmd_beta(args: argparse.Namespace) -> int:
     spec = _spec(args)
     rows = sweep_rows(spec, tau_grid(args.tau_max, args.tau_steps), args.omega, args.r)
     if args.out:
-        path = f"{args.out}/beta_{spec.label()}.csv"
+        path = os.path.join(args.out, f"beta_{spec.label()}.csv")
         write_rows(path, CSV_HEADER, rows)
         print(path)
     else:
@@ -253,7 +255,10 @@ def main(argv: list[str] | None = None) -> int:
     except OracleBoundError as exc:
         print(f"oracle bound violated: {exc}", file=sys.stderr)
         return EXIT_ORACLE
-    except (ValueError, CovarianceError, OSError) as exc:
+    except OSError as exc:
+        print(f"usage error: cannot write outputs: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except (ValueError, CovarianceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -8,13 +8,17 @@ matrix-by-matrix with the closed-form ``propagator``.  Agreement with
 ``evolve_averaged`` within the 3/sqrt(N) statistical bound is the independent
 check of the analytic averaging rule.
 
-Sampling is bit-reproducible: path i is drawn from its own Philox counter
-stream jumped i steps from the seed, so the ensemble is identical no matter
-how paths are batched or scheduled.
+Sampling and averaging stream over blocks of BLOCK = 4096 paths: block b
+draws its standard normals from Philox(seed) jumped b times, so path i
+depends only on (seed, i) and the ensemble is bit-reproducible.  The oracle
+never builds the N x M paths: the phase of a block is ``Z_b @ (omega L^T w)``
+with L the Cholesky factor and w the trapezoid weights, and the propagated
+states are summed block by block, so memory is O(BLOCK * M) for any N.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,25 +26,41 @@ import numpy as np
 from .dynamics import SystemParams, check_density_matrix, evolve_averaged, propagator
 from .noise import NoiseSpec, autocorrelation, beta_closed
 
-RNG_ALGORITHM = "numpy.random.Philox (4x64), per-path jumped substreams"
+BLOCK = 4096
+RNG_ALGORITHM = (
+    f"numpy.random.Philox (4x64), block b of {BLOCK} paths from Philox(seed).jumped(b)"
+)
 
 _JITTERS = (0.0, 1e-12, 1e-10, 1e-8)
 
 
 @dataclass(frozen=True)
 class TrajectoryEnsemble:
-    """N sampled noise paths on a shared time grid, with provenance."""
+    """n_paths Gaussian paths ``Z @ factor.T`` on a shared time grid, kept as
+    the covariance's Cholesky factor and the seed of the normals Z."""
 
     t_grid: np.ndarray
-    paths: np.ndarray
+    factor: np.ndarray
+    n_paths: int
     seed: int
     spec: NoiseSpec
     jitter: float = 0.0
     rng_algorithm: str = RNG_ALGORITHM
 
+    def normals(self) -> Iterator[np.ndarray]:
+        """Each block's (rows, M) standard normals, block b from
+        Philox(seed).jumped(b)."""
+        base = np.random.Philox(key=self.seed)
+        for b, start in enumerate(range(0, self.n_paths, BLOCK)):
+            rows = min(BLOCK, self.n_paths - start)
+            yield np.random.Generator(base.jumped(b)).standard_normal(
+                (rows, self.t_grid.size)
+            )
+
     @property
-    def n_paths(self) -> int:
-        return self.paths.shape[0]
+    def paths(self) -> np.ndarray:
+        """All (n_paths, M) paths at once: the reference for small ensembles."""
+        return np.concatenate([z @ self.factor.T for z in self.normals()])
 
 
 @dataclass(frozen=True)
@@ -85,10 +105,10 @@ def _cholesky_with_jitter(cov: np.ndarray, spec: NoiseSpec) -> tuple[np.ndarray,
 def sample_trajectories(
     spec: NoiseSpec, t_grid, n: int, seed: int
 ) -> TrajectoryEnsemble:
-    """Draw n zero-mean Gaussian paths with covariance K(s_i, s_j).
+    """n zero-mean Gaussian paths with covariance K(s_i, s_j).
 
-    Standard normals for path i come from Philox(seed) jumped i times, so the
-    draw is deterministic per (seed, path index) regardless of batching.
+    Factors the covariance once; the paths themselves are drawn block by
+    block when the ensemble is read (``normals``, ``paths``).
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size < 2:
@@ -101,14 +121,8 @@ def sample_trajectories(
     cov = np.asarray(autocorrelation(spec, grid_s, grid_sp), dtype=float)
     cov = 0.5 * (cov + cov.T)
     factor, jitter = _cholesky_with_jitter(cov, spec)
-    base = np.random.Philox(key=seed)
-    normals = np.empty((n, t_grid.size))
-    for i in range(n):
-        substream = base.jumped(i) if i else base
-        normals[i] = np.random.Generator(substream).standard_normal(t_grid.size)
-    paths = normals @ factor.T
     return TrajectoryEnsemble(
-        t_grid=t_grid, paths=paths, seed=seed, spec=spec, jitter=jitter
+        t_grid=t_grid, factor=factor, n_paths=n, seed=seed, spec=spec, jitter=jitter
     )
 
 
@@ -144,9 +158,10 @@ def mc_average_state(
     """Ensemble-averaged evolved state at one grid time, vs the analytic state.
 
     Each path is evolved unitarily with its own accumulated phase (the
-    trapezoid integral up to at_index, taken as one weighted sum per path)
-    and the resulting matrices are averaged; the analytic reference is
-    evolve_averaged with variance omega^2 * beta_closed(spec, tau).
+    trapezoid integral up to at_index, taken per block as Z_b @ (omega L^T w))
+    and the resulting matrices are summed block by block and averaged; the
+    analytic reference is evolve_averaged with variance
+    omega^2 * beta_closed(spec, tau).
     """
     check_density_matrix(rho0)
     if ensemble.n_paths == 0:
@@ -154,9 +169,13 @@ def mc_average_state(
     if not -ensemble.t_grid.size <= at_index < ensemble.t_grid.size:
         raise IndexError("at_index outside the time grid")
     weights = _trapezoid_weights(ensemble.t_grid, at_index)
-    u = propagator(params.omega * (ensemble.paths @ weights))
+    v = params.omega * (ensemble.factor.T @ weights)
     rho0 = np.asarray(rho0, dtype=complex)
-    empirical = np.einsum("nij,jk,nlk->nil", u, rho0, u.conj()).mean(axis=0)
+    total = np.zeros((3, 3), dtype=complex)
+    for z in ensemble.normals():
+        u = propagator(z @ v)
+        total += np.einsum("nij,jk,nlk->il", u, rho0, u.conj(), optimize=True)
+    empirical = total / ensemble.n_paths
     tau = float(ensemble.t_grid[at_index] - ensemble.t_grid[0])
     variance = params.omega**2 * beta_closed(ensemble.spec, tau)
     analytic = evolve_averaged(rho0, variance)

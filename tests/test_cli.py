@@ -118,6 +118,12 @@ class TestBeta:
         mode = os.stat(tmp_path / "beta_ou_g1.csv").st_mode
         assert mode == os.stat(tmp_path / "reference").st_mode
 
+    def test_trailing_slash_out(self, tmp_path, capsys):
+        assert run(["beta", "--noise", "ou", "--out", f"{tmp_path}/"]) == 0
+        path = capsys.readouterr().out.strip()
+        assert path == os.path.join(str(tmp_path), "beta_ou_g1.csv")
+        check_schema(path)
+
     def test_tiny_g_tau_stays_positive(self, capsys):
         # g*tau <= 1e-8: the closed forms cancel unless summed as a series
         assert run(["beta", "--noise", "pl", "--g", "1e-3", "--tau-max", "1e-5"]) == 0
@@ -373,6 +379,25 @@ class TestSystemParameters:
         assert run(argv) == 1
         assert capsys.readouterr().out == ""
         assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["beta", "--noise", "ou"],
+        ["sweep", "--noise", "ou", "--g", "1,3"],
+        ["oracle", "--noise", "ou", "--tau-max", "1", "--samples", "10"],
+        ["figure", "gn"],
+    ],
+)
+def test_unwritable_out_is_usage_error(argv, tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert run(argv + ["--out", str(blocker / "sub")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "cannot write outputs" in captured.err
+    assert sorted(tmp_path.iterdir()) == [blocker]
 
 
 class TestConfigFile:

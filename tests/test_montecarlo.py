@@ -1,5 +1,7 @@
 """Trajectory sampling, phase accumulation, and the ensemble-average oracle."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -15,7 +17,7 @@ from qutrit_dephasing import (
     sample_trajectories,
     spin1_operators,
 )
-from qutrit_dephasing.montecarlo import _trapezoid_weights
+from qutrit_dephasing.montecarlo import BLOCK, _trapezoid_weights
 
 
 class TestSampleTrajectories:
@@ -42,6 +44,13 @@ class TestSampleTrajectories:
         small = sample_trajectories(spec, grid, 5, 7)
         large = sample_trajectories(spec, grid, 20, 7)
         assert np.array_equal(small.paths, large.paths[:5])
+
+    def test_batch_invariant_across_a_block_boundary(self):
+        spec = NoiseSpec.gn(1.0)
+        grid = np.linspace(0.0, 1.0, 6)
+        small = sample_trajectories(spec, grid, BLOCK + 2, 7)
+        large = sample_trajectories(spec, grid, BLOCK + 5, 7)
+        assert np.array_equal(small.paths, large.paths[: BLOCK + 2])
 
     def test_zero_mean(self):
         spec = NoiseSpec.ou(1.0)
@@ -110,17 +119,30 @@ class TestPhaseOf:
 
 
 class TestMcAverageState:
-    def _manual_ensemble(self, paths, grid, spec):
+    def _manual_ensemble(self, factor, n, grid, spec):
         return TrajectoryEnsemble(
             t_grid=np.asarray(grid, float),
-            paths=np.asarray(paths, float),
+            factor=np.asarray(factor, float),
+            n_paths=n,
             seed=0,
             spec=spec,
         )
 
+    @staticmethod
+    def _random_state(rng):
+        a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        rho0 = a @ a.conj().T
+        return rho0 / np.trace(rho0).real
+
+    @staticmethod
+    def _per_path_average(rho0, paths, grid, omega):
+        sx, _ = spin1_operators()
+        u = expm(-1j * phase_of(paths, grid, omega)[:, -1, None, None] * sx)
+        return (u @ rho0 @ u.conj().transpose(0, 2, 1)).mean(axis=0)
+
     def test_single_zero_path_is_noiseless(self):
         grid = np.linspace(0.0, 1.0, 11)
-        ensemble = self._manual_ensemble(np.zeros((1, 11)), grid, NoiseSpec.ou(1.0))
+        ensemble = self._manual_ensemble(np.zeros((11, 11)), 1, grid, NoiseSpec.ou(1.0))
         rho0 = initial_state(0.8)
         report = mc_average_state(rho0, ensemble, SystemParams(), -1)
         expected = evolve_noiseless(rho0, SystemParams(eta_const=0.0), 1.0)
@@ -128,20 +150,35 @@ class TestMcAverageState:
 
     def test_matches_per_path_matrix_exponential(self):
         rng = np.random.default_rng(5)
-        a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        rho0 = a @ a.conj().T
-        rho0 /= np.trace(rho0).real
+        rho0 = self._random_state(rng)
         grid = np.linspace(0.0, 1.0, 11)
-        paths = rng.normal(size=(4, 11))
+        factor = np.tril(rng.normal(size=(11, 11)))
         params = SystemParams(omega=1.3)
-        ensemble = self._manual_ensemble(paths, grid, NoiseSpec.ou(1.0))
+        ensemble = self._manual_ensemble(factor, 4, grid, NoiseSpec.ou(1.0))
         report = mc_average_state(rho0, ensemble, params, -1)
-        sx, _ = spin1_operators()
-        expected = np.zeros((3, 3), dtype=complex)
-        for phi in phase_of(paths, grid, params.omega)[:, -1]:
-            u = expm(-1j * phi * sx)
-            expected += u @ rho0 @ u.conj().T / len(paths)
+        expected = self._per_path_average(rho0, ensemble.paths, grid, params.omega)
         assert np.max(np.abs(report.empirical - expected)) < 1e-13
+
+    def test_streamed_blocks_match_per_path_matrix_exponential(self):
+        rho0 = self._random_state(np.random.default_rng(8))
+        grid = np.linspace(0.0, 1.0, 11)
+        params = SystemParams(omega=1.3)
+        ensemble = sample_trajectories(NoiseSpec.ou(2.0), grid, BLOCK + 37, 4)
+        report = mc_average_state(rho0, ensemble, params, -1)
+        expected = self._per_path_average(rho0, ensemble.paths, grid, params.omega)
+        assert np.max(np.abs(report.empirical - expected)) < 1e-13
+
+    def test_memory_bounded_by_one_block(self):
+        # eight blocks of paths, but never more than one block in memory
+        grid = np.linspace(0.0, 1.0, 51)
+        tracemalloc.start()
+        try:
+            ensemble = sample_trajectories(NoiseSpec.ou(1.0), grid, 8 * BLOCK, 3)
+            mc_average_state(initial_state(1.0), ensemble, SystemParams(), -1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * BLOCK * grid.size * 16
 
     def test_empirical_state_well_formed(self):
         spec = NoiseSpec.gn(1.0)
@@ -179,7 +216,7 @@ class TestMcAverageState:
         medians = {}
         for n in (400, 1600):
             deviations = []
-            for seed in range(10):
+            for seed in range(40):
                 ensemble = sample_trajectories(spec, grid, n, seed)
                 report = mc_average_state(rho0, ensemble, SystemParams(), -1)
                 deviations.append(report.max_abs_deviation)
