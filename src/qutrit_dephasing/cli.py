@@ -81,6 +81,14 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _seed(text: str) -> int:
+    """A Philox key: an integer in [0, 2**128)."""
+    value = int(text)
+    if not 0 <= value < 2**128:
+        raise argparse.ArgumentTypeError(f"must lie in [0, 2**128), got {value}")
+    return value
+
+
 def _boolean(text: str) -> bool:
     """An on/off switch: bare on the command line, or true/false in a config."""
     word = text.lower()
@@ -127,7 +135,7 @@ def build_parser() -> _Parser:
     p.set_defaults(run=_cmd_preservation)
     p = grid(sub.add_parser("oracle", help="Monte-Carlo check of the averaged state"))
     p.add_argument("--samples", type=_positive_int, default=50000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(run=_cmd_oracle)
     p = sub.add_parser("figure", help="reproduce a canned figure recipe")
     p.add_argument("name", choices=FIGURES)

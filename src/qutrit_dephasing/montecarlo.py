@@ -12,12 +12,17 @@ Sampling and averaging stream over blocks of BLOCK = 4096 paths: block b
 draws its standard normals from Philox(seed) jumped b times, so path i
 depends only on (seed, i) and the ensemble is bit-reproducible.  The oracle
 never builds the N x M paths: the phase of a block is ``Z_b @ (omega L^T w)``
-with L the Cholesky factor and w the trapezoid weights, and the propagated
-states are summed block by block, so memory is O(BLOCK * M) for any N.
+with L the Cholesky factor and w the trapezoid weights.  Worker threads, one
+per core the process may use, draw and project the blocks a few rows at a
+time; the calling thread propagates and sums them in block order, so the
+result is the same bits for any number of cores.  At most workers + 1 blocks
+are in flight, so memory is O(workers * BLOCK) for any N.
 """
 
 from __future__ import annotations
 
+import os
+from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -30,6 +35,13 @@ BLOCK = 4096
 RNG_ALGORITHM = (
     f"numpy.random.Philox (4x64), block b of {BLOCK} paths from Philox(seed).jumped(b)"
 )
+
+# A worker draws at most this many normals at once.  The row count per chunk
+# is a power of two, so chunk edges fall on the row groups of the BLAS kernel
+# and each row sums as in one product over the whole block; and a chunk stays
+# below the size at which OpenBLAS splits a matrix-vector product across its
+# own threads (460800 entries), so the phases do not depend on the core count.
+_CHUNK_NORMALS = 2**17
 
 _JITTERS = (0.0, 1e-12, 1e-10, 1e-8)
 
@@ -47,15 +59,17 @@ class TrajectoryEnsemble:
     jitter: float = 0.0
     rng_algorithm: str = RNG_ALGORITHM
 
-    def normals(self) -> Iterator[np.ndarray]:
-        """Each block's (rows, M) standard normals, block b from
-        Philox(seed).jumped(b)."""
+    def blocks(self) -> Iterator[tuple[np.random.Generator, int]]:
+        """Each block's stream and row count: block b of BLOCK paths draws
+        from Philox(seed) jumped b times."""
         base = np.random.Philox(key=self.seed)
         for b, start in enumerate(range(0, self.n_paths, BLOCK)):
-            rows = min(BLOCK, self.n_paths - start)
-            yield np.random.Generator(base.jumped(b)).standard_normal(
-                (rows, self.t_grid.size)
-            )
+            yield np.random.Generator(base.jumped(b)), min(BLOCK, self.n_paths - start)
+
+    def normals(self) -> Iterator[np.ndarray]:
+        """Each block's (rows, M) standard normals."""
+        for rng, rows in self.blocks():
+            yield rng.standard_normal((rows, self.t_grid.size))
 
     @property
     def paths(self) -> np.ndarray:
@@ -149,6 +163,33 @@ def _trapezoid_weights(t_grid: np.ndarray, at_index: int) -> np.ndarray:
     return w
 
 
+def _worker_count() -> int:
+    """Cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _block_phases(rng: np.random.Generator, rows: int, v: np.ndarray) -> np.ndarray:
+    """One block's phases ``Z_b @ v``, drawing Z_b from rng a chunk of rows
+    at a time.  A last chunk of one row joins the chunk before it: numpy
+    takes a one-row product as a dot product, which sums in another order."""
+    chunk = 1 << (max(1, _CHUNK_NORMALS // v.size).bit_length() - 1)
+    phases = np.empty(rows)
+    start = 0
+    for stop in [*range(chunk, rows - 1, chunk), rows]:
+        phases[start:stop] = rng.standard_normal((stop - start, v.size)) @ v
+        start = stop
+    return phases
+
+
+def _state_sum(phases: np.ndarray, rho0: np.ndarray) -> np.ndarray:
+    """Sum over paths of U(phi) rho0 U(phi)^+."""
+    u = propagator(phases)
+    return np.einsum("nij,jk,nlk->il", u, rho0, u.conj(), optimize=True)
+
+
 def mc_average_state(
     rho0: np.ndarray,
     ensemble: TrajectoryEnsemble,
@@ -158,9 +199,9 @@ def mc_average_state(
     """Ensemble-averaged evolved state at one grid time, vs the analytic state.
 
     Each path is evolved unitarily with its own accumulated phase (the
-    trapezoid integral up to at_index, taken per block as Z_b @ (omega L^T w))
-    and the resulting matrices are summed block by block and averaged; the
-    analytic reference is evolve_averaged with variance
+    trapezoid integral up to at_index, taken per block as Z_b @ (omega L^T w)
+    on worker threads) and the resulting matrices are summed in block order
+    and averaged; the analytic reference is evolve_averaged with variance
     omega^2 * beta_closed(spec, tau).
     """
     check_density_matrix(rho0)
@@ -171,10 +212,19 @@ def mc_average_state(
     weights = _trapezoid_weights(ensemble.t_grid, at_index)
     v = params.omega * (ensemble.factor.T @ weights)
     rho0 = np.asarray(rho0, dtype=complex)
+
+    from concurrent.futures import ThreadPoolExecutor  # ~7 ms, paid by the oracle only
+
+    workers = _worker_count()
     total = np.zeros((3, 3), dtype=complex)
-    for z in ensemble.normals():
-        u = propagator(z @ v)
-        total += np.einsum("nij,jk,nlk->il", u, rho0, u.conj(), optimize=True)
+    with ThreadPoolExecutor(workers) as pool:
+        pending = deque()
+        for rng, rows in ensemble.blocks():
+            pending.append(pool.submit(_block_phases, rng, rows, v))
+            if len(pending) > workers:
+                total += _state_sum(pending.popleft().result(), rho0)
+        for future in pending:
+            total += _state_sum(future.result(), rho0)
     empirical = total / ensemble.n_paths
     tau = float(ensemble.t_grid[at_index] - ensemble.t_grid[0])
     variance = params.omega**2 * beta_closed(ensemble.spec, tau)

@@ -271,6 +271,18 @@ class TestOracle:
     def test_zero_samples_usage_error(self):
         assert run(["oracle", "--noise", "ou", "--samples", "0", "--tau-max", "1"]) == 1
 
+    @pytest.mark.parametrize("seed", ["-1", str(2**128)])
+    def test_seed_outside_philox_keys_is_usage_error(self, seed, tmp_path, capsys):
+        argv = ["oracle", "--noise", "ou", "--samples", "10", "--seed", seed]
+        assert run(argv + ["--out", str(tmp_path)]) == 1
+        assert "--seed: must lie in [0, 2**128)" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_largest_seed_runs(self, tmp_path):
+        argv = ["oracle", "--noise", "ou", "--samples", "10", "--seed", str(2**128 - 1)]
+        assert run(argv + ["--out", str(tmp_path)]) == 0
+        assert f"seed = {2**128 - 1}\n" in (tmp_path / "oracle_ou_g1.txt").read_text()
+
     def test_bound_violation_exits_3(self, monkeypatch, capsys):
         from qutrit_dephasing.montecarlo import OracleReport
         from qutrit_dephasing.noise import NoiseSpec

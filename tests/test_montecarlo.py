@@ -17,6 +17,8 @@ from qutrit_dephasing import (
     sample_trajectories,
     spin1_operators,
 )
+from qutrit_dephasing import montecarlo
+from qutrit_dephasing.dynamics import propagator
 from qutrit_dephasing.montecarlo import BLOCK, _trapezoid_weights
 
 
@@ -168,17 +170,48 @@ class TestMcAverageState:
         expected = self._per_path_average(rho0, ensemble.paths, grid, params.omega)
         assert np.max(np.abs(report.empirical - expected)) < 1e-13
 
-    def test_memory_bounded_by_one_block(self):
-        # eight blocks of paths, but never more than one block in memory
-        grid = np.linspace(0.0, 1.0, 51)
-        tracemalloc.start()
-        try:
-            ensemble = sample_trajectories(NoiseSpec.ou(1.0), grid, 8 * BLOCK, 3)
-            mc_average_state(initial_state(1.0), ensemble, SystemParams(), -1)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 3 * BLOCK * grid.size * 16
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_same_bits_for_any_worker_count(self, workers, monkeypatch):
+        # the serial loop over whole blocks is the reference; 3 blocks and 37
+        # paths cover a partial last block and more blocks than workers + 1.
+        # On 101 points a whole block's product stays below the size at which
+        # the BLAS splits it across its own threads, so the reference does not
+        # depend on the host's core count either.
+        rho0 = self._random_state(np.random.default_rng(2))
+        grid = np.linspace(0.0, 1.0, 101)
+        params = SystemParams(omega=1.3)
+        ensemble = sample_trajectories(NoiseSpec.gn(1.0), grid, 3 * BLOCK + 37, 6)
+        v = params.omega * (ensemble.factor.T @ _trapezoid_weights(grid, -1))
+        total = np.zeros((3, 3), dtype=complex)
+        for z in ensemble.normals():
+            u = propagator(z @ v)
+            total += np.einsum("nij,jk,nlk->il", u, rho0, u.conj(), optimize=True)
+        monkeypatch.setattr(montecarlo, "_worker_count", lambda: workers)
+        report = mc_average_state(rho0, ensemble, params, -1)
+        assert np.array_equal(report.empirical, total / ensemble.n_paths)
+
+    @pytest.mark.parametrize("rows", [1, 2, 1023, 1024, 1025, 2049, BLOCK])
+    def test_chunked_draw_matches_one_block_product(self, rows):
+        # 101 points draw 1024 rows a chunk; rows 1025 and 2049 leave one row
+        v = np.random.default_rng(rows).normal(size=101)
+        whole = np.random.Generator(np.random.Philox(key=9)).standard_normal((rows, 101))
+        chunked = montecarlo._block_phases(np.random.Generator(np.random.Philox(key=9)), rows, v)
+        assert np.array_equal(chunked, whole @ v)
+
+    def test_memory_bounded_by_one_block(self, monkeypatch):
+        # eight blocks of paths, but never more than one block in memory; each
+        # worker adds one chunk of at most 1 MB, so their number is fixed here
+        monkeypatch.setattr(montecarlo, "_worker_count", lambda: 3)
+        for points, bound in ((51, 3 * BLOCK * 51 * 16), (201, BLOCK * 201 * 8)):
+            grid = np.linspace(0.0, 1.0, points)
+            tracemalloc.start()
+            try:
+                ensemble = sample_trajectories(NoiseSpec.ou(1.0), grid, 8 * BLOCK, 3)
+                mc_average_state(initial_state(1.0), ensemble, SystemParams(), -1)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < bound, points
 
     def test_empirical_state_well_formed(self):
         spec = NoiseSpec.gn(1.0)
