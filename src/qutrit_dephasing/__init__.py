@@ -9,12 +9,9 @@ reproduction.
 from .dynamics import (
     SystemParams,
     evolve_averaged,
-    evolve_noiseless,
     fluctuation_series,
-    fourier_components,
     initial_state,
     propagator,
-    spin1_operators,
 )
 from .metrics import (
     ENTROPY_SATURATION,
@@ -47,12 +44,9 @@ __all__ = [
     "beta_quadrature",
     "dephasing_factor",
     "SystemParams",
-    "spin1_operators",
     "propagator",
     "initial_state",
-    "evolve_noiseless",
     "evolve_averaged",
-    "fourier_components",
     "fluctuation_series",
     "purity",
     "purity_closed",

@@ -17,7 +17,7 @@ import numpy as np
 
 from .dynamics import SystemParams, evolve_averaged, fluctuation_series, initial_state
 from .metrics import purity_closed, vn_entropy_closed
-from .montecarlo import OracleReport, mc_average_state, sample_trajectories
+from .montecarlo import RNG_ALGORITHM, OracleReport, mc_average_state, sample_trajectories
 from .noise import NoiseSpec, beta_closed, dephasing_factor
 
 CSV_HEADER = ["tau", "beta", "purity", "entropy"]
@@ -236,7 +236,7 @@ def _write_report(path: str, report: OracleReport) -> None:
         f"tau = {fmt(report.tau)}",
         f"n_samples = {report.n_samples}",
         f"seed = {report.seed}",
-        f"rng_algorithm = {report.rng_algorithm}",
+        f"rng_algorithm = {RNG_ALGORITHM}",
         f"grid_step = {fmt(report.grid_step)}",
         f"cholesky_jitter = {fmt(report.jitter)}",
         f"max_abs_deviation = {fmt(report.max_abs_deviation)}",

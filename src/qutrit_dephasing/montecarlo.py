@@ -57,7 +57,6 @@ class TrajectoryEnsemble:
     seed: int
     spec: NoiseSpec
     jitter: float = 0.0
-    rng_algorithm: str = RNG_ALGORITHM
 
     def blocks(self) -> Iterator[tuple[np.random.Generator, int]]:
         """Each block's stream and row count: block b of BLOCK paths draws
@@ -90,7 +89,6 @@ class OracleReport:
     tau: float
     grid_step: float
     spec: NoiseSpec
-    rng_algorithm: str = RNG_ALGORITHM
     jitter: float = 0.0
 
     @property

@@ -186,9 +186,9 @@ def dephasing_factor(n: int, spec: NoiseSpec, tau, omega: float = 1.0):
     """Expectation <exp(i n phi)> for the Gaussian phase at time tau.
 
     phi has zero mean and variance omega^2 * beta(tau), so the expectation is
-    exp(-n^2 omega^2 beta / 2).  This is the factor damping the n-th Fourier
-    component of the evolved density matrix.  tau may be a scalar (the
-    result is a float) or an array.
+    exp(-n^2 omega^2 beta / 2).  This is the factor damping the coherence
+    between Sx eigenstates whose eigenvalues differ by n in the averaged
+    density matrix.  tau may be a scalar (the result is a float) or an array.
     """
     if omega <= 0.0:
         raise ValueError("omega must be positive")

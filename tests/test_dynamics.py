@@ -2,20 +2,21 @@
 
 import numpy as np
 import pytest
+from numpy.polynomial.hermite_e import hermegauss
 from scipy.linalg import expm
 
 from qutrit_dephasing import (
     SystemParams,
     evolve_averaged,
-    evolve_noiseless,
     fluctuation_series,
-    fourier_components,
     initial_state,
     propagator,
-    spin1_operators,
 )
+from qutrit_dephasing.dynamics import SX_EIGENVALUES, SX_EIGENVECTORS
+from qutrit_dephasing.metrics import purity, purity_closed
 
 RNG = np.random.default_rng(20240817)
+SX = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=complex) / np.sqrt(2.0)
 
 
 def random_state(rng):
@@ -26,20 +27,19 @@ def random_state(rng):
 
 
 class TestSpinOperators:
-    def test_sz_eigenvalues(self):
-        _, sz = spin1_operators()
-        assert np.allclose(np.sort(np.linalg.eigvalsh(sz)), [-1.0, 0.0, 1.0])
-
     def test_exponential_matches_propagator(self):
-        sx, _ = spin1_operators()
         phis = (0.0, 0.3, np.pi, 2.4)
         for phi, stacked in zip(phis, propagator(np.array(phis))):
-            assert np.allclose(expm(-1j * phi * sx), propagator(phi), atol=1e-12)
+            assert np.allclose(expm(-1j * phi * SX), propagator(phi), atol=1e-12)
             assert np.max(np.abs(stacked - propagator(phi))) < 1e-15
 
     def test_center_entry_at_pi(self):
-        sx, _ = spin1_operators()
-        assert expm(-1j * np.pi * sx)[1, 1] == pytest.approx(-1.0, abs=1e-12)
+        assert expm(-1j * np.pi * SX)[1, 1] == pytest.approx(-1.0, abs=1e-12)
+
+    def test_sx_eigenbasis(self):
+        v = SX_EIGENVECTORS
+        assert np.max(np.abs(SX @ v - v @ np.diag(SX_EIGENVALUES))) <= 1e-15
+        assert np.max(np.abs(v.T @ v - np.eye(3))) <= 1e-15
 
 
 class TestPropagator:
@@ -52,10 +52,6 @@ class TestPropagator:
     def test_unitarity(self):
         u = propagator(0.7)
         assert np.allclose(u @ u.conj().T, np.eye(3), atol=1e-12)
-
-    def test_global_phase(self):
-        u = propagator(0.4, eps0=2.0, t=1.5)
-        assert np.allclose(u, np.exp(-1j * 3.0) * propagator(0.4), atol=1e-12)
 
 
 class TestInitialState:
@@ -77,17 +73,17 @@ class TestInitialState:
 
 
 class TestEvolveNoiseless:
+    """Noiseless evolution, as fluctuation_series gives it."""
+
     def test_time_zero_identity(self):
         rho0 = initial_state(0.7)
-        out = evolve_noiseless(rho0, SystemParams(), 0.0)
-        assert np.allclose(out, rho0, atol=1e-15)
+        out = fluctuation_series(SystemParams(r=0.7), [0.0])[0]
+        assert np.max(np.abs(out - rho0)) <= 1e-15
 
     def test_matches_closed_form_matrix(self):
         # r=1: entries (3 + cos 2phi)/12, (4 +- i sqrt2 sin 2phi)/12, (6 - 2 cos 2phi)/12
-        params = SystemParams(omega=1.0, eta_const=1.0)
-        for t in (0.3, np.pi / 2, 2.2):
-            phi = t
-            out = evolve_noiseless(initial_state(1.0), params, t)
+        t = np.array([0.3, np.pi / 2, 2.2])
+        for phi, out in zip(t, fluctuation_series(SystemParams(omega=1.0), t)):
             c2, s2 = np.cos(2 * phi), np.sin(2 * phi)
             expected = (
                 np.array(
@@ -102,35 +98,16 @@ class TestEvolveNoiseless:
             assert np.allclose(out, expected, atol=1e-12)
 
     def test_center_entry_at_half_pi(self):
-        out = evolve_noiseless(initial_state(1.0), SystemParams(), np.pi / 2)
+        out = fluctuation_series(SystemParams(), [np.pi / 2])[0]
         assert out[1, 1].real == pytest.approx(2.0 / 3.0, abs=1e-12)
 
     def test_trace_and_spectrum_preserved(self):
         rho0 = initial_state(0.7)
-        out = evolve_noiseless(rho0, SystemParams(), 3.2)
+        out = fluctuation_series(SystemParams(r=0.7), [3.2])[0]
         assert np.trace(out).real == pytest.approx(1.0, abs=1e-12)
         assert np.allclose(
             np.linalg.eigvalsh(out), np.linalg.eigvalsh(rho0), atol=1e-10
         )
-
-    def test_eps0_never_matters(self):
-        rho0 = initial_state(0.4)
-        a = evolve_noiseless(rho0, SystemParams(eps0=0.0), 1.7)
-        b = evolve_noiseless(rho0, SystemParams(eps0=37.0), 1.7)
-        assert np.allclose(a, b, atol=1e-12)
-
-
-class TestFourierComponents:
-    def test_reconstruction_random_pairs(self):
-        for _ in range(20):
-            rho0 = random_state(RNG)
-            phi = RNG.uniform(-2.0 * np.pi, 2.0 * np.pi)
-            coeffs = fourier_components(rho0)
-            rebuilt = sum(
-                coeffs[i] * np.exp(1j * n * phi) for i, n in enumerate(range(-2, 3))
-            )
-            u = propagator(phi)
-            assert np.max(np.abs(rebuilt - u @ rho0 @ u.conj().T)) < 1e-10
 
 
 class TestEvolveAveraged:
@@ -141,9 +118,30 @@ class TestEvolveAveraged:
     def test_no_noise_equals_noiseless_any_state(self):
         for _ in range(5):
             rho0 = random_state(RNG)
-            averaged = evolve_averaged(rho0, 0.0)
-            direct = evolve_noiseless(rho0, SystemParams(eta_const=0.0), 1.0)
-            assert np.allclose(averaged, direct, atol=1e-12)
+            assert np.max(np.abs(evolve_averaged(rho0, 0.0) - rho0)) <= 1e-15
+
+    def test_matches_gauss_hermite_average(self):
+        # phi = sqrt(var) x with x ~ N(0, 1); 160 nodes integrate the degree-2
+        # trigonometric polynomial U rho0 U+ to rounding for var <= 50.
+        nodes, weights = hermegauss(160)
+        weights = weights / weights.sum()
+        for _ in range(5):
+            rho0 = random_state(RNG)
+            for var in (0.0, 1e-9, 0.3, 1.0, 5.0, 50.0):
+                u = propagator(np.sqrt(var) * nodes)
+                states = u @ rho0 @ u.conj().swapaxes(-1, -2)
+                reference = np.tensordot(weights, states, axes=1)
+                assert np.max(np.abs(evolve_averaged(rho0, var) - reference)) <= 1e-14
+
+    def test_infinite_variance_keeps_sx_diagonal_part(self):
+        out = evolve_averaged(initial_state(1.0), np.inf)
+        assert np.all(np.isfinite(out))
+        assert purity(out) == pytest.approx(purity_closed(np.inf), abs=1e-15)
+
+    @pytest.mark.parametrize("r", [0.0, 0.4, 1.0])
+    def test_real_state_stays_real(self, r):
+        out = evolve_averaged(initial_state(r), np.array([0.0, 0.3, 5.0, np.inf]))
+        assert np.all(out.imag == 0.0)
 
     def test_strong_noise_limit(self):
         out = evolve_averaged(initial_state(1.0), 1e4)
@@ -207,7 +205,7 @@ class TestFluctuationSeries:
 
     def test_entry_period_pi(self):
         t = np.linspace(0.0, 3.0 * np.pi, 1000)
-        series = fluctuation_series(SystemParams(omega=1.0, eta_const=1.0), t)
+        series = fluctuation_series(SystemParams(omega=1.0), t)
         corner = series[:, 0, 0].real
         shifted = np.interp(t[t <= 2.0 * np.pi] + np.pi, t, corner)
         assert np.allclose(shifted, np.interp(t[t <= 2.0 * np.pi], t, corner), atol=1e-6)
@@ -221,13 +219,16 @@ class TestFluctuationSeries:
             counts[omega] = int(np.sum(np.diff(np.sign(signal)) != 0))
         assert counts[1.0] == pytest.approx(2 * counts[0.5], abs=1)
 
-    @pytest.mark.parametrize("omega, eta_const, r", [(1.0, 1.0, 1.0), (0.5, 2.0, 0.6)])
-    def test_matches_noiseless_evolution(self, omega, eta_const, r):
-        params = SystemParams(eps0=1.3, omega=omega, eta_const=eta_const, r=r)
+    @pytest.mark.parametrize("omega, r", [(1.0, 1.0), (0.5, 0.6)])
+    def test_matches_noiseless_evolution(self, omega, r):
+        params = SystemParams(omega=omega, r=r)
         t = np.linspace(0.0, 15.0, 301)
         series = fluctuation_series(params, t)
         assert series.shape == (t.size, 3, 3)
-        direct = np.array([evolve_noiseless(initial_state(r), params, s) for s in t])
+        rho0 = initial_state(r)
+        direct = np.array(
+            [expm(-1j * omega * s * SX) @ rho0 @ expm(1j * omega * s * SX) for s in t]
+        )
         assert np.max(np.abs(series - direct)) <= 1e-13
 
     def test_empty_grid_rejected(self):
