@@ -82,7 +82,8 @@ def _positive_int(text: str) -> int:
 
 
 def _seed(text: str) -> int:
-    """A Philox key: an integer in [0, 2**128)."""
+    """An oracle seed: an integer in [0, 2**128), the entropy of the
+    SeedSequence that spawns each block's stream."""
     value = int(text)
     if not 0 <= value < 2**128:
         raise argparse.ArgumentTypeError(f"must lie in [0, 2**128), got {value}")

@@ -27,6 +27,10 @@ ENTROPY_SATURATION = -(
 
 _CLAMP_TOL = 1e-10
 
+# exp(-4 beta) is already 0.0 far below this beta; capping beta here keeps
+# -4 * beta from overflowing near the float maximum.
+_BETA_DEPHASED = 1e300
+
 
 def purity(rho: np.ndarray) -> float:
     """Tr(rho^2); for Hermitian rho this is the squared Frobenius norm."""
@@ -40,7 +44,7 @@ def purity_closed(beta, r: float = 1.0):
     (1-r)/3 * I + r * (the r=1 state).  beta may be a scalar (the result is a
     float) or an array."""
     beta = _nonnegative(beta)
-    out = (1.0 - r * r) / 3.0 + r * r * (17.0 + np.exp(-4.0 * beta)) / 18.0
+    out = (1.0 - r * r) / 3.0 + r * r * (17.0 + _coherence(beta)) / 18.0
     return out if out.ndim else float(out)
 
 
@@ -61,12 +65,17 @@ def vn_entropy_closed(beta, r: float = 1.0):
     scalar (the result is a float) or an array.
     """
     beta = _nonnegative(beta)
-    root = np.sqrt(np.exp(-4.0 * beta) + 8.0)
+    root = np.sqrt(_coherence(beta) + 8.0)
     spectrum = np.stack([3.0 + root, 3.0 - root, np.zeros_like(root)])
     lams = (1.0 - r) / 3.0 + r * spectrum / 6.0
     logs = np.log(np.where(lams > _CLAMP_TOL, lams, 1.0))
     out = np.maximum(-np.sum(lams * logs, axis=0), 0.0)
     return out if out.ndim else float(out)
+
+
+def _coherence(beta: np.ndarray) -> np.ndarray:
+    """exp(-4 beta), the square of the outermost coherence's decay exp(-2 beta)."""
+    return np.exp(-4.0 * np.minimum(beta, _BETA_DEPHASED))
 
 
 def _nonnegative(beta) -> np.ndarray:

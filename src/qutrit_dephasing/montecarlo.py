@@ -9,14 +9,16 @@ matrix-by-matrix with the closed-form ``propagator``.  Agreement with
 check of the analytic averaging rule.
 
 Sampling and averaging stream over blocks of BLOCK = 4096 paths: block b
-draws its standard normals from Philox(seed) jumped b times, so path i
-depends only on (seed, i) and the ensemble is bit-reproducible.  The oracle
-never builds the N x M paths: the phase of a block is ``Z_b @ (omega L^T w)``
-with L the Cholesky factor and w the trapezoid weights.  Worker threads, one
-per core the process may use, draw and project the blocks a few rows at a
-time; the calling thread propagates and sums them in block order, so the
-result is the same bits for any number of cores.  At most workers + 1 blocks
-are in flight, so memory is O(workers * BLOCK) for any N.
+draws its standard normals from SFC64 seeded by SeedSequence(seed,
+spawn_key=(b,)), NumPy's scheme for spawning independent parallel streams,
+so path i depends only on (seed, i) and the ensemble is bit-reproducible.
+The oracle never builds the N x M paths: the phase of a block is
+``Z_b @ (omega L^T w)`` with L the Cholesky factor and w the trapezoid
+weights.  Worker threads, one per core the process may use, draw and project
+the blocks a few rows at a time; the calling thread propagates and sums them
+in block order, so the result is the same bits for any number of cores.  At
+most workers + 1 blocks are in flight, so memory is O(workers * BLOCK) for
+any N.
 """
 
 from __future__ import annotations
@@ -33,7 +35,8 @@ from .noise import NoiseSpec, autocorrelation, beta_closed
 
 BLOCK = 4096
 RNG_ALGORITHM = (
-    f"numpy.random.Philox (4x64), block b of {BLOCK} paths from Philox(seed).jumped(b)"
+    f"numpy.random.SFC64, block b of {BLOCK} paths from "
+    "SFC64(SeedSequence(seed, spawn_key=(b,)))"
 )
 
 # A worker draws at most this many normals at once.  The row count per chunk
@@ -60,10 +63,10 @@ class TrajectoryEnsemble:
 
     def blocks(self) -> Iterator[tuple[np.random.Generator, int]]:
         """Each block's stream and row count: block b of BLOCK paths draws
-        from Philox(seed) jumped b times."""
-        base = np.random.Philox(key=self.seed)
+        from SFC64 seeded by SeedSequence(seed, spawn_key=(b,))."""
         for b, start in enumerate(range(0, self.n_paths, BLOCK)):
-            yield np.random.Generator(base.jumped(b)), min(BLOCK, self.n_paths - start)
+            bits = np.random.SFC64(np.random.SeedSequence(self.seed, spawn_key=(b,)))
+            yield np.random.Generator(bits), min(BLOCK, self.n_paths - start)
 
     def normals(self) -> Iterator[np.ndarray]:
         """Each block's (rows, M) standard normals."""

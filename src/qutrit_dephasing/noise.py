@@ -124,29 +124,40 @@ def beta_closed(spec: NoiseSpec, tau):
     tau may be a scalar (the result is a float) or an array.  With x = g*tau
     the gn, ou and pl forms are written with expm1/log1p, and ou and pl are
     summed as their series at small x, so beta keeps full relative precision
-    as x -> 0.
+    as x -> 0.  Where x or a product with it overflows, beta is taken as
+    tau plus its bounded tail, which stays finite.
     """
     tau = np.asarray(tau, dtype=float)
     if np.any(tau < 0.0):
         raise ValueError("tau must be nonnegative")
-    x = spec.g * tau
     if spec.kind == "fgn":
         h1 = spec.hurst + 1.0
         out = tau ** (2.0 * h1) / (2.0 * h1)
-    elif spec.kind == "gn":
-        out = (np.expm1(-x * x) / math.sqrt(math.pi) + x * _erf(x)) / spec.g
-    elif spec.kind == "ou":
-        small = x < _SERIES_X
-        series = _series(np.where(small, x, 0.0), 0.5, lambda k: -1.0 / (k + 1))
-        out = np.where(small, series, x + np.expm1(-x)) / spec.g
-    else:  # pl; alpha > 2 enforced at construction
-        a = spec.alpha
-        small = (a - 1.0) * x < _SERIES_X
-        series = _series(
-            np.where(small, x, 0.0), 0.5 * (a - 1.0), lambda k: (2.0 - a - k) / (k + 1)
-        )
-        direct = (x * (a - 2.0) + np.expm1((2.0 - a) * np.log1p(x))) / (a - 2.0)
-        out = np.where(small, series, direct) / spec.g
+        return out if out.ndim else float(out)
+    # At large x each form is tau + tail/g with a bounded tail (gn's erf(x) is
+    # 1 there).  Where g*tau, gn's x*x or pl's x*(alpha-2) overflows, out is
+    # inf and tau + tail/g replaces it.
+    with np.errstate(over="ignore"):
+        x = spec.g * tau
+        if spec.kind == "gn":
+            tail = np.expm1(-x * x) / math.sqrt(math.pi)
+            out = (tail + x * _erf(x)) / spec.g
+        elif spec.kind == "ou":
+            tail = np.expm1(-x)
+            small = x < _SERIES_X
+            series = _series(np.where(small, x, 0.0), 0.5, lambda k: -1.0 / (k + 1))
+            out = np.where(small, series, x + tail) / spec.g
+        else:  # pl; alpha > 2 enforced at construction
+            a = spec.alpha
+            decay = np.expm1((2.0 - a) * np.log1p(x))
+            tail = decay / (a - 2.0)
+            small = (a - 1.0) * x < _SERIES_X
+            series = _series(
+                np.where(small, x, 0.0), 0.5 * (a - 1.0), lambda k: (2.0 - a - k) / (k + 1)
+            )
+            direct = (x * (a - 2.0) + decay) / (a - 2.0)
+            out = np.where(small, series, direct) / spec.g
+        out = np.where(np.isinf(out), tau + tail / spec.g, out)
     return out if out.ndim else float(out)
 
 

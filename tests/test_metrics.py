@@ -38,6 +38,8 @@ class TestPurityClosed:
     def test_saturation(self):
         assert purity_closed(1e3) == pytest.approx(17.0 / 18.0, abs=1e-15)
         assert PURITY_SATURATION == pytest.approx(0.9444444444444444)
+        # -4 * beta would overflow near the float maximum
+        assert purity_closed(1.7e308) == purity_closed(math.inf)
 
     def test_quarter_beta(self):
         assert purity_closed(0.25) == pytest.approx((17.0 + math.exp(-1.0)) / 18.0)
@@ -68,6 +70,7 @@ class TestVnEntropyClosed:
 
     def test_saturation(self):
         assert vn_entropy_closed(1e3) == pytest.approx(ENTROPY_SATURATION, abs=1e-14)
+        assert vn_entropy_closed(1.7e308) == vn_entropy_closed(math.inf)
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):

@@ -15,7 +15,7 @@ from qutrit_dephasing import (
     phase_of,
     sample_trajectories,
 )
-from qutrit_dephasing import montecarlo
+from qutrit_dephasing import cli, montecarlo
 from qutrit_dephasing.dynamics import propagator
 from qutrit_dephasing.montecarlo import BLOCK, _trapezoid_weights
 
@@ -51,6 +51,24 @@ class TestSampleTrajectories:
         small = sample_trajectories(spec, grid, BLOCK + 2, 7)
         large = sample_trajectories(spec, grid, BLOCK + 5, 7)
         assert np.array_equal(small.paths, large.paths[: BLOCK + 2])
+
+    def test_block_streams_are_spawned_sfc64(self, tmp_path):
+        # block b draws from SFC64(SeedSequence(seed, spawn_key=(b,))), the
+        # stream the report names
+        spec = NoiseSpec.ou(1.0)
+        grid = np.linspace(0.0, 1.0, 7)
+        blocks = list(sample_trajectories(spec, grid, 2 * BLOCK + 5, 11).normals())
+        assert [z.shape[0] for z in blocks] == [BLOCK, BLOCK, 5]
+        for b, z in enumerate(blocks):
+            bits = np.random.SFC64(np.random.SeedSequence(11, spawn_key=(b,)))
+            assert np.array_equal(z, np.random.Generator(bits).standard_normal(z.shape))
+        # a seed + b scheme would draw block 1 of seed 11 as block 0 of seed 12
+        (first,) = sample_trajectories(spec, grid, BLOCK, 12).normals()
+        assert not np.array_equal(blocks[1], first)
+        argv = ["oracle", "--noise", "ou", "--samples", "10", "--out", str(tmp_path)]
+        assert cli.main(argv) == 0
+        report = (tmp_path / "oracle_ou_g1.txt").read_text().splitlines()
+        assert f"rng_algorithm = {montecarlo.RNG_ALGORITHM}" in report
 
     def test_zero_mean(self):
         spec = NoiseSpec.ou(1.0)
@@ -119,12 +137,12 @@ class TestPhaseOf:
 
 
 class TestMcAverageState:
-    def _manual_ensemble(self, factor, n, grid, spec):
+    def _manual_ensemble(self, factor, n, grid, spec, seed=0):
         return TrajectoryEnsemble(
             t_grid=np.asarray(grid, float),
             factor=np.asarray(factor, float),
             n_paths=n,
-            seed=0,
+            seed=seed,
             spec=spec,
         )
 
@@ -191,8 +209,12 @@ class TestMcAverageState:
     def test_chunked_draw_matches_one_block_product(self, rows):
         # 101 points draw 1024 rows a chunk; rows 1025 and 2049 leave one row
         v = np.random.default_rng(rows).normal(size=101)
-        whole = np.random.Generator(np.random.Philox(key=9)).standard_normal((rows, 101))
-        chunked = montecarlo._block_phases(np.random.Generator(np.random.Philox(key=9)), rows, v)
+        grid = np.linspace(0.0, 1.0, 101)
+        ensemble = self._manual_ensemble(np.eye(101), rows, grid, NoiseSpec.ou(1.0), seed=9)
+        ((rng, _),) = ensemble.blocks()
+        whole = rng.standard_normal((rows, 101))
+        ((rng, _),) = ensemble.blocks()
+        chunked = montecarlo._block_phases(rng, rows, v)
         assert np.array_equal(chunked, whole @ v)
 
     def test_memory_bounded_by_one_block(self, monkeypatch):

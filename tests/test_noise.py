@@ -1,6 +1,7 @@
 """Kernels, closed-form beta vs the quadrature oracle, dephasing factors."""
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -135,6 +136,23 @@ class TestBetaClosed:
         got = beta_closed(spec, SMALL_TO_LARGE_X)
         want = np.array([beta_reference(spec.kind, x, spec.alpha) for x in SMALL_TO_LARGE_X])
         assert np.max(np.abs(got - want) / want) <= 1e-13
+
+    @pytest.mark.parametrize(
+        "spec",
+        [NoiseSpec.gn(10.0), NoiseSpec.ou(10.0)]
+        + [NoiseSpec.pl(10.0, a) for a in (3.0, 5.0)],
+        ids=lambda spec: spec.label(),
+    )
+    def test_finite_near_float_max(self, spec):
+        # g*tau overflows at 1.7e308, gn's x*x already at 1e306 and pl's
+        # x*(alpha-2) at 1e307 for alpha=5; beta is tau less O(1/g)
+        taus = np.array([1e306, 1e307, 1.7e308])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = beta_closed(spec, taus)
+            last = beta_closed(spec, 1.7e308)
+        assert np.array_equal(values, taus)
+        assert last == 1.7e308
 
     @pytest.mark.parametrize("spec", ALL_SPECS)
     def test_array_matches_scalar(self, spec):
