@@ -90,7 +90,8 @@ def sweep_rows(
     SystemParams(omega=omega, r=r)  # rejects omega <= 0 and r outside [0, 1]
     tau = np.asarray(tau_grid, dtype=float)
     beta = beta_closed(spec, tau)
-    sigma2 = omega * omega * beta
+    with np.errstate(over="ignore"):  # past the float range: inf, the saturated state
+        sigma2 = omega * omega * beta
     columns = [tau, beta, purity_closed(sigma2, r), vn_entropy_closed(sigma2, r)]
     if with_matrix:
         columns.append(_matrix_columns(evolve_averaged(initial_state(r), sigma2)))

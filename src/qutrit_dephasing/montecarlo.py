@@ -14,11 +14,13 @@ spawn_key=(b,)), NumPy's scheme for spawning independent parallel streams,
 so path i depends only on (seed, i) and the ensemble is bit-reproducible.
 The oracle never builds the N x M paths: the phase of a block is
 ``Z_b @ (omega L^T w)`` with L the Cholesky factor and w the trapezoid
-weights.  Worker threads, one per core the process may use, draw and project
-the blocks a few rows at a time; the calling thread propagates and sums them
-in block order, so the result is the same bits for any number of cores.  At
-most workers + 1 blocks are in flight, so memory is O(workers * BLOCK) for
-any N.
+weights.  Both projections are plain ``np.einsum`` calls, which sum each row
+in one fixed order and never call the BLAS, so given L the phases are the
+same bits for any chunk size, worker count and BLAS thread count.  Worker
+threads, one per core the process may use, draw and project the blocks a few
+rows at a time; the calling thread propagates and sums them in block order.
+At most workers + 1 blocks are in flight, so memory is O(workers * BLOCK)
+for any N.
 """
 
 from __future__ import annotations
@@ -39,11 +41,7 @@ RNG_ALGORITHM = (
     "SFC64(SeedSequence(seed, spawn_key=(b,)))"
 )
 
-# A worker draws at most this many normals at once.  The row count per chunk
-# is a power of two, so chunk edges fall on the row groups of the BLAS kernel
-# and each row sums as in one product over the whole block; and a chunk stays
-# below the size at which OpenBLAS splits a matrix-vector product across its
-# own threads (460800 entries), so the phases do not depend on the core count.
+# A worker draws at most this many normals at once (1 MB), to bound memory.
 _CHUNK_NORMALS = 2**17
 
 _JITTERS = (0.0, 1e-12, 1e-10, 1e-8)
@@ -174,14 +172,13 @@ def _worker_count() -> int:
 
 def _block_phases(rng: np.random.Generator, rows: int, v: np.ndarray) -> np.ndarray:
     """One block's phases ``Z_b @ v``, drawing Z_b from rng a chunk of rows
-    at a time.  A last chunk of one row joins the chunk before it: numpy
-    takes a one-row product as a dot product, which sums in another order."""
-    chunk = 1 << (max(1, _CHUNK_NORMALS // v.size).bit_length() - 1)
+    at a time.  einsum sums each row in the same order whatever the chunk,
+    so the phases do not depend on the chunk size."""
+    chunk = max(1, _CHUNK_NORMALS // v.size)
     phases = np.empty(rows)
-    start = 0
-    for stop in [*range(chunk, rows - 1, chunk), rows]:
-        phases[start:stop] = rng.standard_normal((stop - start, v.size)) @ v
-        start = stop
+    for start in range(0, rows, chunk):
+        out = phases[start : start + chunk]
+        np.einsum("ij,j->i", rng.standard_normal((out.size, v.size)), v, out=out)
     return phases
 
 
@@ -211,7 +208,7 @@ def mc_average_state(
     if not -ensemble.t_grid.size <= at_index < ensemble.t_grid.size:
         raise IndexError("at_index outside the time grid")
     weights = _trapezoid_weights(ensemble.t_grid, at_index)
-    v = params.omega * (ensemble.factor.T @ weights)
+    v = params.omega * np.einsum("ji,j->i", ensemble.factor, weights)
     rho0 = np.asarray(rho0, dtype=complex)
 
     from concurrent.futures import ThreadPoolExecutor  # ~7 ms, paid by the oracle only

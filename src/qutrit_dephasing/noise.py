@@ -203,5 +203,7 @@ def dephasing_factor(n: int, spec: NoiseSpec, tau, omega: float = 1.0):
     """
     if omega <= 0.0:
         raise ValueError("omega must be positive")
-    out = np.exp(-0.5 * n * n * omega * omega * beta_closed(spec, tau))
+    beta = beta_closed(spec, tau)
+    with np.errstate(over="ignore"):  # past the float range the factor is 0
+        out = np.exp(-0.5 * n * n * omega * omega * beta)
     return out if out.ndim else float(out)

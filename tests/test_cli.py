@@ -148,14 +148,16 @@ class TestSweep:
                 check_schema(tmp_path / name)
 
     def test_tau_near_float_max(self, tmp_path, capsys):
-        argv = [
-            "sweep", "--noise", "ou", "--g", "10", "--tau-max", "1.7e308",
-            "--tau-steps", "3", "--out", str(tmp_path),
-        ]
-        assert run(argv) == 0
-        assert capsys.readouterr().err == ""
-        rows = check_schema(tmp_path / "sweep_ou_g10.csv")
-        assert float(rows[-1]["beta"]) == 1.7e308
+        # at omega 2, omega^2 beta passes the float range: the saturated state
+        for flags in ([], ["--omega", "2", "--with-matrix"]):
+            argv = [
+                "sweep", "--noise", "ou", "--g", "10", "--tau-max", "1.7e308",
+                "--tau-steps", "3", "--out", str(tmp_path), *flags,
+            ]
+            assert run(argv) == 0
+            assert capsys.readouterr().err == ""
+            rows = check_schema(tmp_path / "sweep_ou_g10.csv")
+            assert float(rows[-1]["beta"]) == 1.7e308
 
     def test_g_ordering_of_purity(self, tmp_path):
         run(["sweep", "--noise", "gn", "--g", "1,3,10", "--out", str(tmp_path)])

@@ -1,11 +1,15 @@
 """Trajectory sampling, phase accumulation, and the ensemble-average oracle."""
 
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
+import qutrit_dephasing
 from qutrit_dephasing import (
     NoiseSpec,
     SystemParams,
@@ -188,26 +192,24 @@ class TestMcAverageState:
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_same_bits_for_any_worker_count(self, workers, monkeypatch):
         # the serial loop over whole blocks is the reference; 3 blocks and 37
-        # paths cover a partial last block and more blocks than workers + 1.
-        # On 101 points a whole block's product stays below the size at which
-        # the BLAS splits it across its own threads, so the reference does not
-        # depend on the host's core count either.
+        # paths cover a partial last block and more blocks than workers + 1
         rho0 = self._random_state(np.random.default_rng(2))
         grid = np.linspace(0.0, 1.0, 101)
         params = SystemParams(omega=1.3)
         ensemble = sample_trajectories(NoiseSpec.gn(1.0), grid, 3 * BLOCK + 37, 6)
-        v = params.omega * (ensemble.factor.T @ _trapezoid_weights(grid, -1))
+        weights = _trapezoid_weights(grid, -1)
+        v = params.omega * np.einsum("ji,j->i", ensemble.factor, weights)
         total = np.zeros((3, 3), dtype=complex)
         for z in ensemble.normals():
-            u = propagator(z @ v)
+            u = propagator(np.einsum("ij,j->i", z, v))
             total += np.einsum("nij,jk,nlk->il", u, rho0, u.conj(), optimize=True)
         monkeypatch.setattr(montecarlo, "_worker_count", lambda: workers)
         report = mc_average_state(rho0, ensemble, params, -1)
         assert np.array_equal(report.empirical, total / ensemble.n_paths)
 
-    @pytest.mark.parametrize("rows", [1, 2, 1023, 1024, 1025, 2049, BLOCK])
+    @pytest.mark.parametrize("rows", [1, 2, 1023, 1024, 1025, 1297, 1298, 2049, BLOCK])
     def test_chunked_draw_matches_one_block_product(self, rows):
-        # 101 points draw 1024 rows a chunk; rows 1025 and 2049 leave one row
+        # 101 points draw 1297 rows a chunk; 1298 rows leave a last chunk of one
         v = np.random.default_rng(rows).normal(size=101)
         grid = np.linspace(0.0, 1.0, 101)
         ensemble = self._manual_ensemble(np.eye(101), rows, grid, NoiseSpec.ou(1.0), seed=9)
@@ -215,7 +217,44 @@ class TestMcAverageState:
         whole = rng.standard_normal((rows, 101))
         ((rng, _),) = ensemble.blocks()
         chunked = montecarlo._block_phases(rng, rows, v)
-        assert np.array_equal(chunked, whole @ v)
+        assert np.array_equal(chunked, np.einsum("ij,j->i", whole, v))
+
+    def test_report_bits_do_not_depend_on_chunk_size(self, monkeypatch):
+        # on 201 points these chunks hold 1, 3 and 652 rows of a block
+        rho0 = self._random_state(np.random.default_rng(4))
+        grid = np.linspace(0.0, 1.0, 201)
+        ensemble = sample_trajectories(NoiseSpec.gn(1.0), grid, BLOCK + 37, 8)
+        reports = []
+        for normals in (201, 604, 2**17):
+            monkeypatch.setattr(montecarlo, "_CHUNK_NORMALS", normals)
+            reports.append(mc_average_state(rho0, ensemble, SystemParams(), -1))
+        for report in reports[1:]:
+            assert np.array_equal(report.empirical, reports[0].empirical)
+
+    def test_report_bits_do_not_depend_on_blas_threads(self):
+        # a fixed factor, so no Cholesky runs; on 1001 points the BLAS would
+        # split L^T w across its threads
+        code = (
+            "import numpy as np\n"
+            "from qutrit_dephasing import NoiseSpec, SystemParams, TrajectoryEnsemble,"
+            " initial_state, mc_average_state\n"
+            "rng = np.random.default_rng(12)\n"
+            "factor = np.tril(rng.normal(size=(1001, 1001)))\n"
+            "ensemble = TrajectoryEnsemble(np.linspace(0.0, 1.0, 1001), factor, 300, 5,"
+            " NoiseSpec.ou(1.0))\n"
+            "report = mc_average_state(initial_state(1.0), ensemble, SystemParams(), -1)\n"
+            "print(report.empirical.tobytes().hex())\n"
+        )
+        src = os.path.dirname(os.path.dirname(qutrit_dephasing.__file__))
+        empirical = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
+            out = subprocess.run(
+                [sys.executable, "-c", code], env=env, capture_output=True, text=True
+            )
+            assert out.returncode == 0, out.stderr
+            empirical.append(np.frombuffer(bytes.fromhex(out.stdout.strip()), complex))
+        assert np.array_equal(*empirical)
 
     def test_memory_bounded_by_one_block(self, monkeypatch):
         # eight blocks of paths, but never more than one block in memory; each

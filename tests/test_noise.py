@@ -224,6 +224,11 @@ class TestDephasingFactor:
         assert all(type(v) is float for v in scalars)
         np.testing.assert_allclose(values, scalars, rtol=1e-15, atol=0.0)
 
+    def test_zero_where_omega_squared_beta_overflows(self):
+        taus = np.array([0.0, 1.7e308])
+        values = dephasing_factor(2, NoiseSpec.ou(10.0), taus, omega=2.0)
+        assert np.array_equal(values, [1.0, 0.0])
+
     def test_monotone_in_arguments(self):
         spec = NoiseSpec.gn(1.0)
         taus = np.linspace(0.0, 3.0, 20)
