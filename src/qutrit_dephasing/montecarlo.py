@@ -1,33 +1,29 @@
-"""Monte-Carlo oracle: sample Gaussian field realizations, accumulate phases,
-and average the evolved qutrit states over the ensemble.
+"""Monte-Carlo oracle: sample the Gaussian phases of field realizations at
+chosen grid times and average the evolved qutrit states over the ensemble.
 
-This path never touches the analytic dephasing factors: paths are drawn from
-the exact covariance by dense Cholesky, phases are trapezoid integrals of the
-sampled field, and the states U(phi) rho0 U(phi)+ are averaged
-matrix-by-matrix with the closed-form ``propagator``.  Agreement with
-``evolve_averaged`` within the 3/sqrt(N) statistical bound is the independent
-check of the analytic averaging rule.
+This path never touches the analytic dephasing factors.  The phases at the K
+chosen grid indices are jointly Gaussian with covariance C = W^T K W, where
+K(s_i, s_j) is the noise kernel on the time grid and W holds the trapezoid
+weights of each chosen index: exactly the law of the trapezoid phases of
+paths drawn from K, so the oracle needs no paths.  The phases are drawn as
+``Z F^T`` with F the Cholesky factor of C, and the states
+U(phi) rho0 U(phi)+ are averaged matrix-by-matrix with the closed-form
+``propagator``.  Agreement with ``evolve_averaged`` within the 3/sqrt(N)
+statistical bound is the independent check of the analytic averaging rule.
 
 Sampling and averaging stream over blocks of BLOCK = 4096 paths: block b
-draws its standard normals from SFC64 seeded by SeedSequence(seed,
+draws its (rows, K) standard normals from SFC64 seeded by SeedSequence(seed,
 spawn_key=(b,)), NumPy's scheme for spawning independent parallel streams,
 so path i depends only on (seed, i) and the ensemble is bit-reproducible.
-The oracle never builds the N x M paths: the phase of a block is
-``Z_b @ (omega L^T w)`` with L the Cholesky factor and w the trapezoid
-weights.  Both projections are plain ``np.einsum`` calls, which sum each row
-in one fixed order and never call the BLAS, so given L the phases are the
-same bits for any chunk size, worker count and BLAS thread count.  Worker
-threads, one per core the process may use, draw and project the blocks a few
-rows at a time; the calling thread propagates and sums them in block order.
-At most workers + 1 blocks are in flight, so memory is O(workers * BLOCK)
-for any N.
+C and the phases are plain ``np.einsum`` calls, which sum in one fixed order
+and never call the BLAS, and the K x K factor is too small for the BLAS to
+thread, so a report is the same bits for any BLAS thread count.  One block
+is in memory at a time, so memory is O(BLOCK * K) for any N.
 """
 
 from __future__ import annotations
 
-import os
-from collections import deque
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,43 +34,34 @@ from .noise import NoiseSpec, autocorrelation, beta_closed
 BLOCK = 4096
 RNG_ALGORITHM = (
     f"numpy.random.SFC64, block b of {BLOCK} paths from "
-    "SFC64(SeedSequence(seed, spawn_key=(b,)))"
+    "SFC64(SeedSequence(seed, spawn_key=(b,))), K normals per path at K phase times"
 )
-
-# A worker draws at most this many normals at once (1 MB), to bound memory.
-_CHUNK_NORMALS = 2**17
 
 _JITTERS = (0.0, 1e-12, 1e-10, 1e-8)
 
 
 @dataclass(frozen=True)
 class TrajectoryEnsemble:
-    """n_paths Gaussian paths ``Z @ factor.T`` on a shared time grid, kept as
-    the covariance's Cholesky factor and the seed of the normals Z."""
+    """n_paths draws of the Gaussian phases (the integrals of eta, before
+    omega) at the grid indices ``indices``, kept as the Cholesky factor of
+    their covariance and the seed of the normals."""
 
     t_grid: np.ndarray
+    indices: np.ndarray
     factor: np.ndarray
     n_paths: int
     seed: int
     spec: NoiseSpec
     jitter: float = 0.0
 
-    def blocks(self) -> Iterator[tuple[np.random.Generator, int]]:
-        """Each block's stream and row count: block b of BLOCK paths draws
-        from SFC64 seeded by SeedSequence(seed, spawn_key=(b,))."""
+    def phases(self) -> Iterator[np.ndarray]:
+        """Each block's (rows, K) phases ``Z_b F^T``: block b of BLOCK paths
+        draws Z_b from SFC64 seeded by SeedSequence(seed, spawn_key=(b,))."""
         for b, start in enumerate(range(0, self.n_paths, BLOCK)):
             bits = np.random.SFC64(np.random.SeedSequence(self.seed, spawn_key=(b,)))
-            yield np.random.Generator(bits), min(BLOCK, self.n_paths - start)
-
-    def normals(self) -> Iterator[np.ndarray]:
-        """Each block's (rows, M) standard normals."""
-        for rng, rows in self.blocks():
-            yield rng.standard_normal((rows, self.t_grid.size))
-
-    @property
-    def paths(self) -> np.ndarray:
-        """All (n_paths, M) paths at once: the reference for small ensembles."""
-        return np.concatenate([z @ self.factor.T for z in self.normals()])
+            rows = min(BLOCK, self.n_paths - start)
+            z = np.random.Generator(bits).standard_normal((rows, self.indices.size))
+            yield np.einsum("ij,kj->ik", z, self.factor)
 
 
 @dataclass(frozen=True)
@@ -115,13 +102,24 @@ def _cholesky_with_jitter(cov: np.ndarray, spec: NoiseSpec) -> tuple[np.ndarray,
     )
 
 
-def sample_trajectories(
-    spec: NoiseSpec, t_grid, n: int, seed: int
-) -> TrajectoryEnsemble:
-    """n zero-mean Gaussian paths with covariance K(s_i, s_j).
+def _phase_covariance(spec: NoiseSpec, t_grid: np.ndarray, indices) -> np.ndarray:
+    """C = W^T K W, the covariance of the trapezoid phases at ``indices``."""
+    grid_s, grid_sp = np.meshgrid(t_grid, t_grid, indexing="ij")
+    kernel = np.asarray(autocorrelation(spec, grid_s, grid_sp), dtype=float)
+    weights = np.stack([_trapezoid_weights(t_grid, i) for i in indices], axis=1)
+    cov = np.einsum("ji,jl->il", weights, np.einsum("jk,kl->jl", kernel, weights))
+    return 0.5 * (cov + cov.T)
 
-    Factors the covariance once; the paths themselves are drawn block by
-    block when the ensemble is read (``normals``, ``paths``).
+
+def sample_trajectories(
+    spec: NoiseSpec, t_grid, n: int, seed: int, at_indices: Sequence[int] = (-1,)
+) -> TrajectoryEnsemble:
+    """n draws of the zero-mean Gaussian phases at the grid indices
+    ``at_indices`` (by default the last only), for a field with covariance
+    K(s_i, s_j) on ``t_grid``.
+
+    Factors the phases' covariance once; the phases themselves are drawn
+    block by block when the ensemble is read (``phases``).
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size < 2:
@@ -130,12 +128,19 @@ def sample_trajectories(
         raise ValueError("time grid must be strictly increasing")
     if n < 1:
         raise ValueError("need at least one path")
-    grid_s, grid_sp = np.meshgrid(t_grid, t_grid, indexing="ij")
-    cov = np.asarray(autocorrelation(spec, grid_s, grid_sp), dtype=float)
-    cov = 0.5 * (cov + cov.T)
+    indices = np.arange(t_grid.size)[np.asarray(at_indices, dtype=int)]
+    if indices.ndim != 1 or not indices.size or indices[0] < 1 or np.any(np.diff(indices) < 1):
+        raise ValueError("phase indices must be increasing grid indices past the first")
+    cov = _phase_covariance(spec, t_grid, indices)
     factor, jitter = _cholesky_with_jitter(cov, spec)
     return TrajectoryEnsemble(
-        t_grid=t_grid, factor=factor, n_paths=n, seed=seed, spec=spec, jitter=jitter
+        t_grid=t_grid,
+        indices=indices,
+        factor=factor,
+        n_paths=n,
+        seed=seed,
+        spec=spec,
+        jitter=jitter,
     )
 
 
@@ -162,32 +167,6 @@ def _trapezoid_weights(t_grid: np.ndarray, at_index: int) -> np.ndarray:
     return w
 
 
-def _worker_count() -> int:
-    """Cores this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-def _block_phases(rng: np.random.Generator, rows: int, v: np.ndarray) -> np.ndarray:
-    """One block's phases ``Z_b @ v``, drawing Z_b from rng a chunk of rows
-    at a time.  einsum sums each row in the same order whatever the chunk,
-    so the phases do not depend on the chunk size."""
-    chunk = max(1, _CHUNK_NORMALS // v.size)
-    phases = np.empty(rows)
-    for start in range(0, rows, chunk):
-        out = phases[start : start + chunk]
-        np.einsum("ij,j->i", rng.standard_normal((out.size, v.size)), v, out=out)
-    return phases
-
-
-def _state_sum(phases: np.ndarray, rho0: np.ndarray) -> np.ndarray:
-    """Sum over paths of U(phi) rho0 U(phi)^+."""
-    u = propagator(phases)
-    return np.einsum("nij,jk,nlk->il", u, rho0, u.conj(), optimize=True)
-
-
 def mc_average_state(
     rho0: np.ndarray,
     ensemble: TrajectoryEnsemble,
@@ -196,33 +175,26 @@ def mc_average_state(
 ) -> OracleReport:
     """Ensemble-averaged evolved state at one grid time, vs the analytic state.
 
-    Each path is evolved unitarily with its own accumulated phase (the
-    trapezoid integral up to at_index, taken per block as Z_b @ (omega L^T w)
-    on worker threads) and the resulting matrices are summed in block order
-    and averaged; the analytic reference is evolve_averaged with variance
-    omega^2 * beta_closed(spec, tau).
+    at_index must be one of the ensemble's drawn indices.  Each path is
+    evolved unitarily with its own phase omega * phi there, and the resulting
+    matrices are summed in block order and averaged; the analytic reference
+    is evolve_averaged with variance omega^2 * beta_closed(spec, tau).
     """
     check_density_matrix(rho0)
     if ensemble.n_paths == 0:
         raise ValueError("ensemble is empty")
-    if not -ensemble.t_grid.size <= at_index < ensemble.t_grid.size:
+    size = ensemble.t_grid.size
+    if not -size <= at_index < size:
         raise IndexError("at_index outside the time grid")
-    weights = _trapezoid_weights(ensemble.t_grid, at_index)
-    v = params.omega * np.einsum("ji,j->i", ensemble.factor, weights)
+    columns = np.flatnonzero(ensemble.indices == at_index % size)
+    if not columns.size:
+        raise ValueError(f"the ensemble holds no phases at grid index {at_index}")
+    column = columns[0]
     rho0 = np.asarray(rho0, dtype=complex)
-
-    from concurrent.futures import ThreadPoolExecutor  # ~7 ms, paid by the oracle only
-
-    workers = _worker_count()
     total = np.zeros((3, 3), dtype=complex)
-    with ThreadPoolExecutor(workers) as pool:
-        pending = deque()
-        for rng, rows in ensemble.blocks():
-            pending.append(pool.submit(_block_phases, rng, rows, v))
-            if len(pending) > workers:
-                total += _state_sum(pending.popleft().result(), rho0)
-        for future in pending:
-            total += _state_sum(future.result(), rho0)
+    for phases in ensemble.phases():
+        u = propagator(params.omega * phases[:, column])
+        total += np.einsum("nij,jk,nlk->il", u, rho0, u.conj(), optimize=True)
     empirical = total / ensemble.n_paths
     tau = float(ensemble.t_grid[at_index] - ensemble.t_grid[0])
     variance = params.omega**2 * beta_closed(ensemble.spec, tau)

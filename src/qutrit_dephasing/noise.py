@@ -132,7 +132,8 @@ def beta_closed(spec: NoiseSpec, tau):
         raise ValueError("tau must be nonnegative")
     if spec.kind == "fgn":
         h1 = spec.hurst + 1.0
-        out = tau ** (2.0 * h1) / (2.0 * h1)
+        with np.errstate(over="ignore"):  # past the float range beta is inf
+            out = tau ** (2.0 * h1) / (2.0 * h1)
         return out if out.ndim else float(out)
     # At large x each form is tau + tail/g with a bounded tail (gn's erf(x) is
     # 1 there).  Where g*tau, gn's x*x or pl's x*(alpha-2) overflows, out is
@@ -204,6 +205,8 @@ def dephasing_factor(n: int, spec: NoiseSpec, tau, omega: float = 1.0):
     if omega <= 0.0:
         raise ValueError("omega must be positive")
     beta = beta_closed(spec, tau)
+    if n == 0:  # 1 even where beta is inf, not exp(-0.0 * inf)
+        return np.ones_like(beta) if np.ndim(beta) else 1.0
     with np.errstate(over="ignore"):  # past the float range the factor is 0
         out = np.exp(-0.5 * n * n * omega * omega * beta)
     return out if out.ndim else float(out)

@@ -159,6 +159,20 @@ class TestSweep:
             rows = check_schema(tmp_path / "sweep_ou_g10.csv")
             assert float(rows[-1]["beta"]) == 1.7e308
 
+    def test_fgn_beta_past_float_max(self, tmp_path):
+        # in a subprocess, so a RuntimeWarning would reach stderr
+        argv = [
+            sys.executable, "-m", "qutrit_dephasing.cli", "sweep", "--noise", "fgn",
+            "--hurst", "0.5", "--tau-max", "1e200", "--tau-steps", "3", "--out", str(tmp_path),
+        ]
+        src = os.path.dirname(os.path.dirname(qutrit_dephasing.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run(argv, env=env, capture_output=True, text=True)
+        assert out.returncode == 0 and out.stderr == "", out.stderr
+        rows = read_csv(tmp_path / "sweep_fgn_H0.5.csv")
+        assert float(rows[-1]["beta"]) == math.inf
+        assert float(rows[-1]["purity"]) == pytest.approx(17.0 / 18.0, rel=1e-15)
+
     def test_g_ordering_of_purity(self, tmp_path):
         run(["sweep", "--noise", "gn", "--g", "1,3,10", "--out", str(tmp_path)])
         curves = {

@@ -14,14 +14,30 @@ from qutrit_dephasing import (
     NoiseSpec,
     SystemParams,
     TrajectoryEnsemble,
+    autocorrelation,
+    beta_closed,
     initial_state,
     mc_average_state,
     phase_of,
     sample_trajectories,
 )
 from qutrit_dephasing import cli, montecarlo
-from qutrit_dephasing.dynamics import propagator
 from qutrit_dephasing.montecarlo import BLOCK, _trapezoid_weights
+
+
+def all_phases(ensemble):
+    """The ensemble's (n_paths, K) phases, all blocks at once."""
+    return np.concatenate(list(ensemble.phases()))
+
+
+def grid_covariance(spec, grid, indices):
+    """W^T K W with the BLAS, a reference for the oracle's einsum."""
+    kernel = autocorrelation(spec, grid[:, None], grid[None, :])
+    weights = np.stack([_trapezoid_weights(grid, i) for i in indices], axis=1)
+    return weights.T @ kernel @ weights
+
+
+TWENTY = list(range(10, 201, 10))
 
 
 class TestSampleTrajectories:
@@ -32,42 +48,59 @@ class TestSampleTrajectories:
         with pytest.raises(ValueError):
             sample_trajectories(spec, [0.0, 0.0, 1.0], 10, 0)
 
+    @pytest.mark.parametrize(
+        "indices, error",
+        [
+            ([0], ValueError),
+            ([-11, 5], ValueError),
+            ([], ValueError),
+            ([5, 3], ValueError),
+            ([4, 4], ValueError),
+            ([11], IndexError),
+        ],
+    )
+    def test_phase_indices_increase_past_the_first(self, indices, error):
+        with pytest.raises(error):
+            sample_trajectories(NoiseSpec.ou(1.0), np.linspace(0.0, 1.0, 11), 10, 0, indices)
+
     def test_deterministic_for_seed(self):
         spec = NoiseSpec.gn(1.0)
         grid = np.linspace(0.0, 1.0, 21)
-        a = sample_trajectories(spec, grid, 50, 123)
-        b = sample_trajectories(spec, grid, 50, 123)
-        assert np.array_equal(a.paths, b.paths)
-        c = sample_trajectories(spec, grid, 50, 124)
-        assert not np.array_equal(a.paths, c.paths)
+        a = sample_trajectories(spec, grid, 50, 123, [5, 20])
+        b = sample_trajectories(spec, grid, 50, 123, [5, 20])
+        assert np.array_equal(all_phases(a), all_phases(b))
+        c = sample_trajectories(spec, grid, 50, 124, [5, 20])
+        assert not np.array_equal(all_phases(a), all_phases(c))
 
     def test_batch_invariant_substreams(self):
         # path i depends only on (seed, i), not on how many paths were asked for
         spec = NoiseSpec.ou(2.0)
         grid = np.linspace(0.0, 1.0, 11)
-        small = sample_trajectories(spec, grid, 5, 7)
-        large = sample_trajectories(spec, grid, 20, 7)
-        assert np.array_equal(small.paths, large.paths[:5])
+        small = sample_trajectories(spec, grid, 5, 7, [3, 10])
+        large = sample_trajectories(spec, grid, 20, 7, [3, 10])
+        assert np.array_equal(all_phases(small), all_phases(large)[:5])
 
     def test_batch_invariant_across_a_block_boundary(self):
         spec = NoiseSpec.gn(1.0)
         grid = np.linspace(0.0, 1.0, 6)
-        small = sample_trajectories(spec, grid, BLOCK + 2, 7)
-        large = sample_trajectories(spec, grid, BLOCK + 5, 7)
-        assert np.array_equal(small.paths, large.paths[: BLOCK + 2])
+        small = sample_trajectories(spec, grid, BLOCK + 2, 7, [2, 5])
+        large = sample_trajectories(spec, grid, BLOCK + 5, 7, [2, 5])
+        assert np.array_equal(all_phases(small), all_phases(large)[: BLOCK + 2])
 
     def test_block_streams_are_spawned_sfc64(self, tmp_path):
         # block b draws from SFC64(SeedSequence(seed, spawn_key=(b,))), the
         # stream the report names
         spec = NoiseSpec.ou(1.0)
         grid = np.linspace(0.0, 1.0, 7)
-        blocks = list(sample_trajectories(spec, grid, 2 * BLOCK + 5, 11).normals())
-        assert [z.shape[0] for z in blocks] == [BLOCK, BLOCK, 5]
-        for b, z in enumerate(blocks):
+        ensemble = sample_trajectories(spec, grid, 2 * BLOCK + 5, 11, [2, 4, 6])
+        blocks = list(ensemble.phases())
+        assert [phi.shape for phi in blocks] == [(BLOCK, 3), (BLOCK, 3), (5, 3)]
+        for b, phi in enumerate(blocks):
             bits = np.random.SFC64(np.random.SeedSequence(11, spawn_key=(b,)))
-            assert np.array_equal(z, np.random.Generator(bits).standard_normal(z.shape))
+            z = np.random.Generator(bits).standard_normal(phi.shape)
+            assert np.array_equal(phi, np.einsum("ij,kj->ik", z, ensemble.factor))
         # a seed + b scheme would draw block 1 of seed 11 as block 0 of seed 12
-        (first,) = sample_trajectories(spec, grid, BLOCK, 12).normals()
+        (first,) = sample_trajectories(spec, grid, BLOCK, 12, [2, 4, 6]).phases()
         assert not np.array_equal(blocks[1], first)
         argv = ["oracle", "--noise", "ou", "--samples", "10", "--out", str(tmp_path)]
         assert cli.main(argv) == 0
@@ -77,39 +110,68 @@ class TestSampleTrajectories:
     def test_zero_mean(self):
         spec = NoiseSpec.ou(1.0)
         grid = np.linspace(0.0, 2.0, 9)
-        ensemble = sample_trajectories(spec, grid, 1000, 5)
-        std = np.sqrt(0.5)  # K(s, s) = g/2
+        ensemble = sample_trajectories(spec, grid, 1000, 5, range(1, 9))
+        std = np.sqrt(np.diag(grid_covariance(spec, grid, ensemble.indices)))
         bound = 4.0 * std / np.sqrt(1000)
-        assert np.max(np.abs(ensemble.paths.mean(axis=0))) < bound
+        assert np.all(np.abs(all_phases(ensemble).mean(axis=0)) < bound)
 
     def test_ou_empirical_covariance(self):
         spec = NoiseSpec.ou(1.0)
         grid = np.linspace(0.0, 2.0, 9)
         n = 20000
-        ensemble = sample_trajectories(spec, grid, n, 11)
-        emp = np.cov(ensemble.paths, rowvar=False, bias=True)
-        for i, s in enumerate(grid):
-            for j, sp in enumerate(grid):
-                expected = 0.5 * np.exp(-abs(s - sp))
-                # var of a covariance estimate ~ (K_ii K_jj + K_ij^2)/n
-                se = np.sqrt((0.25 + expected**2) / n)
-                assert abs(emp[i, j] - expected) < 5.0 * se
+        ensemble = sample_trajectories(spec, grid, n, 11, range(1, 9))
+        emp = np.cov(all_phases(ensemble), rowvar=False, bias=True)
+        cov = grid_covariance(spec, grid, ensemble.indices)
+        for i in range(8):
+            for j in range(8):
+                # var of a covariance estimate ~ (C_ii C_jj + C_ij^2)/n
+                se = np.sqrt((cov[i, i] * cov[j, j] + cov[i, j] ** 2) / n)
+                assert abs(emp[i, j] - cov[i, j]) < 5.0 * se
 
     def test_fgn_brownian_variance(self):
+        # eta is Brownian motion, so the phase at t has variance t^3 / 3
         spec = NoiseSpec.fgn(0.5)
-        grid = np.linspace(0.0, 1.0, 6)
+        grid = np.linspace(0.0, 1.0, 101)
         n = 20000
-        ensemble = sample_trajectories(spec, grid, n, 3)
-        variances = ensemble.paths.var(axis=0)
-        for t, var in zip(grid, variances):
-            se = t * np.sqrt(2.0 / n) if t > 0 else 1e-6
-            assert abs(var - t) < 5.0 * se + 1e-9
+        ensemble = sample_trajectories(spec, grid, n, 3, [20, 40, 60, 80, 100])
+        variances = all_phases(ensemble).var(axis=0)
+        for t, var in zip(grid[ensemble.indices], variances):
+            expected = t**3 / 3.0
+            assert abs(var - expected) < 5.0 * expected * np.sqrt(2.0 / n)
 
-    def test_fgn_needs_jitter_at_origin(self):
-        # fBm has zero variance at t=0; the covariance is singular there and
-        # the recorded jitter must be nonzero but tiny
-        ensemble = sample_trajectories(NoiseSpec.fgn(0.3), np.linspace(0, 1, 11), 5, 0)
-        assert 0.0 < ensemble.jitter <= 1e-8
+    @pytest.mark.parametrize("hurst", [0.1, 0.3, 0.9])
+    def test_fgn_needs_no_jitter(self, hurst):
+        # fBm has zero variance at t=0, but the phases never include t=0
+        grid = np.linspace(0, 1, 11)
+        for indices in ([-1], range(1, 11)):
+            ensemble = sample_trajectories(NoiseSpec.fgn(hurst), grid, 5, 0, indices)
+            assert ensemble.jitter == 0.0
+
+    @pytest.mark.parametrize("indices", [[-1], TWENTY], ids=["K1", "K20"])
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            NoiseSpec.fgn(0.1),
+            NoiseSpec.fgn(0.5),
+            NoiseSpec.fgn(0.9),
+            NoiseSpec.gn(1.0),
+            NoiseSpec.gn(10.0),
+            NoiseSpec.ou(1.0),
+            NoiseSpec.pl(1.0, 3.0),
+        ],
+        ids=NoiseSpec.label,
+    )
+    def test_factor_reconstructs_covariance(self, spec, indices):
+        grid = np.linspace(0.0, 2.0, 201)
+        ensemble = sample_trajectories(spec, grid, 5, 0, indices)
+        cov = grid_covariance(spec, grid, ensemble.indices)
+        scale = max(np.max(np.diag(cov)), 1.0)
+        shifted = cov + ensemble.jitter * scale * np.eye(len(indices))
+        factor = ensemble.factor
+        assert np.max(np.abs(factor @ factor.T - shifted)) <= 1e-14 * np.max(cov)
+        # at 20 times on [0, 2] the smooth gn g=1 covariance is singular to rounding
+        needs_jitter = spec == NoiseSpec.gn(1.0) and len(indices) == 20
+        assert (ensemble.jitter > 0.0) == needs_jitter
 
 
 class TestPhaseOf:
@@ -141,9 +203,11 @@ class TestPhaseOf:
 
 
 class TestMcAverageState:
-    def _manual_ensemble(self, factor, n, grid, spec, seed=0):
+    def _manual_ensemble(self, factor, n, grid, spec, indices=(-1,), seed=0):
+        grid = np.asarray(grid, float)
         return TrajectoryEnsemble(
-            t_grid=np.asarray(grid, float),
+            t_grid=grid,
+            indices=np.arange(grid.size)[list(indices)],
             factor=np.asarray(factor, float),
             n_paths=n,
             seed=seed,
@@ -157,14 +221,14 @@ class TestMcAverageState:
         return rho0 / np.trace(rho0).real
 
     @staticmethod
-    def _per_path_average(rho0, paths, grid, omega):
+    def _per_phase_average(rho0, phases, omega):
         sx = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=complex) / np.sqrt(2.0)
-        u = expm(-1j * phase_of(paths, grid, omega)[:, -1, None, None] * sx)
+        u = expm(-1j * omega * phases[:, None, None] * sx)
         return (u @ rho0 @ u.conj().transpose(0, 2, 1)).mean(axis=0)
 
     def test_single_zero_path_is_noiseless(self):
         grid = np.linspace(0.0, 1.0, 11)
-        ensemble = self._manual_ensemble(np.zeros((11, 11)), 1, grid, NoiseSpec.ou(1.0))
+        ensemble = self._manual_ensemble(np.zeros((1, 1)), 1, grid, NoiseSpec.ou(1.0))
         rho0 = initial_state(0.8)
         report = mc_average_state(rho0, ensemble, SystemParams(), -1)
         assert np.max(np.abs(report.empirical - rho0)) < 1e-14
@@ -173,12 +237,14 @@ class TestMcAverageState:
         rng = np.random.default_rng(5)
         rho0 = self._random_state(rng)
         grid = np.linspace(0.0, 1.0, 11)
-        factor = np.tril(rng.normal(size=(11, 11)))
+        factor = np.tril(rng.normal(size=(3, 3)))
         params = SystemParams(omega=1.3)
-        ensemble = self._manual_ensemble(factor, 4, grid, NoiseSpec.ou(1.0))
-        report = mc_average_state(rho0, ensemble, params, -1)
-        expected = self._per_path_average(rho0, ensemble.paths, grid, params.omega)
-        assert np.max(np.abs(report.empirical - expected)) < 1e-13
+        ensemble = self._manual_ensemble(factor, 4, grid, NoiseSpec.ou(1.0), (3, 7, 10))
+        phases = all_phases(ensemble)
+        for column, at_index in enumerate((3, -4, 10)):
+            report = mc_average_state(rho0, ensemble, params, at_index)
+            expected = self._per_phase_average(rho0, phases[:, column], params.omega)
+            assert np.max(np.abs(report.empirical - expected)) < 1e-13
 
     def test_streamed_blocks_match_per_path_matrix_exponential(self):
         rho0 = self._random_state(np.random.default_rng(8))
@@ -186,80 +252,41 @@ class TestMcAverageState:
         params = SystemParams(omega=1.3)
         ensemble = sample_trajectories(NoiseSpec.ou(2.0), grid, BLOCK + 37, 4)
         report = mc_average_state(rho0, ensemble, params, -1)
-        expected = self._per_path_average(rho0, ensemble.paths, grid, params.omega)
+        expected = self._per_phase_average(rho0, all_phases(ensemble)[:, 0], params.omega)
         assert np.max(np.abs(report.empirical - expected)) < 1e-13
-
-    @pytest.mark.parametrize("workers", [1, 2, 3])
-    def test_same_bits_for_any_worker_count(self, workers, monkeypatch):
-        # the serial loop over whole blocks is the reference; 3 blocks and 37
-        # paths cover a partial last block and more blocks than workers + 1
-        rho0 = self._random_state(np.random.default_rng(2))
-        grid = np.linspace(0.0, 1.0, 101)
-        params = SystemParams(omega=1.3)
-        ensemble = sample_trajectories(NoiseSpec.gn(1.0), grid, 3 * BLOCK + 37, 6)
-        weights = _trapezoid_weights(grid, -1)
-        v = params.omega * np.einsum("ji,j->i", ensemble.factor, weights)
-        total = np.zeros((3, 3), dtype=complex)
-        for z in ensemble.normals():
-            u = propagator(np.einsum("ij,j->i", z, v))
-            total += np.einsum("nij,jk,nlk->il", u, rho0, u.conj(), optimize=True)
-        monkeypatch.setattr(montecarlo, "_worker_count", lambda: workers)
-        report = mc_average_state(rho0, ensemble, params, -1)
-        assert np.array_equal(report.empirical, total / ensemble.n_paths)
 
     @pytest.mark.parametrize("rows", [1, 2, 1023, 1024, 1025, 1297, 1298, 2049, BLOCK])
     def test_chunked_draw_matches_one_block_product(self, rows):
-        # 101 points draw 1297 rows a chunk; 1298 rows leave a last chunk of one
-        v = np.random.default_rng(rows).normal(size=101)
-        grid = np.linspace(0.0, 1.0, 101)
-        ensemble = self._manual_ensemble(np.eye(101), rows, grid, NoiseSpec.ou(1.0), seed=9)
-        ((rng, _),) = ensemble.blocks()
-        whole = rng.standard_normal((rows, 101))
-        ((rng, _),) = ensemble.blocks()
-        chunked = montecarlo._block_phases(rng, rows, v)
-        assert np.array_equal(chunked, np.einsum("ij,j->i", whole, v))
+        # the average streams BLOCK + rows paths in two chunks; each chunk's
+        # phases are its block's one SFC64 draw times F^T
+        grid = np.linspace(0.0, 2.0, 201)
+        ensemble = sample_trajectories(NoiseSpec.pl(1.0, 3.0), grid, BLOCK + rows, 9, TWENTY)
+        chunks = list(ensemble.phases())
+        assert [phi.shape for phi in chunks] == [(BLOCK, 20), (rows, 20)]
+        for b, phi in enumerate(chunks):
+            bits = np.random.SFC64(np.random.SeedSequence(9, spawn_key=(b,)))
+            z = np.random.Generator(bits).standard_normal(phi.shape)
+            assert np.array_equal(phi, np.einsum("ij,kj->ik", z, ensemble.factor))
 
-    def test_report_bits_do_not_depend_on_chunk_size(self, monkeypatch):
-        # on 201 points these chunks hold 1, 3 and 652 rows of a block
-        rho0 = self._random_state(np.random.default_rng(4))
-        grid = np.linspace(0.0, 1.0, 201)
-        ensemble = sample_trajectories(NoiseSpec.gn(1.0), grid, BLOCK + 37, 8)
-        reports = []
-        for normals in (201, 604, 2**17):
-            monkeypatch.setattr(montecarlo, "_CHUNK_NORMALS", normals)
-            reports.append(mc_average_state(rho0, ensemble, SystemParams(), -1))
-        for report in reports[1:]:
-            assert np.array_equal(report.empirical, reports[0].empirical)
-
-    def test_report_bits_do_not_depend_on_blas_threads(self):
-        # a fixed factor, so no Cholesky runs; on 1001 points the BLAS would
-        # split L^T w across its threads
-        code = (
-            "import numpy as np\n"
-            "from qutrit_dephasing import NoiseSpec, SystemParams, TrajectoryEnsemble,"
-            " initial_state, mc_average_state\n"
-            "rng = np.random.default_rng(12)\n"
-            "factor = np.tril(rng.normal(size=(1001, 1001)))\n"
-            "ensemble = TrajectoryEnsemble(np.linspace(0.0, 1.0, 1001), factor, 300, 5,"
-            " NoiseSpec.ou(1.0))\n"
-            "report = mc_average_state(initial_state(1.0), ensemble, SystemParams(), -1)\n"
-            "print(report.empirical.tobytes().hex())\n"
-        )
+    def test_report_bits_do_not_depend_on_blas_threads(self, tmp_path):
+        # the gn kernel is numerically rank-deficient, so an M x M factor of it
+        # moves with the BLAS thread count; the phases' K x K one does not
         src = os.path.dirname(os.path.dirname(qutrit_dephasing.__file__))
-        empirical = []
+        reports = []
         for threads in ("1", "2"):
+            out = tmp_path / threads
             env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
-            out = subprocess.run(
-                [sys.executable, "-c", code], env=env, capture_output=True, text=True
-            )
-            assert out.returncode == 0, out.stderr
-            empirical.append(np.frombuffer(bytes.fromhex(out.stdout.strip()), complex))
-        assert np.array_equal(*empirical)
+            argv = [
+                sys.executable, "-m", "qutrit_dephasing.cli", "oracle", "--noise", "gn",
+                "--tau-max", "2", "--samples", "50000", "--seed", "3", "--out", str(out),
+            ]
+            run = subprocess.run(argv, env=env, capture_output=True, text=True)
+            assert run.returncode == 0, run.stderr
+            reports.append((out / "oracle_gn_g1.txt").read_bytes())
+        assert reports[0] == reports[1]
 
-    def test_memory_bounded_by_one_block(self, monkeypatch):
-        # eight blocks of paths, but never more than one block in memory; each
-        # worker adds one chunk of at most 1 MB, so their number is fixed here
-        monkeypatch.setattr(montecarlo, "_worker_count", lambda: 3)
+    def test_memory_bounded_by_one_block(self):
+        # eight blocks of paths, but never more than one block in memory
         for points, bound in ((51, 3 * BLOCK * 51 * 16), (201, BLOCK * 201 * 8)):
             grid = np.linspace(0.0, 1.0, points)
             tracemalloc.start()
@@ -280,11 +307,20 @@ class TestMcAverageState:
         assert abs(np.trace(emp).real - 1.0) < 1e-12
         assert np.max(np.abs(emp - emp.conj().T)) < 1e-12
 
+    def test_every_drawn_time_within_bound(self):
+        grid = np.linspace(0.0, 2.0, 201)
+        ensemble = sample_trajectories(NoiseSpec.gn(1.0), grid, 20000, 13, TWENTY)
+        assert ensemble.jitter > 0.0
+        for at_index in TWENTY:
+            report = mc_average_state(initial_state(1.0), ensemble, SystemParams(), at_index)
+            assert report.tau == pytest.approx(grid[at_index], rel=1e-15)
+            assert report.within_bound, at_index
+
     def test_dephasing_factor_cross_check(self):
         spec = NoiseSpec.ou(1.0)
         grid = np.linspace(0.0, 1.0, 201)
         ensemble = sample_trajectories(spec, grid, 20000, 21)
-        phis = phase_of(ensemble.paths, grid, 1.0)[:, -1]
+        phis = all_phases(ensemble)[:, 0]
         sample = np.cos(2.0 * phis)
         se = sample.std(ddof=1) / np.sqrt(sample.size)
         assert abs(sample.mean() - np.exp(-2.0 * np.exp(-1.0))) < 3.0 * se
@@ -293,7 +329,7 @@ class TestMcAverageState:
         spec = NoiseSpec.ou(1.0)
         grid = np.linspace(0.0, 1.0, 101)
         ensemble = sample_trajectories(spec, grid, 20000, 33)
-        phis = phase_of(ensemble.paths, grid, 1.0)[:, -1]
+        phis = all_phases(ensemble)[:, 0]
         for n in (1, 2):
             sample = np.sin(n * phis)
             se = sample.std(ddof=1) / np.sqrt(sample.size)
@@ -316,14 +352,18 @@ class TestMcAverageState:
         assert 2.0 / 1.5 < ratio < 2.0 * 1.5
 
     def test_grid_refinement_stability(self):
-        # common random numbers: subsampling a fine-grid draw yields a valid
-        # coarse-grid draw, so the variance difference is pure discretization
-        spec = NoiseSpec.ou(1.0)
-        grid = np.linspace(0.0, 1.0, 401)
-        ensemble = sample_trajectories(spec, grid, 4000, 17)
-        phi_fine = phase_of(ensemble.paths, grid, 1.0)[:, -1]
-        phi_coarse = phase_of(ensemble.paths[:, ::2], grid[::2], 1.0)[:, -1]
-        assert abs(phi_coarse.var() - phi_fine.var()) / phi_fine.var() < 0.01
+        # the phase variance is the trapezoid quadrature of beta: halving the
+        # step moves it by under 1% and quarters its error
+        for spec in (NoiseSpec.ou(1.0), NoiseSpec.fgn(0.5), NoiseSpec.gn(1.0)):
+            variance = {}
+            for points in (201, 401):
+                grid = np.linspace(0.0, 1.0, points)
+                variance[points] = grid_covariance(spec, grid, [-1])[0, 0]
+                ensemble = sample_trajectories(spec, grid, 1, 17)
+                assert ensemble.factor[0, 0] ** 2 == pytest.approx(variance[points], rel=1e-15)
+            assert abs(variance[201] - variance[401]) / variance[401] < 0.01
+            beta = beta_closed(spec, 1.0)
+            assert (variance[201] - beta) / (variance[401] - beta) == pytest.approx(4.0, rel=1e-3)
 
     def test_index_out_of_range(self):
         spec = NoiseSpec.ou(1.0)
@@ -331,3 +371,10 @@ class TestMcAverageState:
         ensemble = sample_trajectories(spec, grid, 5, 0)
         with pytest.raises(IndexError):
             mc_average_state(initial_state(1.0), ensemble, SystemParams(), 11)
+
+    def test_index_must_be_drawn(self):
+        grid = np.linspace(0.0, 1.0, 11)
+        ensemble = sample_trajectories(NoiseSpec.ou(1.0), grid, 5, 0, [4, 10])
+        mc_average_state(initial_state(1.0), ensemble, SystemParams(), -7)
+        with pytest.raises(ValueError):
+            mc_average_state(initial_state(1.0), ensemble, SystemParams(), 5)

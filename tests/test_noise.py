@@ -229,6 +229,11 @@ class TestDephasingFactor:
         values = dephasing_factor(2, NoiseSpec.ou(10.0), taus, omega=2.0)
         assert np.array_equal(values, [1.0, 0.0])
 
+    def test_zero_order_is_one_where_beta_is_inf(self):
+        assert dephasing_factor(0, NoiseSpec.fgn(0.5), 1e200) == 1.0
+        values = dephasing_factor(0, NoiseSpec.fgn(0.5), np.array([0.0, 1e200]))
+        assert np.array_equal(values, [1.0, 1.0])
+
     def test_monotone_in_arguments(self):
         spec = NoiseSpec.gn(1.0)
         taus = np.linspace(0.0, 3.0, 20)
