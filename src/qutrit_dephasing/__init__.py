@@ -26,7 +26,6 @@ from .montecarlo import (
     OracleReport,
     TrajectoryEnsemble,
     mc_average_state,
-    phase_of,
     sample_trajectories,
 )
 from .noise import (
@@ -35,6 +34,7 @@ from .noise import (
     beta_closed,
     beta_quadrature,
     dephasing_factor,
+    phase_covariance,
 )
 
 __all__ = [
@@ -43,6 +43,7 @@ __all__ = [
     "beta_closed",
     "beta_quadrature",
     "dephasing_factor",
+    "phase_covariance",
     "SystemParams",
     "propagator",
     "initial_state",
@@ -58,7 +59,6 @@ __all__ = [
     "OracleReport",
     "CovarianceError",
     "sample_trajectories",
-    "phase_of",
     "mc_average_state",
 ]
 

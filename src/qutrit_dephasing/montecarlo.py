@@ -2,11 +2,10 @@
 chosen grid times and average the evolved qutrit states over the ensemble.
 
 This path never touches the analytic dephasing factors.  The phases at the K
-chosen grid indices are jointly Gaussian with covariance C = W^T K W, where
-K(s_i, s_j) is the noise kernel on the time grid and W holds the trapezoid
-weights of each chosen index: exactly the law of the trapezoid phases of
-paths drawn from K, so the oracle needs no paths.  The phases are drawn as
-``Z F^T`` with F the Cholesky factor of C, and the states
+chosen grid indices are jointly Gaussian with covariance C = W^T K W
+(``noise.phase_covariance``): exactly the law of the trapezoid phases of
+paths drawn from the kernel on the grid, so the oracle needs no paths.  The
+phases are drawn as ``Z F^T`` with F the Cholesky factor of C, and the states
 U(phi) rho0 U(phi)+ are averaged matrix-by-matrix with the closed-form
 ``propagator``.  Agreement with ``evolve_averaged`` within the 3/sqrt(N)
 statistical bound is the independent check of the analytic averaging rule.
@@ -18,7 +17,7 @@ so path i depends only on (seed, i) and the ensemble is bit-reproducible.
 C and the phases are plain ``np.einsum`` calls, which sum in one fixed order
 and never call the BLAS, and the K x K factor is too small for the BLAS to
 thread, so a report is the same bits for any BLAS thread count.  One block
-is in memory at a time, so memory is O(BLOCK * K) for any N.
+is in memory at a time, so memory is O((BLOCK + M) * K) for M grid points.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import SystemParams, check_density_matrix, evolve_averaged, propagator
-from .noise import NoiseSpec, autocorrelation, beta_closed
+from .noise import NoiseSpec, beta_closed, phase_covariance
 
 BLOCK = 4096
 RNG_ALGORITHM = (
@@ -89,6 +88,8 @@ class CovarianceError(RuntimeError):
 
 
 def _cholesky_with_jitter(cov: np.ndarray, spec: NoiseSpec) -> tuple[np.ndarray, float]:
+    if not np.all(np.isfinite(cov)):
+        raise CovarianceError(f"covariance for {spec.label()} is not finite")
     scale = max(np.max(np.abs(np.diag(cov))), 1.0)
     for jitter in _JITTERS:
         try:
@@ -100,15 +101,6 @@ def _cholesky_with_jitter(cov: np.ndarray, spec: NoiseSpec) -> tuple[np.ndarray,
         f"covariance for {spec.label()} is not positive semidefinite "
         f"even with diagonal jitter up to {_JITTERS[-1]:g}"
     )
-
-
-def _phase_covariance(spec: NoiseSpec, t_grid: np.ndarray, indices) -> np.ndarray:
-    """C = W^T K W, the covariance of the trapezoid phases at ``indices``."""
-    grid_s, grid_sp = np.meshgrid(t_grid, t_grid, indexing="ij")
-    kernel = np.asarray(autocorrelation(spec, grid_s, grid_sp), dtype=float)
-    weights = np.stack([_trapezoid_weights(t_grid, i) for i in indices], axis=1)
-    cov = np.einsum("ji,jl->il", weights, np.einsum("jk,kl->jl", kernel, weights))
-    return 0.5 * (cov + cov.T)
 
 
 def sample_trajectories(
@@ -131,7 +123,7 @@ def sample_trajectories(
     indices = np.arange(t_grid.size)[np.asarray(at_indices, dtype=int)]
     if indices.ndim != 1 or not indices.size or indices[0] < 1 or np.any(np.diff(indices) < 1):
         raise ValueError("phase indices must be increasing grid indices past the first")
-    cov = _phase_covariance(spec, t_grid, indices)
+    cov = phase_covariance(spec, t_grid, indices)
     factor, jitter = _cholesky_with_jitter(cov, spec)
     return TrajectoryEnsemble(
         t_grid=t_grid,
@@ -142,29 +134,6 @@ def sample_trajectories(
         spec=spec,
         jitter=jitter,
     )
-
-
-def phase_of(path, t_grid, omega: float):
-    """Cumulative trapezoid integral of omega * eta; phase at t_grid[0] is 0."""
-    path = np.asarray(path, dtype=float)
-    t_grid = np.asarray(t_grid, dtype=float)
-    if path.shape[-1] != t_grid.size:
-        raise ValueError("path and grid lengths differ")
-    phases = np.zeros_like(path)
-    increments = 0.5 * np.diff(t_grid) * (path[..., 1:] + path[..., :-1])
-    np.cumsum(increments, axis=-1, out=phases[..., 1:])
-    return omega * phases
-
-
-def _trapezoid_weights(t_grid: np.ndarray, at_index: int) -> np.ndarray:
-    """Weights w with path @ w the trapezoid integral from t_grid[0] to
-    t_grid[at_index]; entries past at_index are zero."""
-    stop = at_index % t_grid.size
-    half_steps = 0.5 * np.diff(t_grid[: stop + 1])
-    w = np.zeros(t_grid.size)
-    w[:stop] += half_steps
-    w[1 : stop + 1] += half_steps
-    return w
 
 
 def mc_average_state(
@@ -197,7 +166,8 @@ def mc_average_state(
         total += np.einsum("nij,jk,nlk->il", u, rho0, u.conj(), optimize=True)
     empirical = total / ensemble.n_paths
     tau = float(ensemble.t_grid[at_index] - ensemble.t_grid[0])
-    variance = params.omega**2 * beta_closed(ensemble.spec, tau)
+    with np.errstate(over="ignore"):  # past the float range: inf, the dephased state
+        variance = params.omega * params.omega * beta_closed(ensemble.spec, tau)
     analytic = evolve_averaged(rho0, variance)
     deviation = float(np.max(np.abs(empirical - analytic)))
     steps = np.diff(ensemble.t_grid)

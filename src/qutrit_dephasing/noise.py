@@ -12,8 +12,10 @@ All quantities are dimensionless: the physical rates have been absorbed into
 the single parameter g and the scaled time tau.  The accumulated random phase
 phi(tau) = omega * Integral eta(s) ds is Gaussian with variance
 omega^2 * beta(tau), where beta is the double integral of the kernel over
-[0, tau]^2.  ``beta_closed`` gives the analytic value, ``beta_quadrature`` an
-independent numerical one.
+[0, tau]^2.  ``beta_closed`` gives the analytic value.  ``phase_covariance``
+gives W^T K W, the covariance of the trapezoid phases at chosen times of a
+grid (the law the Monte-Carlo oracle samples), and ``beta_quadrature`` its
+Richardson-extrapolated 1 x 1 case, an independent numerical beta.
 """
 
 from __future__ import annotations
@@ -93,12 +95,14 @@ def autocorrelation(spec: NoiseSpec, s, s_prime):
         out = 0.5 * (np.abs(sp) ** two_h - np.abs(s - sp) ** two_h + np.abs(s) ** two_h)
     elif spec.kind == "gn":
         u = s - sp
-        out = spec.g * np.exp(-spec.g ** 2 * u * u) / math.sqrt(math.pi)
+        with np.errstate(over="ignore"):  # far apart the kernel is 0
+            out = spec.g * np.exp(-spec.g ** 2 * u * u) / math.sqrt(math.pi)
     elif spec.kind == "ou":
         out = 0.5 * spec.g * np.exp(-spec.g * np.abs(s - sp))
     else:  # pl
         u = np.abs(s - sp)
-        out = (spec.alpha - 1.0) * spec.g / (2.0 * (spec.g * u + 1.0) ** spec.alpha)
+        with np.errstate(over="ignore"):  # far apart the kernel is 0
+            out = (spec.alpha - 1.0) * spec.g / (2.0 * (spec.g * u + 1.0) ** spec.alpha)
     return out if out.ndim else float(out)
 
 
@@ -179,19 +183,43 @@ def beta_quadrature(spec: NoiseSpec, tau: float, panels: int = 1024) -> float:
         raise ValueError("panels must be even (Richardson halving)")
     if tau == 0.0:
         return 0.0
-    coarse = _trapezoid_2d(spec, tau, panels // 2)
-    fine = _trapezoid_2d(spec, tau, panels)
-    return (4.0 * fine - coarse) / 3.0
+    coarse, fine = (
+        phase_covariance(spec, np.linspace(0.0, tau, p + 1), [-1])[0, 0]
+        for p in (panels // 2, panels)
+    )
+    return float((4.0 * fine - coarse) / 3.0)
 
 
-def _trapezoid_2d(spec: NoiseSpec, tau: float, panels: int) -> float:
-    x = np.linspace(0.0, tau, panels + 1)
-    w = np.full(panels + 1, tau / panels)
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    grid_s, grid_sp = np.meshgrid(x, x, indexing="ij")
-    values = autocorrelation(spec, grid_s, grid_sp)
-    return float(np.einsum("i,j,ij->", w, w, values))
+_KERNEL_BLOCK = 2**18  # kernel entries phase_covariance evaluates at once
+
+
+def _trapezoid_weights(t_grid: np.ndarray, indices) -> np.ndarray:
+    """(M, K) weights W with path @ W[:, k] the trapezoid integral from
+    t_grid[0] to t_grid[indices[k]]; entries past indices[k] are zero."""
+    stops = np.arange(t_grid.size)[np.asarray(indices)]
+    half = np.pad(0.5 * np.diff(t_grid), 1)  # half[j]: half the panel ending at point j
+    kept = np.where(np.arange(half.size)[:, None] <= stops, half[:, None], 0.0)
+    return kept[:-1] + kept[1:]
+
+
+def phase_covariance(spec: NoiseSpec, t_grid, indices) -> np.ndarray:
+    """C = W^T K W, the covariance of the trapezoid phases (before omega) at
+    the grid ``indices``; K is the kernel on ``t_grid``, W its trapezoid weights.
+
+    K W is built _KERNEL_BLOCK kernel entries at a time, so memory is
+    O(grid points * indices).  Both products are plain ``np.einsum`` calls,
+    which sum in one fixed order and never call the BLAS.
+    """
+    t_grid = np.asarray(t_grid, dtype=float)
+    weights = _trapezoid_weights(t_grid, indices)
+    kernel_weights = np.empty_like(weights)
+    step = max(1, _KERNEL_BLOCK // t_grid.size)
+    for start in range(0, t_grid.size, step):
+        rows = slice(start, start + step)
+        kernel = autocorrelation(spec, t_grid[rows, None], t_grid)
+        kernel_weights[rows] = np.einsum("jk,kl->jl", kernel, weights)
+    cov = np.einsum("ji,jl->il", weights, kernel_weights)
+    return 0.5 * (cov + cov.T)
 
 
 def dephasing_factor(n: int, spec: NoiseSpec, tau, omega: float = 1.0):

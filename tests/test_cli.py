@@ -309,6 +309,33 @@ class TestOracle:
         assert run(argv + ["--out", str(tmp_path)]) == 0
         assert f"seed = {2**128 - 1}\n" in (tmp_path / "oracle_ou_g1.txt").read_text()
 
+    def test_omega_squared_beta_past_float_range(self, tmp_path, capsys):
+        # an infinite variance is the dephased state
+        argv = ["oracle", "--noise", "ou", "--omega", "1e200", "--samples", "10"]
+        assert run(argv + ["--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().err == ""
+        assert "within_bound = True\n" in (tmp_path / "oracle_ou_g1.txt").read_text()
+
+    @pytest.mark.parametrize(
+        "flags, label",
+        [
+            (["--noise", "fgn", "--tau-max", "1e200"], "fgn_H0.5"),
+            (["--noise", "ou", "--tau-max", "1e200", "--tau-steps", "3"], "ou_g1"),
+        ],
+    )
+    def test_non_finite_covariance_is_numerical_error(self, flags, label, tmp_path):
+        # in a subprocess, so a RuntimeWarning would reach stderr
+        argv = [
+            sys.executable, "-m", "qutrit_dephasing.cli", "oracle", *flags,
+            "--samples", "10", "--out", str(tmp_path),
+        ]
+        src = os.path.dirname(os.path.dirname(qutrit_dephasing.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run(argv, env=env, capture_output=True, text=True)
+        assert out.returncode == 2
+        assert out.stderr == f"error: covariance for {label} is not finite\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_bound_violation_exits_3(self, monkeypatch, capsys):
         from qutrit_dephasing.montecarlo import OracleReport
         from qutrit_dephasing.noise import NoiseSpec

@@ -7,6 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.integrate import cumulative_trapezoid
 from scipy.linalg import expm
 
 import qutrit_dephasing
@@ -18,11 +19,12 @@ from qutrit_dephasing import (
     beta_closed,
     initial_state,
     mc_average_state,
-    phase_of,
+    phase_covariance,
     sample_trajectories,
 )
-from qutrit_dephasing import cli, montecarlo
-from qutrit_dephasing.montecarlo import BLOCK, _trapezoid_weights
+from qutrit_dephasing import cli, montecarlo, noise
+from qutrit_dephasing.montecarlo import BLOCK
+from qutrit_dephasing.noise import _trapezoid_weights
 
 
 def all_phases(ensemble):
@@ -31,9 +33,10 @@ def all_phases(ensemble):
 
 
 def grid_covariance(spec, grid, indices):
-    """W^T K W with the BLAS, a reference for the oracle's einsum."""
+    """W^T K W from the full kernel with the BLAS, a reference for the
+    row-blocked einsum of ``phase_covariance``."""
     kernel = autocorrelation(spec, grid[:, None], grid[None, :])
-    weights = np.stack([_trapezoid_weights(grid, i) for i in indices], axis=1)
+    weights = _trapezoid_weights(grid, indices)
     return weights.T @ kernel @ weights
 
 
@@ -174,31 +177,49 @@ class TestSampleTrajectories:
         assert (ensemble.jitter > 0.0) == needs_jitter
 
 
+class TestPhaseCovariance:
+    @pytest.mark.parametrize("indices", [[-1], list(range(50, 1001, 50))], ids=["K1", "K20"])
+    @pytest.mark.parametrize(
+        "spec",
+        [NoiseSpec.fgn(0.3), NoiseSpec.gn(1.0), NoiseSpec.ou(1.0), NoiseSpec.pl(1.0, 3.0)],
+        ids=NoiseSpec.label,
+    )
+    def test_row_blocks_match_full_kernel(self, spec, indices):
+        rng = np.random.default_rng(5)
+        grid = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 2.0, size=1000))])
+        rows = noise._KERNEL_BLOCK // grid.size
+        assert -(-grid.size // rows) >= 3
+        cov = phase_covariance(spec, grid, indices)
+        reference = grid_covariance(spec, grid, indices)
+        assert np.max(np.abs(cov - reference)) <= 1e-14 * np.max(reference)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [NoiseSpec.fgn(0.5), NoiseSpec.gn(1.0), NoiseSpec.ou(1.0), NoiseSpec.pl(1.0, 3.0)],
+        ids=NoiseSpec.label,
+    )
+    def test_memory_independent_of_kernel_size(self, spec):
+        # the 4001-point kernel alone would take 122 MiB
+        grid = np.linspace(0.0, 2.0, 4001)
+        tracemalloc.start()
+        try:
+            sample_trajectories(spec, grid, 5, 0, list(range(200, 4001, 200)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+
+
 class TestPhaseOf:
-    def test_constant_path(self):
-        phases = phase_of(np.ones(3), np.array([0.0, 1.0, 2.0]), 1.0)
-        assert np.allclose(phases, [0.0, 1.0, 2.0])
-
-    def test_zero_path(self):
-        phases = phase_of(np.zeros(5), np.linspace(0, 2, 5), 3.0)
-        assert np.all(phases == 0.0)
-
-    def test_linear_path(self):
-        grid = np.linspace(0.0, 1.0, 101)
-        phases = phase_of(grid.copy(), grid, 2.0)
-        assert phases[-1] == pytest.approx(1.0, abs=1e-4)
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            phase_of(np.ones(4), np.linspace(0, 1, 5), 1.0)
+    """The trapezoid phase of a path, which the weights of C encode."""
 
     @pytest.mark.parametrize("at_index", [1, 37, -1])
     def test_trapezoid_weights_match_cumulative_phase(self, at_index):
         rng = np.random.default_rng(3)
         grid = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 2.0, size=63))])
         paths = rng.normal(size=(50, 64))
-        weighted = 1.7 * (paths @ _trapezoid_weights(grid, at_index))
-        cumulative = phase_of(paths, grid, 1.7)[:, at_index]
+        (weighted,) = (paths @ _trapezoid_weights(grid, [at_index])).T
+        cumulative = cumulative_trapezoid(paths, grid, initial=0.0)[:, at_index]
         assert np.max(np.abs(weighted - cumulative)) < 1e-13
 
 

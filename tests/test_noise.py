@@ -92,6 +92,11 @@ class TestAutocorrelation:
             b = autocorrelation(spec, 0.4, 1.3)
             assert a == pytest.approx(b, abs=1e-15)
 
+    @pytest.mark.parametrize("spec", [NoiseSpec.gn(1.0), NoiseSpec.pl(1.0, 3.0)], ids=NoiseSpec.label)
+    def test_far_apart_is_zero_without_warning(self, spec):
+        # the lag overflows u*u (gn) or (g*u + 1)**alpha (pl); the kernel is 0
+        assert np.all(autocorrelation(spec, [1e200, 1.7e308], 0.0) == 0.0)
+
 
 class TestBetaClosed:
     @pytest.mark.parametrize("spec", ALL_SPECS)
