@@ -6,11 +6,12 @@ different times, the propagator is exp(-i phi Sx) with the accumulated phase
 phi = omega * Integral eta(s) ds.
 
 Two evolution branches are provided: a deterministic one (constant eta) and a
-Gaussian-phase-averaged one.  In the eigenbasis of Sx the propagator is
-diagonal, so the coherence between eigenstates with eigenvalues lambda_j and
-lambda_k picks up the phase exp(-i (lambda_j - lambda_k) phi); the average
-over a zero-mean Gaussian phi with variance var is exactly a damping by
-exp(-(lambda_j - lambda_k)^2 var / 2).
+phase-averaged one.  In the eigenbasis of Sx the propagator is diagonal, so
+the coherence between eigenstates with eigenvalues lambda_j and lambda_k
+picks up the phase exp(-i (lambda_j - lambda_k) phi).  Averaged over any phase
+law symmetric about zero, it is damped by chi_n = <exp(i n phi)> at the gap
+n = |lambda_j - lambda_k|; ``noise.dephasing_factor`` gives chi_n for the
+Gaussian phase.
 """
 
 from __future__ import annotations
@@ -29,6 +30,8 @@ SX_EIGENVECTORS = np.array(
     [[0.5, 1.0 / SQRT2, 0.5], [-1.0 / SQRT2, 0.0, 1.0 / SQRT2], [0.5, -1.0 / SQRT2, 0.5]]
 )
 SX_EIGENVALUES = np.array([-1.0, 0.0, 1.0])
+# |lambda_j - lambda_k|, the gap whose dephasing factor damps entry (j, k).
+_GAPS = np.abs(SX_EIGENVALUES[:, None] - SX_EIGENVALUES).astype(int)
 
 
 @dataclass(frozen=True)
@@ -65,8 +68,7 @@ def propagator(phi) -> np.ndarray:
 
 def initial_state(r: float) -> np.ndarray:
     """(1-r)/3 * I + r |psi><psi| with psi the uniform superposition."""
-    if not 0.0 <= r <= 1.0:
-        raise ValueError(f"r must lie in [0, 1], got {r}")
+    SystemParams(r=r)  # rejects r outside [0, 1]
     return (1.0 - r) / 3.0 * np.eye(3, dtype=complex) + r / 3.0 * np.ones(
         (3, 3), dtype=complex
     )
@@ -85,22 +87,27 @@ def check_density_matrix(rho: np.ndarray) -> None:
         raise ValueError("density matrix has a significantly negative eigenvalue")
 
 
-def evolve_averaged(rho0: np.ndarray, variance) -> np.ndarray:
-    """Average of U(phi) rho0 U(phi)+ over phi ~ N(0, variance).
+def check_dephasing_factor(chi) -> np.ndarray:
+    """chi as a float array; raise unless every entry lies in [-1, 1]."""
+    chi = np.asarray(chi, dtype=float)
+    if not np.all(np.abs(chi) <= 1.0):
+        raise ValueError("dephasing factors must lie in [-1, 1]")
+    return chi
+
+
+def evolve_averaged(rho0: np.ndarray, chi1, chi2) -> np.ndarray:
+    """Average of U(phi) rho0 U(phi)+ over a phase with characteristic
+    function chi_n = <exp(i n phi)>, real for a law symmetric about zero.
 
     Exact: in the Sx eigenbasis V the entry (j, k) of V^T rho0 V averages to
-    itself times exp(-var / 2) ** (lambda_j - lambda_k)^2.  A zero gap damps
-    by 0 ** 0 == 1, so an infinite variance leaves the Sx-diagonal part of
-    rho0 rather than NaN.  variance may be a scalar or an array; the result
-    has shape variance.shape + (3, 3).
+    itself times 1, chi1 or chi2 for |lambda_j - lambda_k| = 0, 1 or 2.  chi1
+    and chi2 may be scalars or broadcastable arrays; the result has their
+    broadcast shape + (3, 3).
     """
-    variance = np.asarray(variance, dtype=float)
-    if np.any(variance < 0.0):
-        raise ValueError("phase variance must be nonnegative")
+    chi1, chi2 = np.broadcast_arrays(*map(check_dephasing_factor, (chi1, chi2)))
     check_density_matrix(rho0)
     v = SX_EIGENVECTORS
-    gaps = SX_EIGENVALUES[:, None] - SX_EIGENVALUES
-    damping = np.exp(-0.5 * variance)[..., None, None] ** (gaps * gaps)
+    damping = np.stack([np.ones_like(chi1), chi1, chi2], axis=-1)[..., _GAPS]
     rho = v @ ((v.T @ rho0 @ v) * damping) @ v.T
     # Hermitian up to rounding; symmetrize away the residue.
     return 0.5 * (rho + rho.conj().swapaxes(-1, -2))

@@ -10,7 +10,6 @@ identical inputs produce byte-identical outputs.
 
 from __future__ import annotations
 
-import math
 import os
 
 import numpy as np
@@ -89,12 +88,11 @@ def sweep_rows(
     (T, ncols) array."""
     SystemParams(omega=omega, r=r)  # rejects omega <= 0 and r outside [0, 1]
     tau = np.asarray(tau_grid, dtype=float)
-    beta = beta_closed(spec, tau)
-    with np.errstate(over="ignore"):  # past the float range: inf, the saturated state
-        sigma2 = omega * omega * beta
-    columns = [tau, beta, purity_closed(sigma2, r), vn_entropy_closed(sigma2, r)]
+    chi2 = dephasing_factor(2, spec, tau, omega)
+    columns = [tau, beta_closed(spec, tau), purity_closed(chi2, r), vn_entropy_closed(chi2, r)]
     if with_matrix:
-        columns.append(_matrix_columns(evolve_averaged(initial_state(r), sigma2)))
+        chi1 = dephasing_factor(1, spec, tau, omega)
+        columns.append(_matrix_columns(evolve_averaged(initial_state(r), chi1, chi2)))
     return np.column_stack(columns)
 
 
@@ -172,8 +170,8 @@ def preservation_time(
     """Smallest tau at which the metric is within delta of its saturation.
 
     The state starts from initial_state(r); the saturation level is the
-    closed form at beta = inf.  Monotone beta makes the crossing unique;
-    located by doubling then bisection to 1e-4 relative.
+    closed form at chi2 = 0, the dephased state.  Monotone beta makes the
+    crossing unique; located by doubling then bisection to 1e-4 relative.
     """
     SystemParams(omega=omega, r=r)  # rejects omega <= 0 and r outside [0, 1]
     if delta <= 0.0:
@@ -182,10 +180,10 @@ def preservation_time(
         raise ValueError(f"unknown measure {measure!r}")
 
     def satisfied(tau: float) -> bool:
-        sigma2 = omega * omega * beta_closed(spec, tau)
+        chi2 = dephasing_factor(2, spec, tau, omega)
         if measure == "purity":
-            return purity_closed(sigma2, r) - purity_closed(math.inf, r) <= delta
-        return vn_entropy_closed(math.inf, r) - vn_entropy_closed(sigma2, r) <= delta
+            return purity_closed(chi2, r) - purity_closed(0.0, r) <= delta
+        return vn_entropy_closed(0.0, r) - vn_entropy_closed(chi2, r) <= delta
 
     if satisfied(0.0):
         raise ValueError(

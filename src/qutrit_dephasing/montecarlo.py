@@ -1,7 +1,8 @@
 """Monte-Carlo oracle: sample the Gaussian phases of field realizations at
 chosen grid times and average the evolved qutrit states over the ensemble.
 
-This path never touches the analytic dephasing factors.  The phases at the K
+The sampling never touches the analytic dephasing factors; only the
+reference state does, through ``noise.dephasing_factor``.  The phases at the K
 chosen grid indices are jointly Gaussian with covariance C = W^T K W
 (``noise.phase_covariance``): exactly the law of the trapezoid phases of
 paths drawn from the kernel on the grid, so the oracle needs no paths.  The
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import SystemParams, check_density_matrix, evolve_averaged, propagator
-from .noise import NoiseSpec, beta_closed, phase_covariance
+from .noise import NoiseSpec, dephasing_factor, phase_covariance
 
 BLOCK = 4096
 RNG_ALGORITHM = (
@@ -147,7 +148,7 @@ def mc_average_state(
     at_index must be one of the ensemble's drawn indices.  Each path is
     evolved unitarily with its own phase omega * phi there, and the resulting
     matrices are summed in block order and averaged; the analytic reference
-    is evolve_averaged with variance omega^2 * beta_closed(spec, tau).
+    is evolve_averaged with the Gaussian dephasing factors at tau.
     """
     check_density_matrix(rho0)
     if ensemble.n_paths == 0:
@@ -166,9 +167,8 @@ def mc_average_state(
         total += np.einsum("nij,jk,nlk->il", u, rho0, u.conj(), optimize=True)
     empirical = total / ensemble.n_paths
     tau = float(ensemble.t_grid[at_index] - ensemble.t_grid[0])
-    with np.errstate(over="ignore"):  # past the float range: inf, the dephased state
-        variance = params.omega * params.omega * beta_closed(ensemble.spec, tau)
-    analytic = evolve_averaged(rho0, variance)
+    chi1, chi2 = (dephasing_factor(n, ensemble.spec, tau, params.omega) for n in (1, 2))
+    analytic = evolve_averaged(rho0, chi1, chi2)
     deviation = float(np.max(np.abs(empirical - analytic)))
     steps = np.diff(ensemble.t_grid)
     return OracleReport(

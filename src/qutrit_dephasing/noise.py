@@ -214,12 +214,14 @@ def phase_covariance(spec: NoiseSpec, t_grid, indices) -> np.ndarray:
     weights = _trapezoid_weights(t_grid, indices)
     kernel_weights = np.empty_like(weights)
     step = max(1, _KERNEL_BLOCK // t_grid.size)
-    for start in range(0, t_grid.size, step):
-        rows = slice(start, start + step)
-        kernel = autocorrelation(spec, t_grid[rows, None], t_grid)
-        kernel_weights[rows] = np.einsum("jk,kl->jl", kernel, weights)
-    cov = np.einsum("ji,jl->il", weights, kernel_weights)
-    return 0.5 * (cov + cov.T)
+    # past the float range K is inf or nan; the oracle's factor reports that C
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, t_grid.size, step):
+            rows = slice(start, start + step)
+            kernel = autocorrelation(spec, t_grid[rows, None], t_grid)
+            kernel_weights[rows] = np.einsum("jk,kl->jl", kernel, weights)
+        cov = np.einsum("ji,jl->il", weights, kernel_weights)
+        return 0.5 * (cov + cov.T)
 
 
 def dephasing_factor(n: int, spec: NoiseSpec, tau, omega: float = 1.0):
@@ -228,10 +230,12 @@ def dephasing_factor(n: int, spec: NoiseSpec, tau, omega: float = 1.0):
     phi has zero mean and variance omega^2 * beta(tau), so the expectation is
     exp(-n^2 omega^2 beta / 2).  This is the factor damping the coherence
     between Sx eigenstates whose eigenvalues differ by n in the averaged
-    density matrix.  tau may be a scalar (the result is a float) or an array.
+    density matrix; ``evolve_averaged`` and the closed-form metrics take it for
+    n = 1, 2.  Past the float range of omega^2 beta it is 0, the dephased
+    state.  tau may be a scalar (the result is a float) or an array.
     """
     if omega <= 0.0:
-        raise ValueError("omega must be positive")
+        raise ValueError(f"omega must be positive, got {omega}")
     beta = beta_closed(spec, tau)
     if n == 0:  # 1 even where beta is inf, not exp(-0.0 * inf)
         return np.ones_like(beta) if np.ndim(beta) else 1.0

@@ -14,6 +14,7 @@ from qutrit_dephasing import (
     SystemParams,
     beta_closed,
     beta_quadrature,
+    dephasing_factor,
     evolve_averaged,
     initial_state,
     mc_average_state,
@@ -57,7 +58,7 @@ def test_criterion_01_purity_saturation():
     for spec, tau in DEEP_SATURATION:
         beta = beta_closed(spec, tau)
         assert beta >= 5.0, spec.label()
-        assert abs(purity_closed(beta) - PURITY_SAT) <= 1e-6
+        assert abs(purity_closed(dephasing_factor(2, spec, tau)) - PURITY_SAT) <= 1e-6
 
 
 @criterion("02 entropy saturation 0.1302")
@@ -65,7 +66,7 @@ def test_criterion_02_entropy_saturation():
     for spec, tau in DEEP_SATURATION:
         beta = beta_closed(spec, tau)
         assert beta >= 5.0
-        assert abs(vn_entropy_closed(beta) - 0.1302) <= 1e-3
+        assert abs(vn_entropy_closed(dephasing_factor(2, spec, tau)) - 0.1302) <= 1e-3
 
 
 @criterion("03 beta closed form vs quadrature 1e-6")
@@ -105,7 +106,8 @@ def test_criterion_04_oracle_equivalence():
 @criterion("05 analytic averaged-matrix identity to 1e-12")
 def test_criterion_05_matrix_identity():
     for beta in (0.0, 0.5, 2.0, 10.0):
-        rho = evolve_averaged(initial_state(1.0), beta)
+        chi1, chi2 = math.exp(-0.5 * beta), math.exp(-2.0 * beta)
+        rho = evolve_averaged(initial_state(1.0), chi1, chi2)
         corner = (3.0 + math.exp(-2.0 * beta)) / 12.0
         center = 0.5 - math.exp(-2.0 * beta) / 6.0
         expected = np.full((3, 3), 1.0 / 3.0, dtype=complex)
@@ -119,7 +121,8 @@ def test_criterion_05_matrix_identity():
 @criterion("06 averaged state is rank 2 at r=1")
 def test_criterion_06_rank_two():
     for beta in (0.0, 0.1, 0.5, 2.0, 10.0, 50.0):
-        rho = evolve_averaged(initial_state(1.0), beta)
+        chi1, chi2 = math.exp(-0.5 * beta), math.exp(-2.0 * beta)
+        rho = evolve_averaged(initial_state(1.0), chi1, chi2)
         eigs = np.sort(np.abs(np.linalg.eigvalsh(rho)))
         assert eigs[0] <= 1e-10
 
@@ -137,8 +140,8 @@ SWEEP_SETS = (
 def test_criterion_07_monotone_decay():
     taus = np.linspace(0.0, 2.0, 201)
     for spec in SWEEP_SETS:
-        purities = [purity_closed(beta_closed(spec, t)) for t in taus]
-        entropies = [vn_entropy_closed(beta_closed(spec, t)) for t in taus]
+        purities = [purity_closed(dephasing_factor(2, spec, t)) for t in taus]
+        entropies = [vn_entropy_closed(dephasing_factor(2, spec, t)) for t in taus]
         assert all(b <= a for a, b in zip(purities, purities[1:])), spec.label()
         assert all(b >= a for a, b in zip(entropies, entropies[1:])), spec.label()
 
@@ -148,7 +151,7 @@ def test_criterion_08_g_ordering():
     taus = np.linspace(0.0, 2.0, 201)[1:]
     for kind in ("gn", "ou", "pl"):
         curves = [
-            [purity_closed(beta_closed(NoiseSpec(kind, g=g), t)) for t in taus]
+            [purity_closed(dephasing_factor(2, NoiseSpec(kind, g=g), t)) for t in taus]
             for g in (1.0, 3.0, 10.0)
         ]
         for t_idx in range(len(taus)):

@@ -321,6 +321,7 @@ class TestOracle:
         [
             (["--noise", "fgn", "--tau-max", "1e200"], "fgn_H0.5"),
             (["--noise", "ou", "--tau-max", "1e200", "--tau-steps", "3"], "ou_g1"),
+            (["--noise", "fgn", "--hurst", "0.9", "--tau-max", "1e200"], "fgn_H0.9"),
         ],
     )
     def test_non_finite_covariance_is_numerical_error(self, flags, label, tmp_path):

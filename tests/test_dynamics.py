@@ -1,4 +1,4 @@
-"""Propagator, noiseless evolution, and Gaussian-phase averaging."""
+"""Propagator, noiseless evolution, and phase averaging."""
 
 import numpy as np
 import pytest
@@ -17,6 +17,11 @@ from qutrit_dephasing.metrics import purity, purity_closed
 
 RNG = np.random.default_rng(20240817)
 SX = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=complex) / np.sqrt(2.0)
+
+
+def gaussian(var):
+    """(chi1, chi2) of a zero-mean Gaussian phase of variance var."""
+    return np.exp(-0.5 * var), np.exp(-2.0 * var)
 
 
 def random_state(rng):
@@ -112,13 +117,13 @@ class TestEvolveNoiseless:
 
 class TestEvolveAveraged:
     def test_no_noise_limit(self):
-        out = evolve_averaged(initial_state(1.0), 0.0)
+        out = evolve_averaged(initial_state(1.0), *gaussian(0.0))
         assert np.allclose(out, np.full((3, 3), 1.0 / 3.0), atol=1e-14)
 
     def test_no_noise_equals_noiseless_any_state(self):
         for _ in range(5):
             rho0 = random_state(RNG)
-            assert np.max(np.abs(evolve_averaged(rho0, 0.0) - rho0)) <= 1e-15
+            assert np.max(np.abs(evolve_averaged(rho0, *gaussian(0.0)) - rho0)) <= 1e-15
 
     def test_matches_gauss_hermite_average(self):
         # phi = sqrt(var) x with x ~ N(0, 1); 160 nodes integrate the degree-2
@@ -131,20 +136,20 @@ class TestEvolveAveraged:
                 u = propagator(np.sqrt(var) * nodes)
                 states = u @ rho0 @ u.conj().swapaxes(-1, -2)
                 reference = np.tensordot(weights, states, axes=1)
-                assert np.max(np.abs(evolve_averaged(rho0, var) - reference)) <= 1e-14
+                assert np.max(np.abs(evolve_averaged(rho0, *gaussian(var)) - reference)) <= 1e-14
 
     def test_infinite_variance_keeps_sx_diagonal_part(self):
-        out = evolve_averaged(initial_state(1.0), np.inf)
+        out = evolve_averaged(initial_state(1.0), *gaussian(np.inf))
         assert np.all(np.isfinite(out))
-        assert purity(out) == pytest.approx(purity_closed(np.inf), abs=1e-15)
+        assert purity(out) == pytest.approx(purity_closed(0.0), abs=1e-15)
 
     @pytest.mark.parametrize("r", [0.0, 0.4, 1.0])
     def test_real_state_stays_real(self, r):
-        out = evolve_averaged(initial_state(r), np.array([0.0, 0.3, 5.0, np.inf]))
+        out = evolve_averaged(initial_state(r), *gaussian(np.array([0.0, 0.3, 5.0, np.inf])))
         assert np.all(out.imag == 0.0)
 
     def test_strong_noise_limit(self):
-        out = evolve_averaged(initial_state(1.0), 1e4)
+        out = evolve_averaged(initial_state(1.0), *gaussian(1e4))
         expected = np.full((3, 3), 1.0 / 3.0, dtype=complex)
         expected[0, 0] = expected[2, 2] = expected[0, 2] = expected[2, 0] = 0.25
         expected[1, 1] = 0.5
@@ -153,7 +158,7 @@ class TestEvolveAveraged:
 
     def test_closed_form_matrix(self):
         beta = 0.5
-        out = evolve_averaged(initial_state(1.0), beta)
+        out = evolve_averaged(initial_state(1.0), *gaussian(beta))
         corner = (3.0 + np.exp(-2.0 * beta)) / 12.0
         assert out[0, 0].real == pytest.approx(corner, abs=1e-13)
         assert out[1, 1].real == pytest.approx(0.5 - np.exp(-2.0 * beta) / 6.0, abs=1e-13)
@@ -161,38 +166,53 @@ class TestEvolveAveraged:
 
     @pytest.mark.parametrize("variance", [0.0, 0.1, 1.0, 7.5, 100.0])
     def test_valid_state_out(self, variance):
-        out = evolve_averaged(initial_state(1.0), variance)
+        out = evolve_averaged(initial_state(1.0), *gaussian(variance))
         assert np.max(np.abs(out - out.conj().T)) < 1e-12
         assert np.trace(out).real == pytest.approx(1.0, abs=1e-12)
         assert np.linalg.eigvalsh(out).min() > -1e-10
 
     @pytest.mark.parametrize("variance", [0.0, 0.3, 2.0, 40.0])
     def test_rank_two_null_vector(self, variance):
-        out = evolve_averaged(initial_state(1.0), variance)
+        out = evolve_averaged(initial_state(1.0), *gaussian(variance))
         null = np.array([1.0, 0.0, -1.0]) / np.sqrt(2.0)
         assert np.max(np.abs(out @ null)) < 1e-12
 
     def test_corner_deviation_shrinks_with_variance(self):
         limit = 0.25
         deviations = [
-            abs(evolve_averaged(initial_state(1.0), v)[0, 0] - limit)
+            abs(evolve_averaged(initial_state(1.0), *gaussian(v))[0, 0] - limit)
             for v in (0.0, 0.5, 1.0, 2.0, 5.0)
         ]
         assert all(b <= a for a, b in zip(deviations, deviations[1:]))
 
-    def test_negative_variance_rejected(self):
-        with pytest.raises(ValueError):
-            evolve_averaged(initial_state(1.0), -0.1)
-        with pytest.raises(ValueError):
-            evolve_averaged(initial_state(1.0), np.array([0.0, 1.0, -1e-12]))
+    def test_factor_outside_unit_interval_rejected(self):
+        with pytest.raises(ValueError, match=r"must lie in \[-1, 1\]"):
+            evolve_averaged(initial_state(1.0), 1.1, 0.5)
+        with pytest.raises(ValueError, match=r"must lie in \[-1, 1\]"):
+            evolve_averaged(initial_state(1.0), 0.5, np.array([0.0, -1.0, -1.0 - 1e-12]))
 
     def test_array_matches_stacked_scalars(self):
         rho0 = random_state(np.random.default_rng(11))
         variances = np.array([[0.0, 1e-9, 0.2], [1.0, 7.5, 300.0]])
-        out = evolve_averaged(rho0, variances)
+        out = evolve_averaged(rho0, *gaussian(variances))
         assert out.shape == (2, 3, 3, 3)
-        stacked = np.array([[evolve_averaged(rho0, v) for v in row] for row in variances])
+        stacked = np.array(
+            [[evolve_averaged(rho0, *gaussian(v)) for v in row] for row in variances]
+        )
         assert np.max(np.abs(out - stacked)) <= 1e-15
+
+
+    @pytest.mark.parametrize("a", [1.0, 2.0, 2.5])
+    def test_two_point_phase_law(self, a):
+        # phi = +-a with equal weights: chi_n = cos(n a), negative for these a
+        assert min(np.cos(a), np.cos(2.0 * a)) < 0.0
+        u = propagator(np.array([a, -a]))
+        rng = np.random.default_rng(5)
+        for _ in range(5):
+            rho0 = random_state(rng)
+            mean = np.mean(u @ rho0 @ u.conj().swapaxes(-1, -2), axis=0)
+            out = evolve_averaged(rho0, np.cos(a), np.cos(2.0 * a))
+            assert np.max(np.abs(out - mean)) <= 1e-14
 
 
 class TestFluctuationSeries:

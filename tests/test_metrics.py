@@ -8,8 +8,11 @@ import pytest
 from qutrit_dephasing import (
     ENTROPY_SATURATION,
     PURITY_SATURATION,
+    NoiseSpec,
+    dephasing_factor,
     evolve_averaged,
     initial_state,
+    propagator,
     purity,
     purity_closed,
     vn_entropy,
@@ -17,6 +20,11 @@ from qutrit_dephasing import (
 )
 
 BETAS = [0.0, 0.1, 0.5, 1.0, 2.0, 5.0, 20.0]
+
+
+def gaussian(var):
+    """(chi1, chi2) of a zero-mean Gaussian phase of variance var."""
+    return np.exp(-0.5 * var), np.exp(-2.0 * var)
 
 
 class TestPurity:
@@ -27,28 +35,31 @@ class TestPurity:
         assert purity(np.full((3, 3), 1.0 / 3.0)) == pytest.approx(1.0)
 
     def test_averaged_state_value(self):
-        rho = evolve_averaged(initial_state(1.0), 0.5)
+        rho = evolve_averaged(initial_state(1.0), *gaussian(0.5))
         assert purity(rho) == pytest.approx((17.0 + math.exp(-2.0)) / 18.0, abs=1e-12)
 
 
 class TestPurityClosed:
     def test_zero_beta(self):
-        assert purity_closed(0.0) == 1.0
+        assert purity_closed(np.exp(-2.0 * 0.0)) == 1.0
 
     def test_saturation(self):
-        assert purity_closed(1e3) == pytest.approx(17.0 / 18.0, abs=1e-15)
+        assert purity_closed(np.exp(-2.0 * 1e3)) == pytest.approx(17.0 / 18.0, abs=1e-15)
         assert PURITY_SATURATION == pytest.approx(0.9444444444444444)
-        # -4 * beta would overflow near the float maximum
-        assert purity_closed(1.7e308) == purity_closed(math.inf)
+        # -2 omega^2 beta would overflow near the float maximum
+        dephased = dephasing_factor(2, NoiseSpec.ou(1.0), 1.7e308)
+        assert purity_closed(dephased) == purity_closed(np.exp(-2.0 * math.inf))
 
     def test_quarter_beta(self):
-        assert purity_closed(0.25) == pytest.approx((17.0 + math.exp(-1.0)) / 18.0)
+        assert purity_closed(np.exp(-2.0 * 0.25)) == pytest.approx(
+            (17.0 + math.exp(-1.0)) / 18.0
+        )
 
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            purity_closed(-0.1)
-        with pytest.raises(ValueError):
-            purity_closed(np.array([0.5, -1e-9]), 0.5)
+    def test_factor_outside_unit_interval_rejected(self):
+        with pytest.raises(ValueError, match=r"must lie in \[-1, 1\]"):
+            purity_closed(1.1)
+        with pytest.raises(ValueError, match=r"must lie in \[-1, 1\]"):
+            purity_closed(np.array([0.5, -1.0 - 1e-9]), 0.5)
 
 
 class TestVnEntropy:
@@ -59,38 +70,44 @@ class TestVnEntropy:
         assert vn_entropy(np.eye(3) / 3.0) == pytest.approx(math.log(3.0), abs=1e-12)
 
     def test_saturation_value(self):
-        rho = evolve_averaged(initial_state(1.0), 1e4)
+        rho = evolve_averaged(initial_state(1.0), *gaussian(1e4))
         assert vn_entropy(rho) == pytest.approx(0.130, abs=1e-3)
         assert ENTROPY_SATURATION == pytest.approx(0.1298, abs=5e-4)
 
 
 class TestVnEntropyClosed:
     def test_zero_beta(self):
-        assert vn_entropy_closed(0.0) == 0.0
+        assert vn_entropy_closed(np.exp(-2.0 * 0.0)) == 0.0
 
     def test_saturation(self):
-        assert vn_entropy_closed(1e3) == pytest.approx(ENTROPY_SATURATION, abs=1e-14)
-        assert vn_entropy_closed(1.7e308) == vn_entropy_closed(math.inf)
+        assert vn_entropy_closed(np.exp(-2.0 * 1e3)) == pytest.approx(
+            ENTROPY_SATURATION, abs=1e-14
+        )
+        # -2 omega^2 beta would overflow near the float maximum
+        dephased = dephasing_factor(2, NoiseSpec.ou(1.0), 1.7e308)
+        assert vn_entropy_closed(dephased) == vn_entropy_closed(np.exp(-2.0 * math.inf))
 
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            vn_entropy_closed(-1.0)
-        with pytest.raises(ValueError):
-            vn_entropy_closed(np.array([0.5, -1e-9]), 0.5)
+    def test_factor_outside_unit_interval_rejected(self):
+        with pytest.raises(ValueError, match=r"must lie in \[-1, 1\]"):
+            vn_entropy_closed(-1.5)
+        with pytest.raises(ValueError, match=r"must lie in \[-1, 1\]"):
+            vn_entropy_closed(np.array([0.5, 1.0 + 1e-9]), 0.5)
 
     @pytest.mark.parametrize("beta", BETAS)
     def test_matches_eigensolver(self, beta):
-        rho = evolve_averaged(initial_state(1.0), beta)
-        assert vn_entropy_closed(beta) == pytest.approx(vn_entropy(rho), abs=1e-10)
+        rho = evolve_averaged(initial_state(1.0), *gaussian(beta))
+        assert vn_entropy_closed(np.exp(-2.0 * beta)) == pytest.approx(
+            vn_entropy(rho), abs=1e-10
+        )
 
 
 @pytest.mark.parametrize("closed", [purity_closed, vn_entropy_closed])
 @pytest.mark.parametrize("r", [0.0, 0.5, 1.0])
 def test_array_input_matches_scalar(closed, r):
     betas = np.array(BETAS + [1e-12, math.inf])
-    values = closed(betas, r)
+    values = closed(np.exp(-2.0 * betas), r)
     assert values.shape == betas.shape
-    scalars = [closed(float(b), r) for b in betas]
+    scalars = [closed(math.exp(-2.0 * b), r) for b in betas]
     assert all(type(v) is float for v in scalars)
     np.testing.assert_allclose(values, scalars, rtol=1e-15, atol=0.0)
 
@@ -98,20 +115,20 @@ def test_array_input_matches_scalar(closed, r):
 class TestConsistency:
     @pytest.mark.parametrize("beta", BETAS)
     def test_purity_closed_vs_matrix(self, beta):
-        rho = evolve_averaged(initial_state(1.0), beta)
-        assert abs(purity_closed(beta) - purity(rho)) <= 1e-10
+        rho = evolve_averaged(initial_state(1.0), *gaussian(beta))
+        assert abs(purity_closed(np.exp(-2.0 * beta)) - purity(rho)) <= 1e-10
 
     def test_monotone_in_beta(self):
         betas = np.linspace(0.0, 6.0, 80)
-        purities = [purity_closed(b) for b in betas]
-        entropies = [vn_entropy_closed(b) for b in betas]
+        purities = [purity_closed(np.exp(-2.0 * b)) for b in betas]
+        entropies = [vn_entropy_closed(np.exp(-2.0 * b)) for b in betas]
         assert all(b < a for a, b in zip(purities, purities[1:]))
         assert all(b > a for a, b in zip(entropies, entropies[1:]))
 
     def test_extrema_concordant_and_joint_saturation(self):
         betas = np.linspace(0.0, 10.0, 400)
-        purities = np.array([purity_closed(b) for b in betas])
-        entropies = np.array([vn_entropy_closed(b) for b in betas])
+        purities = np.array([purity_closed(np.exp(-2.0 * b)) for b in betas])
+        entropies = np.array([vn_entropy_closed(np.exp(-2.0 * b)) for b in betas])
         assert betas[np.argmax(purities)] == 0.0
         assert betas[np.argmin(entropies)] == 0.0
         # both metrics approach saturation through the shared exp(-4 beta)
@@ -125,7 +142,7 @@ class TestConsistency:
     def test_rank_deficiency_harmless(self):
         # zero eigenvalue contributes nothing at any beta
         for beta in BETAS:
-            rho = evolve_averaged(initial_state(1.0), beta)
+            rho = evolve_averaged(initial_state(1.0), *gaussian(beta))
             eigs = np.linalg.eigvalsh(rho)
             assert abs(eigs[0]) < 1e-10
             nonzero = eigs[1:]
@@ -133,3 +150,20 @@ class TestConsistency:
                 [lam * math.log(lam) for lam in nonzero if lam > 1e-10]
             )
             assert vn_entropy(rho) == pytest.approx(manual, abs=1e-12)
+
+    @pytest.mark.parametrize("r", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("a", [1.0, 2.0, 2.5])
+    def test_two_point_phase_law(self, a, r):
+        # phi = +-a with equal weights: chi_n = cos(n a), negative for these a
+        u = propagator(np.array([a, -a]))
+        rho = np.mean(u @ initial_state(r) @ u.conj().swapaxes(-1, -2), axis=0)
+        chi2 = np.cos(2.0 * a)
+        assert purity_closed(chi2, r) == pytest.approx(purity(rho), abs=1e-14)
+        assert vn_entropy_closed(chi2, r) == pytest.approx(vn_entropy(rho), abs=1e-14)
+
+
+@pytest.mark.parametrize("closed", [purity_closed, vn_entropy_closed])
+@pytest.mark.parametrize("r", [-0.1, 1.3, 3.0])
+def test_r_outside_unit_interval_rejected(closed, r):
+    with pytest.raises(ValueError, match=rf"r must lie in \[0, 1\], got {r}"):
+        closed(0.0, r)

@@ -239,6 +239,11 @@ class TestDephasingFactor:
         values = dephasing_factor(0, NoiseSpec.fgn(0.5), np.array([0.0, 1e200]))
         assert np.array_equal(values, [1.0, 1.0])
 
+    @pytest.mark.parametrize("omega", [0.0, -1.0])
+    def test_nonpositive_omega_rejected(self, omega):
+        with pytest.raises(ValueError, match=f"omega must be positive, got {omega}"):
+            dephasing_factor(2, NoiseSpec.ou(1.0), 1.0, omega)
+
     def test_monotone_in_arguments(self):
         spec = NoiseSpec.gn(1.0)
         taus = np.linspace(0.0, 3.0, 20)
