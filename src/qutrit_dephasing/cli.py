@@ -19,6 +19,7 @@ written), 2 numerical failure or invalid parameters, 3 oracle bound violation.
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import os
 import sys
@@ -38,12 +39,16 @@ from .experiments import (
     write_rows,
 )
 from .montecarlo import CovarianceError
-from .noise import KINDS, NoiseSpec
+from .noise import KINDS, PARAMETERS, NoiseSpec
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_NUMERICAL = 2
 EXIT_ORACLE = 3
+
+
+# every family parameter, each a flag that only the families reading it take
+_FAMILY_FLAGS = tuple(dict.fromkeys(name for names in PARAMETERS.values() for name in names))
 
 
 class UsageError(Exception):
@@ -103,11 +108,10 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def system(p: _Parser, number=_finite) -> _Parser:
-        """The noise family and its parameter, the coupling and the state."""
+        """The noise family and its parameters, the coupling and the state."""
         p.add_argument("--noise", choices=KINDS, required=True)
-        p.add_argument("--hurst", type=number, default="0.5")
-        p.add_argument("--g", type=number, default="1.0")
-        p.add_argument("--alpha", type=number, default="3.0")
+        for name in _FAMILY_FLAGS:  # no default: an unset flag keeps NoiseSpec's
+            p.add_argument(f"--{name}", type=number)
         p.add_argument("--omega", type=_finite, default=1.0)
         p.add_argument("--r", type=_finite, default=1.0)
         p.add_argument("--config", help="key = value defaults file")
@@ -173,12 +177,17 @@ def config_flags(argv: list[str]) -> list[str]:
     return flags
 
 
-def _spec(args: argparse.Namespace) -> NoiseSpec:
-    return NoiseSpec(args.noise, hurst=args.hurst, g=args.g, alpha=args.alpha)
+def _family(args: argparse.Namespace) -> dict:
+    """The family flags given, by name; one --noise does not read is a usage error."""
+    given = {k: v for k, v in vars(args).items() if k in _FAMILY_FLAGS and v is not None}
+    unread = [f"--{name}" for name in given if name not in PARAMETERS[args.noise]]
+    if unread:
+        raise UsageError(f"--noise {args.noise} does not read {unread[0]}")
+    return given
 
 
 def _cmd_beta(args: argparse.Namespace) -> int:
-    spec = _spec(args)
+    spec = NoiseSpec(args.noise, **_family(args))
     rows = sweep_rows(spec, tau_grid(args.tau_max, args.tau_steps), args.omega, args.r)
     if args.out:
         path = os.path.join(args.out, f"beta_{spec.label()}.csv")
@@ -190,17 +199,15 @@ def _cmd_beta(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    param = "hurst" if args.noise == "fgn" else "g"
-    if args.noise == "pl" and len(args.alpha) > 1:
-        param = "alpha"
-    fixed = {name: getattr(args, name) for name in ("hurst", "g", "alpha") if name != param}
-    listed = [f"--{name}" for name, values in fixed.items() if len(values) > 1]
-    if listed:
-        raise UsageError(
-            f"--noise {args.noise} sweeps --{param}; give {listed[0]} a single value"
-        )
-    base = {name: values[0] for name, values in fixed.items()}
-    specs = [NoiseSpec(args.noise, **base, **{param: v}) for v in getattr(args, param)]
+    lists = _family(args)
+    swept = [f"--{name}" for name, values in lists.items() if len(values) > 1]
+    if len(swept) > 1:
+        raise UsageError(f"sim sweep sweeps one parameter; give {swept[1]} a single value")
+    # with at most one list, the product is the sweep of that list
+    points = itertools.product(*lists.values())
+    specs = [NoiseSpec(args.noise, **dict(zip(lists, point))) for point in points]
+    if len(set(specs)) < len(specs):
+        raise UsageError(f"{swept[0]} repeats a value")
     grid = tau_grid(args.tau_max, args.tau_steps)
     outputs = args.out or "."
     for path in run_sweep(specs, grid, args.omega, args.r, args.with_matrix, outputs):
@@ -209,7 +216,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_preservation(args: argparse.Namespace) -> int:
-    spec = _spec(args)
+    spec = NoiseSpec(args.noise, **_family(args))
     tau_star = preservation_time(
         spec, omega=args.omega, delta=args.delta, measure=args.measure, r=args.r
     )
@@ -221,7 +228,7 @@ def _cmd_preservation(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
-    spec = _spec(args)
+    spec = NoiseSpec(args.noise, **_family(args))
     report, path = run_oracle(
         spec,
         tau_grid(args.tau_max, args.tau_steps),

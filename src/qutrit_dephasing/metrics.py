@@ -47,16 +47,19 @@ def vn_entropy_closed(chi2, r: float = 1.0):
     """Entropy of the averaged state started from initial_state(r).
 
     The r=1 state has eigenvalues (3 +- sqrt(chi2^2 + 8)) / 6 and 0; mixing
-    in (1-r)/3 * I maps each eigenvalue lam to (1-r)/3 + r * lam.
-    Eigenvalues below the clamp tolerance contribute nothing.  chi2 may be a
+    in (1-r)/3 * I maps each eigenvalue lam to (1-r)/3 + r * lam.  The small
+    one is written as (1-chi2)(1+chi2) / (6 (3 + sqrt(chi2^2 + 8))) and the
+    log of the large one as log1p(-(sum of the other two)), so neither
+    cancels as chi2 -> +-1; only an exact 0 counts as 0 ln 0.  chi2 may be a
     scalar (the result is a float) or an array.
     """
     chi2 = _checked(chi2, r)
     root = np.sqrt(chi2 * chi2 + 8.0)
-    spectrum = np.stack([3.0 + root, 3.0 - root, np.zeros_like(root)])
-    lams = (1.0 - r) / 3.0 + r * spectrum / 6.0
-    logs = np.log(np.where(lams > _CLAMP_TOL, lams, 1.0))
-    out = np.maximum(-np.sum(lams * logs, axis=0), 0.0)
+    small = (1.0 - chi2) * (1.0 + chi2) / (6.0 * (3.0 + root))
+    lams = (1.0 - r) / 3.0 + r * np.stack([small, np.zeros_like(root)])
+    large = (1.0 - r) / 3.0 + r * (3.0 + root) / 6.0
+    logs = np.log(np.where(lams > 0.0, lams, 1.0))
+    out = -np.sum(lams * logs, axis=0) - large * np.log1p(-np.sum(lams, axis=0))
     return out if out.ndim else float(out)
 
 

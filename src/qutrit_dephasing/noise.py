@@ -1,7 +1,7 @@
 """Gaussian noise families: autocorrelation kernels and phase-variance budgets.
 
 Four zero-mean Gaussian processes are supported, each identified by a short
-kind tag:
+kind tag and reading the parameters ``PARAMETERS`` lists for it:
 
     "fgn" -- fractional Gaussian (fractional-Brownian-motion law, Hurst H)
     "gn"  -- Gaussian-correlated noise (rate g)
@@ -25,15 +25,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-KINDS = ("fgn", "gn", "ou", "pl")
+# family -> the parameters it reads, in label order, each with its label tag
+PARAMETERS = {
+    "fgn": {"hurst": "H"},
+    "gn": {"g": "g"},
+    "ou": {"g": "g"},
+    "pl": {"g": "g", "alpha": "a"},
+}
+KINDS = tuple(PARAMETERS)
+_BOUNDS = {"hurst": (0.0, 1.0), "g": (0.0, math.inf), "alpha": (2.0, math.inf)}
 
 
 @dataclass(frozen=True)
 class NoiseSpec:
     """One noise family plus its dimensionless parameters.
 
-    Only the parameters relevant to ``kind`` are meaningful: ``hurst`` for
-    "fgn"; ``g`` for "gn"/"ou"/"pl"; ``alpha`` additionally for "pl".
+    Only the parameters ``PARAMETERS[kind]`` names are read and validated;
+    the others keep their defaults and mean nothing.
     """
 
     kind: str
@@ -42,18 +50,12 @@ class NoiseSpec:
     alpha: float = 3.0
 
     def __post_init__(self) -> None:
-        if self.kind not in KINDS:
+        if self.kind not in PARAMETERS:
             raise ValueError(f"unknown noise kind {self.kind!r}; expected one of {KINDS}")
-        if self.kind == "fgn":
-            if not 0.0 < self.hurst < 1.0:
-                raise ValueError(f"hurst must lie in (0, 1), got {self.hurst}")
-        else:
-            if not self.g > 0.0:
-                raise ValueError(f"g must be positive, got {self.g}")
-        if self.kind == "pl" and not self.alpha > 2.0:
-            raise ValueError(
-                f"power-law exponent alpha must exceed 2, got {self.alpha}"
-            )
+        for name in PARAMETERS[self.kind]:
+            value, (low, high) = getattr(self, name), _BOUNDS[name]
+            if not low < value < high:
+                raise ValueError(f"{name} must lie in ({low:g}, {high:g}), got {value}")
 
     @classmethod
     def fgn(cls, hurst: float) -> "NoiseSpec":
@@ -72,12 +74,17 @@ class NoiseSpec:
         return cls("pl", g=g, alpha=alpha)
 
     def label(self) -> str:
-        """Human-readable parameter tag, used in filenames and reports."""
-        if self.kind == "fgn":
-            return f"fgn_H{self.hurst:g}"
-        if self.kind == "pl":
-            return f"pl_g{self.g:g}_a{self.alpha:g}"
-        return f"{self.kind}_g{self.g:g}"
+        """Parameter tag used in filenames and reports: the kind, then the tag
+        and value of each parameter it reads, joined by "_" ("pl_g1_a3")."""
+        params = PARAMETERS[self.kind].items()
+        return "_".join([self.kind] + [tag + _exact(getattr(self, name)) for name, tag in params])
+
+
+def _exact(value: float) -> str:
+    """``f"{value:g}"`` where that reads back as value, else the float's repr,
+    so that specs with different parameters get different labels."""
+    text = f"{value:g}"
+    return text if float(text) == value else repr(float(value))
 
 
 def autocorrelation(spec: NoiseSpec, s, s_prime):

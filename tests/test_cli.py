@@ -16,7 +16,7 @@ import pytest
 import qutrit_dephasing
 from qutrit_dephasing import cli, metrics
 from qutrit_dephasing.experiments import FIGURES
-from qutrit_dephasing.noise import NoiseSpec, beta_closed
+from qutrit_dephasing.noise import PARAMETERS, NoiseSpec, beta_closed
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -226,6 +226,20 @@ class TestSweep:
         assert capsys.readouterr().out == ""
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("values", ["1,1", "2,3,2", "1,1.0"])
+    def test_repeated_value_is_usage_error(self, values, tmp_path, capsys):
+        assert run(["sweep", "--noise", "ou", "--g", values, "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().out == ""
+        assert list(tmp_path.iterdir()) == []
+
+    def test_close_values_get_their_own_files(self, tmp_path, capsys):
+        # both values print as 1 in %g form
+        argv = ["sweep", "--noise", "ou", "--g", "1.0000001,1.0000002", "--tau-steps", "3"]
+        assert run(argv + ["--out", str(tmp_path)]) == 0
+        names = ["sweep_ou_g1.0000001.csv", "sweep_ou_g1.0000002.csv", "plot_sweep_ou.py"]
+        assert capsys.readouterr().out.splitlines() == [str(tmp_path / n) for n in names]
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(names)
+
     def test_byte_identical_reruns(self, tmp_path):
         a = tmp_path / "a"
         b = tmp_path / "b"
@@ -293,6 +307,12 @@ class TestOracle:
         report = (tmp_path / "oracle_ou_g1.txt").read_text().splitlines()
         (step,) = [line.split(" = ")[1] for line in report if line.startswith("grid_step")]
         assert float(step) == pytest.approx(0.02, rel=1e-12)
+
+    def test_report_names_the_exact_value(self, tmp_path):
+        argv = ["oracle", "--noise", "ou", "--g", "1.0000001", "--samples", "10"]
+        assert run(argv + ["--out", str(tmp_path)]) == 0
+        report = (tmp_path / "oracle_ou_g1.0000001.txt").read_text()
+        assert report.startswith("noise = ou_g1.0000001\n")
 
     def test_zero_samples_usage_error(self):
         assert run(["oracle", "--noise", "ou", "--samples", "0", "--tau-max", "1"]) == 1
@@ -503,6 +523,7 @@ class TestConfigFile:
             ("beta", "samples = 3\n"),
             ("figure", "g = 5\n"),
             ("beta", "config = other.cfg\n"),
+            ("beta", "hurst = 0.3\n"),
         ],
     )
     def test_value_or_key_the_command_rejects(self, command, text, tmp_path, monkeypatch):
@@ -525,13 +546,19 @@ class TestConfigFile:
             ["beta", "--noise", "ou", "--om", "2"],
             ["beta", "--noise", "ou", "--conf", "../abbreviated.cfg"],
             ["sweep", "--noise", "ou", "--config", "../abbreviated.cfg"],
+            # family flags the chosen noise does not read
+            ["beta", "--noise", "fgn", "--g", "-3"],
+            ["oracle", "--noise", "gn", "--alpha", "1", "--samples", "10"],
+            ["preservation", "--noise", "pl", "--hurst", "0.3"],
+            ["sweep", "--noise", "ou", "--hurst", "5"],
         ],
     )
-    def test_flag_the_command_does_not_read(self, argv, tmp_path, monkeypatch):
+    def test_flag_the_command_does_not_read(self, argv, tmp_path, monkeypatch, capsys):
         (tmp_path / "abbreviated.cfg").write_text("tau-m = 1\n")
         (tmp_path / "run").mkdir()
         monkeypatch.chdir(tmp_path / "run")
         assert run(argv) == 1
+        assert capsys.readouterr().out == ""
         assert list((tmp_path / "run").iterdir()) == []
 
     def test_sweep_list_and_matrix_switch(self, tmp_path):
@@ -594,6 +621,19 @@ def test_readme_flag_table_matches_parser():
         for name, parser in subparsers.items()
     }
     assert readme_flag_table() == declared
+
+
+def test_readme_family_flags_match_parameters():
+    # "Noise-family flags: `--hurst` (fgn, ...), `--g` (gn/ou/pl, ...), ..."
+    text = README.read_text(encoding="utf-8").split("Noise-family flags:", 1)[1]
+    sentence = re.split(r"\.\s", text, maxsplit=1)[0]
+    pairs = re.findall(r"`--(\w+)` \(([\w/]+),", sentence)
+    listed = {flag: set(kinds.split("/")) for flag, kinds in pairs}
+    readers = {}
+    for kind, params in PARAMETERS.items():
+        for name in params:
+            readers.setdefault(name, set()).add(kind)
+    assert listed == readers
 
 
 def test_import_loads_numpy_only():

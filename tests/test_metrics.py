@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -99,6 +100,20 @@ class TestVnEntropyClosed:
         assert vn_entropy_closed(np.exp(-2.0 * beta)) == pytest.approx(
             vn_entropy(rho), abs=1e-10
         )
+
+    @pytest.mark.parametrize("r", [0.0, 0.5, 0.999, 1.0])
+    def test_matches_50_digit_reference(self, r):
+        # as chi2 -> +-1 the small eigenvalue (3 - sqrt(chi2^2 + 8)) / 6 is a
+        # difference of nearly equal numbers unless written without it
+        rng = np.random.default_rng(11)
+        chi2s = np.concatenate([1.0 - np.logspace(-16.0, 0.0, 161), rng.uniform(-1.0, 1.0, 200)])
+        for chi2, value in zip(chi2s, vn_entropy_closed(chi2s, r)):
+            with mpmath.workdps(50):
+                root = mpmath.sqrt(mpmath.mpf(chi2) ** 2 + 8)
+                mixed = (1 - mpmath.mpf(r)) / 3
+                lams = [mixed + mpmath.mpf(r) * lam / 6 for lam in (3 + root, 3 - root, 0)]
+                exact = float(-sum(lam * mpmath.log(lam) for lam in lams if lam > 0))
+            assert abs(value - exact) <= 1e-15 * exact, chi2
 
 
 @pytest.mark.parametrize("closed", [purity_closed, vn_entropy_closed])
