@@ -5,13 +5,14 @@ and eta a classical field.  Because the Hamiltonian commutes with itself at
 different times, the propagator is exp(-i phi Sx) with the accumulated phase
 phi = omega * Integral eta(s) ds.
 
-Two evolution branches are provided: a deterministic one (constant eta) and a
-phase-averaged one.  In the eigenbasis of Sx the propagator is diagonal, so
-the coherence between eigenstates with eigenvalues lambda_j and lambda_k
-picks up the phase exp(-i (lambda_j - lambda_k) phi).  Averaged over any phase
-law symmetric about zero, it is damped by chi_n = <exp(i n phi)> at the gap
-n = |lambda_j - lambda_k|; ``noise.dephasing_factor`` gives chi_n for the
-Gaussian phase.
+One rule turns a phase law into a state.  In the eigenbasis of Sx the
+propagator is diagonal, so the coherence between eigenstates with eigenvalues
+lambda_j and lambda_k picks up the phase exp(i (lambda_k - lambda_j) phi).
+Averaged over any phase law it is multiplied by chi_n = <exp(i n phi)> at the
+signed gap n = lambda_k - lambda_j, with chi_{-n} = conj(chi_n).
+``noise.dephasing_factor`` gives the real chi_n of the zero-mean Gaussian
+phase; a constant field is the point mass chi_n = exp(i n phi), which gives
+the noiseless states.
 """
 
 from __future__ import annotations
@@ -30,8 +31,12 @@ SX_EIGENVECTORS = np.array(
     [[0.5, 1.0 / SQRT2, 0.5], [-1.0 / SQRT2, 0.0, 1.0 / SQRT2], [0.5, -1.0 / SQRT2, 0.5]]
 )
 SX_EIGENVALUES = np.array([-1.0, 0.0, 1.0])
-# |lambda_j - lambda_k|, the gap whose dephasing factor damps entry (j, k).
-_GAPS = np.abs(SX_EIGENVALUES[:, None] - SX_EIGENVALUES).astype(int)
+# lambda_k - lambda_j + 2: where entry (j, k) finds its factor in
+# (conj chi2, conj chi1, 1, chi1, chi2).
+_GAPS = (SX_EIGENVALUES - SX_EIGENVALUES[:, None]).astype(int) + 2
+# A rounded exp(i theta) has modulus up to 1 + 2.2e-16, and the point-mass
+# phase law of a constant field must pass the |chi| <= 1 check.
+_MODULUS_TOL = 4.0 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -88,26 +93,31 @@ def check_density_matrix(rho: np.ndarray) -> None:
 
 
 def check_dephasing_factor(chi) -> np.ndarray:
-    """chi as a float array; raise unless every entry lies in [-1, 1]."""
-    chi = np.asarray(chi, dtype=float)
-    if not np.all(np.abs(chi) <= 1.0):
-        raise ValueError("dephasing factors must lie in [-1, 1]")
+    """chi as a float array, or a complex one if chi is complex; raise unless
+    every |chi| <= 1 + _MODULUS_TOL."""
+    chi = np.asarray(chi)
+    if not np.iscomplexobj(chi):
+        chi = chi.astype(float)
+    if not np.all(np.abs(chi) <= 1.0 + _MODULUS_TOL):
+        raise ValueError("dephasing factors must lie in [-1, 1], or the unit disc if complex")
     return chi
 
 
 def evolve_averaged(rho0: np.ndarray, chi1, chi2) -> np.ndarray:
     """Average of U(phi) rho0 U(phi)+ over a phase with characteristic
-    function chi_n = <exp(i n phi)>, real for a law symmetric about zero.
+    function chi_n = <exp(i n phi)>, for any phase law: real chi for a law
+    symmetric about zero, complex chi otherwise (exp(i n phi) for a fixed phi).
 
     Exact: in the Sx eigenbasis V the entry (j, k) of V^T rho0 V averages to
-    itself times 1, chi1 or chi2 for |lambda_j - lambda_k| = 0, 1 or 2.  chi1
-    and chi2 may be scalars or broadcastable arrays; the result has their
-    broadcast shape + (3, 3).
+    itself times chi_n at the signed gap n = lambda_k - lambda_j, where
+    chi_0 = 1 and chi_{-n} = conj(chi_n).  chi1 and chi2 may be scalars or
+    broadcastable arrays; the result has their broadcast shape + (3, 3).
     """
     chi1, chi2 = np.broadcast_arrays(*map(check_dephasing_factor, (chi1, chi2)))
     check_density_matrix(rho0)
     v = SX_EIGENVECTORS
-    damping = np.stack([np.ones_like(chi1), chi1, chi2], axis=-1)[..., _GAPS]
+    factors = [chi2.conj(), chi1.conj(), np.ones_like(chi1), chi1, chi2]
+    damping = np.stack(factors, axis=-1)[..., _GAPS]
     rho = v @ ((v.T @ rho0 @ v) * damping) @ v.T
     # Hermitian up to rounding; symmetrize away the residue.
     return 0.5 * (rho + rho.conj().swapaxes(-1, -2))
@@ -115,11 +125,12 @@ def evolve_averaged(rho0: np.ndarray, chi1, chi2) -> np.ndarray:
 
 def fluctuation_series(params: SystemParams, t_grid) -> np.ndarray:
     """Noiseless states along a time grid, shape (T, 3, 3): the field is
-    eta = 1, so the phase at time t is omega * t."""
+    eta = 1, so the phase at time t is omega * t, the point-mass law
+    chi_n = exp(i n omega t) of evolve_averaged."""
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.size == 0:
         raise ValueError("time grid must be nonempty")
     if np.any(np.diff(t_grid) < 0.0) or np.any(t_grid < 0.0):
         raise ValueError("time grid must be sorted and nonnegative")
-    u = propagator(params.omega * t_grid)
-    return u @ initial_state(params.r) @ u.conj().swapaxes(-1, -2)
+    phase = params.omega * t_grid
+    return evolve_averaged(initial_state(params.r), np.exp(1j * phase), np.exp(2j * phase))

@@ -3,11 +3,12 @@
 The paper's initial state populates only the lambda = +-1 eigenstates of Sx,
 so its averaged state depends on the noise only through chi2, the dephasing
 factor of the gap-2 coherence (``noise.dephasing_factor(2, ...)`` for the
-Gaussian phase).  For r=1 that state has rank <= 2 with nonzero eigenvalues
-(3 +- sqrt(chi2^2 + 8)) / 6, which gives the closed forms implemented here; a
-partly mixed initial state (r < 1) shifts and scales that spectrum.  Entropy
-uses the natural logarithm throughout; the saturation values (chi2 = 0) are
-purity 17/18 and entropy ~0.1298.
+Gaussian phase), and its purity and entropy only through |chi2|; a complex
+chi2 is taken by its modulus.  For r=1 that state has rank <= 2 with nonzero
+eigenvalues (3 +- sqrt(|chi2|^2 + 8)) / 6, which gives the closed forms
+implemented here; a partly mixed initial state (r < 1) shifts and scales that
+spectrum.  Entropy uses the natural logarithm throughout; the saturation
+values (chi2 = 0) are purity 17/18 and entropy ~0.1298.
 """
 
 from __future__ import annotations
@@ -64,8 +65,9 @@ def vn_entropy_closed(chi2, r: float = 1.0):
 
 
 def _checked(chi2, r: float) -> np.ndarray:
+    """|chi2|, the only part of chi2 that purity and entropy depend on."""
     SystemParams(r=r)  # rejects r outside [0, 1], as initial_state does
-    return check_dephasing_factor(chi2)
+    return np.abs(check_dephasing_factor(chi2))
 
 
 # The fully dephased levels, chi2 = 0, of the r=1 state.

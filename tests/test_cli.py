@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 import qutrit_dephasing
 from qutrit_dephasing import cli, metrics
@@ -31,7 +32,8 @@ def read_csv(path):
 
 
 BASE = ["tau", "beta", "purity", "entropy"]
-MATRIX = [f"rho_{part}_{i}{j}" for i in range(3) for j in range(3) for part in ("re", "im")]
+CELLS = [f"{i}{j}" for i in range(3) for j in range(3)]
+MATRIX = [f"rho_{part}_{cell}" for cell in CELLS for part in ("re", "im")]
 
 
 def sweep_outputs(labels, kind):
@@ -416,6 +418,19 @@ class TestFigure:
             rows = read_csv(tmp_path / name)
             # curves with g=1e-2 saturate within tau=50; g=1e-3 get close
             assert float(rows[-1]["purity"]) - 17.0 / 18.0 < 2e-3 or "0.001" in name
+
+    def test_noiseless_is_exact_unitary_evolution(self, tmp_path):
+        run(["figure", "noiseless", "--out", str(tmp_path)])
+        sx = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=complex) / np.sqrt(2.0)
+        rho0 = np.full((3, 3), 1.0 / 3.0)
+        for omega in (0.5, 1.0):
+            rows = read_csv(tmp_path / f"noiseless_omega{omega:g}.csv")
+            assert {(r["beta"], r["purity"], r["entropy"]) for r in rows} == {("0", "1", "0")}
+            for row in rows:
+                u = expm(-1j * omega * float(row["tau"]) * sx)
+                exact = (u @ rho0 @ u.conj().T).ravel()
+                rho = [complex(float(row[f"rho_re_{c}"]), float(row[f"rho_im_{c}"])) for c in CELLS]
+                assert np.max(np.abs(np.array(rho) - exact)) <= 4e-15
 
     def test_noiseless_has_no_decay(self, tmp_path):
         run(["figure", "noiseless", "--out", str(tmp_path)])

@@ -126,17 +126,22 @@ class TestEvolveAveraged:
             assert np.max(np.abs(evolve_averaged(rho0, *gaussian(0.0)) - rho0)) <= 1e-15
 
     def test_matches_gauss_hermite_average(self):
-        # phi = sqrt(var) x with x ~ N(0, 1); 160 nodes integrate the degree-2
-        # trigonometric polynomial U rho0 U+ to rounding for var <= 50.
+        # phi = mu + sqrt(var) x with x ~ N(0, 1); 160 nodes integrate the
+        # degree-2 trigonometric polynomial U rho0 U+ to rounding for var <= 50.
+        # A mean shift mu multiplies chi_n by exp(i n mu).
         nodes, weights = hermegauss(160)
         weights = weights / weights.sum()
         for _ in range(5):
             rho0 = random_state(RNG)
             for var in (0.0, 1e-9, 0.3, 1.0, 5.0, 50.0):
-                u = propagator(np.sqrt(var) * nodes)
-                states = u @ rho0 @ u.conj().swapaxes(-1, -2)
-                reference = np.tensordot(weights, states, axes=1)
-                assert np.max(np.abs(evolve_averaged(rho0, *gaussian(var)) - reference)) <= 1e-14
+                for mu in (0.0, 0.7, -2.5):
+                    u = propagator(mu + np.sqrt(var) * nodes)
+                    states = u @ rho0 @ u.conj().swapaxes(-1, -2)
+                    reference = np.tensordot(weights, states, axes=1)
+                    chi1, chi2 = gaussian(var)
+                    if mu:  # mu = 0 keeps the real factors of a symmetric law
+                        chi1, chi2 = chi1 * np.exp(1j * mu), chi2 * np.exp(2j * mu)
+                    assert np.max(np.abs(evolve_averaged(rho0, chi1, chi2) - reference)) <= 1e-14
 
     def test_infinite_variance_keeps_sx_diagonal_part(self):
         out = evolve_averaged(initial_state(1.0), *gaussian(np.inf))
@@ -191,6 +196,10 @@ class TestEvolveAveraged:
         with pytest.raises(ValueError, match=r"must lie in \[-1, 1\]"):
             evolve_averaged(initial_state(1.0), 0.5, np.array([0.0, -1.0, -1.0 - 1e-12]))
 
+    def test_complex_factor_outside_unit_disc_rejected(self):
+        with pytest.raises(ValueError, match=r"or the unit disc if complex"):
+            evolve_averaged(initial_state(1.0), 0.5, (1.0 + 1e-12) * np.exp(0.3j))
+
     def test_array_matches_stacked_scalars(self):
         rho0 = random_state(np.random.default_rng(11))
         variances = np.array([[0.0, 1e-9, 0.2], [1.0, 7.5, 300.0]])
@@ -213,6 +222,21 @@ class TestEvolveAveraged:
             mean = np.mean(u @ rho0 @ u.conj().swapaxes(-1, -2), axis=0)
             out = evolve_averaged(rho0, np.cos(a), np.cos(2.0 * a))
             assert np.max(np.abs(out - mean)) <= 1e-14
+
+    @pytest.mark.parametrize("a, b, p", [(1.0, 0.4, 0.3), (2.5, 1.2, 0.5), (0.2, 3.0, 0.9)])
+    def test_asymmetric_two_point_phase_law(self, a, b, p):
+        # phi = a with weight p, -b with weight 1 - p: complex chi_n, and
+        # entry (j, k) takes chi at the signed gap lambda_k - lambda_j
+        u = propagator(np.array([a, -b]))
+        chi1, chi2 = (p * np.exp(1j * n * a) + (1.0 - p) * np.exp(-1j * n * b) for n in (1, 2))
+        rng = np.random.default_rng(7)
+        for _ in range(200):
+            rho0 = random_state(rng)
+            states = u @ rho0 @ u.conj().swapaxes(-1, -2)
+            mean = p * states[0] + (1.0 - p) * states[1]
+            # a Python complex scalar is taken as it is, not cast to float
+            out = evolve_averaged(rho0, complex(chi1), chi2)
+            assert np.max(np.abs(out - mean)) <= 1e-15
 
 
 class TestFluctuationSeries:

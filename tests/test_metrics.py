@@ -118,6 +118,19 @@ class TestVnEntropyClosed:
 
 @pytest.mark.parametrize("closed", [purity_closed, vn_entropy_closed])
 @pytest.mark.parametrize("r", [0.0, 0.5, 1.0])
+def test_depends_on_modulus_of_chi2_only(closed, r):
+    rng = np.random.default_rng(3)
+    chi2s = np.concatenate([rng.uniform(-1.0, 1.0, 200), [-1.0, 0.0, 1.0]])
+    values = closed(chi2s, r)
+    # multiplying by -1 or +-i keeps |chi2| exact, so the bits must not move
+    for turn in (-1.0, 1j, -1j):
+        assert np.array_equal(closed(chi2s * turn, r), values)
+    rotated = chi2s * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, chi2s.size))
+    assert np.array_equal(closed(rotated, r), closed(np.abs(rotated), r))
+
+
+@pytest.mark.parametrize("closed", [purity_closed, vn_entropy_closed])
+@pytest.mark.parametrize("r", [0.0, 0.5, 1.0])
 def test_array_input_matches_scalar(closed, r):
     betas = np.array(BETAS + [1e-12, math.inf])
     values = closed(np.exp(-2.0 * betas), r)
@@ -175,6 +188,17 @@ class TestConsistency:
         chi2 = np.cos(2.0 * a)
         assert purity_closed(chi2, r) == pytest.approx(purity(rho), abs=1e-14)
         assert vn_entropy_closed(chi2, r) == pytest.approx(vn_entropy(rho), abs=1e-14)
+
+    @pytest.mark.parametrize("r", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("a, b, p", [(1.0, 0.4, 0.3), (2.5, 1.2, 0.5), (0.2, 3.0, 0.9)])
+    def test_asymmetric_two_point_phase_law(self, a, b, p, r):
+        # phi = a with weight p, -b with weight 1 - p: a complex chi2
+        u = propagator(np.array([a, -b]))
+        states = u @ initial_state(r) @ u.conj().swapaxes(-1, -2)
+        rho = p * states[0] + (1.0 - p) * states[1]
+        chi2 = p * np.exp(2j * a) + (1.0 - p) * np.exp(-2j * b)
+        assert purity_closed(chi2, r) == pytest.approx(purity(rho), abs=2e-15)
+        assert vn_entropy_closed(chi2, r) == pytest.approx(vn_entropy(rho), abs=2e-15)
 
 
 @pytest.mark.parametrize("closed", [purity_closed, vn_entropy_closed])
