@@ -79,8 +79,16 @@ def _floats(text: str) -> tuple[float, ...]:
     return tuple(_finite(part) for part in text.split(","))
 
 
+def _integer(text: str) -> int:
+    """An integer flag: a misspelt one is a usage error that quotes the text."""
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+
+
 def _positive_int(text: str) -> int:
-    value = int(text)
+    value = _integer(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
@@ -89,7 +97,7 @@ def _positive_int(text: str) -> int:
 def _seed(text: str) -> int:
     """An oracle seed: an integer in [0, 2**128), the entropy of the
     SeedSequence that spawns each block's stream."""
-    value = int(text)
+    value = _integer(text)
     if not 0 <= value < 2**128:
         raise argparse.ArgumentTypeError(f"must lie in [0, 2**128), got {value}")
     return value

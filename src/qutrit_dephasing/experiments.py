@@ -256,12 +256,12 @@ FIGURES = ("noiseless", "noisephase", "fgn", "gn", "ou", "pl", "joint")
 
 # figure name -> the specs of each of its sweeps, all on tau_grid(2, 201)
 _FIGURE_SWEEPS = {
-    "fgn": [[NoiseSpec.fgn(h) for h in (0.1, 0.5, 0.9)]],
-    "gn": [[NoiseSpec.gn(g) for g in (1.0, 3.0, 10.0)]],
-    "ou": [[NoiseSpec.ou(g) for g in (1.0, 3.0, 10.0)]],
+    "fgn": [[NoiseSpec("fgn", hurst=h) for h in (0.1, 0.5, 0.9)]],
+    "gn": [[NoiseSpec("gn", g=g) for g in (1.0, 3.0, 10.0)]],
+    "ou": [[NoiseSpec("ou", g=g) for g in (1.0, 3.0, 10.0)]],
     "pl": [
-        [NoiseSpec.pl(g, 3.0) for g in (1.0, 3.0, 10.0)],
-        [NoiseSpec.pl(0.5, alpha) for alpha in (3.0, 5.0, 10.0)],
+        [NoiseSpec("pl", g=g, alpha=3.0) for g in (1.0, 3.0, 10.0)],
+        [NoiseSpec("pl", g=0.5, alpha=alpha) for alpha in (3.0, 5.0, 10.0)],
     ],
 }
 
@@ -290,7 +290,8 @@ def figure(name: str, outputs: str = ".") -> list[str]:
     if name == "noisephase":
         t = tau_grid(3.0, 301)
         specs = [
-            NoiseSpec.fgn(0.5), NoiseSpec.gn(1.0), NoiseSpec.ou(1.0), NoiseSpec.pl(1.0, 5.0)
+            NoiseSpec("fgn", hurst=0.5), NoiseSpec("gn", g=1.0),
+            NoiseSpec("ou", g=1.0), NoiseSpec("pl", g=1.0, alpha=5.0),
         ]
         header = CSV_HEADER + ["dephasing_n2"]
         curves = (

@@ -17,8 +17,11 @@ spawn_key=(b,)), NumPy's scheme for spawning independent parallel streams,
 so path i depends only on (seed, i) and the ensemble is bit-reproducible.
 C and the phases are plain ``np.einsum`` calls, which sum in one fixed order
 and never call the BLAS, and the K x K factor is too small for the BLAS to
-thread, so a report is the same bits for any BLAS thread count.  One block
-is in memory at a time, so memory is O((BLOCK + M) * K) for M grid points.
+thread.  The state sum's ``einsum(..., optimize=True)`` contracts each
+block over its paths through ``matmul``, which calls the BLAS, so that a
+report is the same bits for any BLAS thread count is pinned by a test
+(``test_report_bits_do_not_depend_on_blas_threads``).  One block is in
+memory at a time, so memory is O((BLOCK + M) * K) for M grid points.
 """
 
 from __future__ import annotations

@@ -40,8 +40,8 @@ _BOUNDS = {"hurst": (0.0, 1.0), "g": (0.0, math.inf), "alpha": (2.0, math.inf)}
 class NoiseSpec:
     """One noise family plus its dimensionless parameters.
 
-    Only the parameters ``PARAMETERS[kind]`` names are read and validated;
-    the others keep their defaults and mean nothing.
+    A parameter ``PARAMETERS[kind]`` names must lie in its interval; any other
+    must keep its default, so ``NoiseSpec("ou", g=1, alpha=5)`` is a ValueError.
     """
 
     kind: str
@@ -52,26 +52,13 @@ class NoiseSpec:
     def __post_init__(self) -> None:
         if self.kind not in PARAMETERS:
             raise ValueError(f"unknown noise kind {self.kind!r}; expected one of {KINDS}")
-        for name in PARAMETERS[self.kind]:
-            value, (low, high) = getattr(self, name), _BOUNDS[name]
-            if not low < value < high:
+        for name, (low, high) in _BOUNDS.items():
+            value = getattr(self, name)
+            if name not in PARAMETERS[self.kind]:
+                if value != getattr(NoiseSpec, name):  # the field's default
+                    raise ValueError(f"{self.kind} does not read {name}")
+            elif not low < value < high:
                 raise ValueError(f"{name} must lie in ({low:g}, {high:g}), got {value}")
-
-    @classmethod
-    def fgn(cls, hurst: float) -> "NoiseSpec":
-        return cls("fgn", hurst=hurst)
-
-    @classmethod
-    def gn(cls, g: float) -> "NoiseSpec":
-        return cls("gn", g=g)
-
-    @classmethod
-    def ou(cls, g: float) -> "NoiseSpec":
-        return cls("ou", g=g)
-
-    @classmethod
-    def pl(cls, g: float, alpha: float) -> "NoiseSpec":
-        return cls("pl", g=g, alpha=alpha)
 
     def label(self) -> str:
         """Parameter tag used in filenames and reports: the kind, then the tag

@@ -30,10 +30,10 @@ PURITY_SAT = 17.0 / 18.0
 
 # parameters that drive beta past 5 for each family
 DEEP_SATURATION = [
-    (NoiseSpec.fgn(0.5), 2.5),
-    (NoiseSpec.gn(5.0), 6.0),
-    (NoiseSpec.ou(5.0), 6.0),
-    (NoiseSpec.pl(5.0, 3.0), 6.0),
+    (NoiseSpec("fgn", hurst=0.5), 2.5),
+    (NoiseSpec("gn", g=5.0), 6.0),
+    (NoiseSpec("ou", g=5.0), 6.0),
+    (NoiseSpec("pl", g=5.0, alpha=3.0), 6.0),
 ]
 
 
@@ -73,13 +73,13 @@ def test_criterion_02_entropy_saturation():
 def test_criterion_03_beta_quadrature():
     combos = []
     for hurst in (0.1, 0.5, 0.9):
-        combos += [(NoiseSpec.fgn(hurst), tau) for tau in (0.5, 1.0, 2.0)]
+        combos += [(NoiseSpec("fgn", hurst=hurst), tau) for tau in (0.5, 1.0, 2.0)]
     for g in (1.0, 5.0):
-        combos += [(NoiseSpec.gn(g), tau) for tau in (1.0, 2.0)]
-        combos += [(NoiseSpec.ou(g), tau) for tau in (1.0, 2.0)]
+        combos += [(NoiseSpec("gn", g=g), tau) for tau in (1.0, 2.0)]
+        combos += [(NoiseSpec("ou", g=g), tau) for tau in (1.0, 2.0)]
     for g in (1.0, 5.0):
         for alpha in (3.0, 5.0, 10.0):
-            combos.append((NoiseSpec.pl(g, alpha), 1.0))
+            combos.append((NoiseSpec("pl", g=g, alpha=alpha), 1.0))
     assert len(combos) >= 20
     for spec, tau in combos:
         closed = beta_closed(spec, tau)
@@ -93,7 +93,13 @@ def test_criterion_04_oracle_equivalence():
     grid = np.linspace(0.0, 1.0, 201)
     rho0 = initial_state(1.0)
     params = SystemParams(omega=1.0, r=1.0)
-    for spec in (NoiseSpec.fgn(0.5), NoiseSpec.gn(1.0), NoiseSpec.ou(1.0), NoiseSpec.pl(1.0, 3.0)):
+    specs = (
+        NoiseSpec("fgn", hurst=0.5),
+        NoiseSpec("gn", g=1.0),
+        NoiseSpec("ou", g=1.0),
+        NoiseSpec("pl", g=1.0, alpha=3.0),
+    )
+    for spec in specs:
         ensemble = sample_trajectories(spec, grid, n, seed=2024)
         report = mc_average_state(rho0, ensemble, params, at_index=-1)
         assert report.stderr_bound == pytest.approx(3.0 / math.sqrt(n))
@@ -128,11 +134,11 @@ def test_criterion_06_rank_two():
 
 
 SWEEP_SETS = (
-    [NoiseSpec.fgn(h) for h in (0.1, 0.5, 0.9)]
-    + [NoiseSpec.gn(g) for g in (1.0, 3.0, 10.0)]
-    + [NoiseSpec.ou(g) for g in (1.0, 3.0, 10.0)]
-    + [NoiseSpec.pl(g, 3.0) for g in (1.0, 3.0, 10.0)]
-    + [NoiseSpec.pl(0.5, a) for a in (3.0, 5.0, 10.0)]
+    [NoiseSpec("fgn", hurst=h) for h in (0.1, 0.5, 0.9)]
+    + [NoiseSpec("gn", g=g) for g in (1.0, 3.0, 10.0)]
+    + [NoiseSpec("ou", g=g) for g in (1.0, 3.0, 10.0)]
+    + [NoiseSpec("pl", g=g, alpha=3.0) for g in (1.0, 3.0, 10.0)]
+    + [NoiseSpec("pl", g=0.5, alpha=a) for a in (3.0, 5.0, 10.0)]
 )
 
 
@@ -160,18 +166,18 @@ def test_criterion_08_g_ordering():
 
 @criterion("09 fGn Hurst crossover in beta")
 def test_criterion_09_fgn_crossover():
-    early = [beta_closed(NoiseSpec.fgn(h), 0.5) for h in (0.9, 0.5, 0.1)]
+    early = [beta_closed(NoiseSpec("fgn", hurst=h), 0.5) for h in (0.9, 0.5, 0.1)]
     assert early[0] < early[1] < early[2]
-    late = [beta_closed(NoiseSpec.fgn(h), 2.0) for h in (0.9, 0.5, 0.1)]
+    late = [beta_closed(NoiseSpec("fgn", hurst=h), 2.0) for h in (0.9, 0.5, 0.1)]
     assert late[0] > late[1] > late[2]
 
 
 @criterion("10 preservation-time ratio OU/PL = sqrt(2), OU slowest")
 def test_criterion_10_preservation_ratio():
     delta = 1e-3
-    tau_ou = preservation_time(NoiseSpec.ou(1e-3), delta=delta)
-    tau_pl = preservation_time(NoiseSpec.pl(1e-3, 3.0), delta=delta)
-    tau_gn = preservation_time(NoiseSpec.gn(1e-3), delta=delta)
+    tau_ou = preservation_time(NoiseSpec("ou", g=1e-3), delta=delta)
+    tau_pl = preservation_time(NoiseSpec("pl", g=1e-3, alpha=3.0), delta=delta)
+    tau_gn = preservation_time(NoiseSpec("gn", g=1e-3), delta=delta)
     ratio = tau_ou / tau_pl
     assert abs(ratio - math.sqrt(2.0)) / math.sqrt(2.0) <= 0.05
     assert tau_ou > tau_gn > tau_pl

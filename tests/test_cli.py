@@ -274,7 +274,7 @@ class TestPreservation:
         ) == 0
         tau_star = float(capsys.readouterr().out.split("tau_star=")[1])
         target = -math.log(18.0 * delta / r**2) / 4.0
-        spec = NoiseSpec.ou(1e-3)
+        spec = NoiseSpec("ou", g=1e-3)
         # bisection stops once its bracket is within 1e-4 of tau_star, relative
         assert beta_closed(spec, tau_star * (1.0 - 1e-4)) <= target
         assert beta_closed(spec, tau_star) >= target
@@ -372,7 +372,7 @@ class TestOracle:
             seed=0,
             tau=1.0,
             grid_step=0.005,
-            spec=NoiseSpec.ou(1.0),
+            spec=NoiseSpec("ou", g=1.0),
         )
         monkeypatch.setattr(cli, "run_oracle", lambda *a, **k: (fake, None))
         assert run(["oracle", "--noise", "ou", "--tau-max", "1"]) == 3
@@ -473,12 +473,17 @@ class TestSystemParameters:
             ["preservation", "--noise", "ou", "--omega", "nan"],
             ["oracle", "--noise", "ou", "--omega", "inf", "--samples", "10"],
             ["preservation", "--noise", "ou", "--delta", "inf"],
+            # integers that do not parse
+            ["oracle", "--noise", "ou", "--samples", "1e3"],
+            ["oracle", "--noise", "ou", "--samples", "10", "--seed", "x"],
         ],
     )
     def test_non_finite_is_usage_error(self, argv, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         assert run(argv) == 1
-        assert capsys.readouterr().out == ""
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert not re.search(r"\b_\w", captured.err)  # names no private function
         assert list(tmp_path.iterdir()) == []
 
 

@@ -48,7 +48,7 @@ class TestPurityClosed:
         assert purity_closed(np.exp(-2.0 * 1e3)) == pytest.approx(17.0 / 18.0, abs=1e-15)
         assert PURITY_SATURATION == pytest.approx(0.9444444444444444)
         # -2 omega^2 beta would overflow near the float maximum
-        dephased = dephasing_factor(2, NoiseSpec.ou(1.0), 1.7e308)
+        dephased = dephasing_factor(2, NoiseSpec("ou", g=1.0), 1.7e308)
         assert purity_closed(dephased) == purity_closed(np.exp(-2.0 * math.inf))
 
     def test_quarter_beta(self):
@@ -85,7 +85,7 @@ class TestVnEntropyClosed:
             ENTROPY_SATURATION, abs=1e-14
         )
         # -2 omega^2 beta would overflow near the float maximum
-        dephased = dephasing_factor(2, NoiseSpec.ou(1.0), 1.7e308)
+        dephased = dephasing_factor(2, NoiseSpec("ou", g=1.0), 1.7e308)
         assert vn_entropy_closed(dephased) == vn_entropy_closed(np.exp(-2.0 * math.inf))
 
     def test_factor_outside_unit_interval_rejected(self):

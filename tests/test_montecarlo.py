@@ -45,7 +45,7 @@ TWENTY = list(range(10, 201, 10))
 
 class TestSampleTrajectories:
     def test_grid_validation(self):
-        spec = NoiseSpec.ou(1.0)
+        spec = NoiseSpec("ou", g=1.0)
         with pytest.raises(ValueError):
             sample_trajectories(spec, [0.0], 10, 0)
         with pytest.raises(ValueError):
@@ -64,10 +64,10 @@ class TestSampleTrajectories:
     )
     def test_phase_indices_increase_past_the_first(self, indices, error):
         with pytest.raises(error):
-            sample_trajectories(NoiseSpec.ou(1.0), np.linspace(0.0, 1.0, 11), 10, 0, indices)
+            sample_trajectories(NoiseSpec("ou", g=1.0), np.linspace(0.0, 1.0, 11), 10, 0, indices)
 
     def test_deterministic_for_seed(self):
-        spec = NoiseSpec.gn(1.0)
+        spec = NoiseSpec("gn", g=1.0)
         grid = np.linspace(0.0, 1.0, 21)
         a = sample_trajectories(spec, grid, 50, 123, [5, 20])
         b = sample_trajectories(spec, grid, 50, 123, [5, 20])
@@ -77,14 +77,14 @@ class TestSampleTrajectories:
 
     def test_batch_invariant_substreams(self):
         # path i depends only on (seed, i), not on how many paths were asked for
-        spec = NoiseSpec.ou(2.0)
+        spec = NoiseSpec("ou", g=2.0)
         grid = np.linspace(0.0, 1.0, 11)
         small = sample_trajectories(spec, grid, 5, 7, [3, 10])
         large = sample_trajectories(spec, grid, 20, 7, [3, 10])
         assert np.array_equal(all_phases(small), all_phases(large)[:5])
 
     def test_batch_invariant_across_a_block_boundary(self):
-        spec = NoiseSpec.gn(1.0)
+        spec = NoiseSpec("gn", g=1.0)
         grid = np.linspace(0.0, 1.0, 6)
         small = sample_trajectories(spec, grid, BLOCK + 2, 7, [2, 5])
         large = sample_trajectories(spec, grid, BLOCK + 5, 7, [2, 5])
@@ -93,7 +93,7 @@ class TestSampleTrajectories:
     def test_block_streams_are_spawned_sfc64(self, tmp_path):
         # block b draws from SFC64(SeedSequence(seed, spawn_key=(b,))), the
         # stream the report names
-        spec = NoiseSpec.ou(1.0)
+        spec = NoiseSpec("ou", g=1.0)
         grid = np.linspace(0.0, 1.0, 7)
         ensemble = sample_trajectories(spec, grid, 2 * BLOCK + 5, 11, [2, 4, 6])
         blocks = list(ensemble.phases())
@@ -111,7 +111,7 @@ class TestSampleTrajectories:
         assert f"rng_algorithm = {montecarlo.RNG_ALGORITHM}" in report
 
     def test_zero_mean(self):
-        spec = NoiseSpec.ou(1.0)
+        spec = NoiseSpec("ou", g=1.0)
         grid = np.linspace(0.0, 2.0, 9)
         ensemble = sample_trajectories(spec, grid, 1000, 5, range(1, 9))
         std = np.sqrt(np.diag(grid_covariance(spec, grid, ensemble.indices)))
@@ -119,7 +119,7 @@ class TestSampleTrajectories:
         assert np.all(np.abs(all_phases(ensemble).mean(axis=0)) < bound)
 
     def test_ou_empirical_covariance(self):
-        spec = NoiseSpec.ou(1.0)
+        spec = NoiseSpec("ou", g=1.0)
         grid = np.linspace(0.0, 2.0, 9)
         n = 20000
         ensemble = sample_trajectories(spec, grid, n, 11, range(1, 9))
@@ -133,7 +133,7 @@ class TestSampleTrajectories:
 
     def test_fgn_brownian_variance(self):
         # eta is Brownian motion, so the phase at t has variance t^3 / 3
-        spec = NoiseSpec.fgn(0.5)
+        spec = NoiseSpec("fgn", hurst=0.5)
         grid = np.linspace(0.0, 1.0, 101)
         n = 20000
         ensemble = sample_trajectories(spec, grid, n, 3, [20, 40, 60, 80, 100])
@@ -147,20 +147,20 @@ class TestSampleTrajectories:
         # fBm has zero variance at t=0, but the phases never include t=0
         grid = np.linspace(0, 1, 11)
         for indices in ([-1], range(1, 11)):
-            ensemble = sample_trajectories(NoiseSpec.fgn(hurst), grid, 5, 0, indices)
+            ensemble = sample_trajectories(NoiseSpec("fgn", hurst=hurst), grid, 5, 0, indices)
             assert ensemble.jitter == 0.0
 
     @pytest.mark.parametrize("indices", [[-1], TWENTY], ids=["K1", "K20"])
     @pytest.mark.parametrize(
         "spec",
         [
-            NoiseSpec.fgn(0.1),
-            NoiseSpec.fgn(0.5),
-            NoiseSpec.fgn(0.9),
-            NoiseSpec.gn(1.0),
-            NoiseSpec.gn(10.0),
-            NoiseSpec.ou(1.0),
-            NoiseSpec.pl(1.0, 3.0),
+            NoiseSpec("fgn", hurst=0.1),
+            NoiseSpec("fgn", hurst=0.5),
+            NoiseSpec("fgn", hurst=0.9),
+            NoiseSpec("gn", g=1.0),
+            NoiseSpec("gn", g=10.0),
+            NoiseSpec("ou", g=1.0),
+            NoiseSpec("pl", g=1.0, alpha=3.0),
         ],
         ids=NoiseSpec.label,
     )
@@ -173,7 +173,7 @@ class TestSampleTrajectories:
         factor = ensemble.factor
         assert np.max(np.abs(factor @ factor.T - shifted)) <= 1e-14 * np.max(cov)
         # at 20 times on [0, 2] the smooth gn g=1 covariance is singular to rounding
-        needs_jitter = spec == NoiseSpec.gn(1.0) and len(indices) == 20
+        needs_jitter = spec == NoiseSpec("gn", g=1.0) and len(indices) == 20
         assert (ensemble.jitter > 0.0) == needs_jitter
 
 
@@ -181,7 +181,12 @@ class TestPhaseCovariance:
     @pytest.mark.parametrize("indices", [[-1], list(range(50, 1001, 50))], ids=["K1", "K20"])
     @pytest.mark.parametrize(
         "spec",
-        [NoiseSpec.fgn(0.3), NoiseSpec.gn(1.0), NoiseSpec.ou(1.0), NoiseSpec.pl(1.0, 3.0)],
+        [
+            NoiseSpec("fgn", hurst=0.3),
+            NoiseSpec("gn", g=1.0),
+            NoiseSpec("ou", g=1.0),
+            NoiseSpec("pl", g=1.0, alpha=3.0),
+        ],
         ids=NoiseSpec.label,
     )
     def test_row_blocks_match_full_kernel(self, spec, indices):
@@ -195,7 +200,12 @@ class TestPhaseCovariance:
 
     @pytest.mark.parametrize(
         "spec",
-        [NoiseSpec.fgn(0.5), NoiseSpec.gn(1.0), NoiseSpec.ou(1.0), NoiseSpec.pl(1.0, 3.0)],
+        [
+            NoiseSpec("fgn", hurst=0.5),
+            NoiseSpec("gn", g=1.0),
+            NoiseSpec("ou", g=1.0),
+            NoiseSpec("pl", g=1.0, alpha=3.0),
+        ],
         ids=NoiseSpec.label,
     )
     def test_memory_independent_of_kernel_size(self, spec):
@@ -249,7 +259,7 @@ class TestMcAverageState:
 
     def test_single_zero_path_is_noiseless(self):
         grid = np.linspace(0.0, 1.0, 11)
-        ensemble = self._manual_ensemble(np.zeros((1, 1)), 1, grid, NoiseSpec.ou(1.0))
+        ensemble = self._manual_ensemble(np.zeros((1, 1)), 1, grid, NoiseSpec("ou", g=1.0))
         rho0 = initial_state(0.8)
         report = mc_average_state(rho0, ensemble, SystemParams(), -1)
         assert np.max(np.abs(report.empirical - rho0)) < 1e-14
@@ -260,7 +270,7 @@ class TestMcAverageState:
         grid = np.linspace(0.0, 1.0, 11)
         factor = np.tril(rng.normal(size=(3, 3)))
         params = SystemParams(omega=1.3)
-        ensemble = self._manual_ensemble(factor, 4, grid, NoiseSpec.ou(1.0), (3, 7, 10))
+        ensemble = self._manual_ensemble(factor, 4, grid, NoiseSpec("ou", g=1.0), (3, 7, 10))
         phases = all_phases(ensemble)
         for column, at_index in enumerate((3, -4, 10)):
             report = mc_average_state(rho0, ensemble, params, at_index)
@@ -271,7 +281,7 @@ class TestMcAverageState:
         rho0 = self._random_state(np.random.default_rng(8))
         grid = np.linspace(0.0, 1.0, 11)
         params = SystemParams(omega=1.3)
-        ensemble = sample_trajectories(NoiseSpec.ou(2.0), grid, BLOCK + 37, 4)
+        ensemble = sample_trajectories(NoiseSpec("ou", g=2.0), grid, BLOCK + 37, 4)
         report = mc_average_state(rho0, ensemble, params, -1)
         expected = self._per_phase_average(rho0, all_phases(ensemble)[:, 0], params.omega)
         assert np.max(np.abs(report.empirical - expected)) < 1e-13
@@ -281,7 +291,8 @@ class TestMcAverageState:
         # the average streams BLOCK + rows paths in two chunks; each chunk's
         # phases are its block's one SFC64 draw times F^T
         grid = np.linspace(0.0, 2.0, 201)
-        ensemble = sample_trajectories(NoiseSpec.pl(1.0, 3.0), grid, BLOCK + rows, 9, TWENTY)
+        spec = NoiseSpec("pl", g=1.0, alpha=3.0)
+        ensemble = sample_trajectories(spec, grid, BLOCK + rows, 9, TWENTY)
         chunks = list(ensemble.phases())
         assert [phi.shape for phi in chunks] == [(BLOCK, 20), (rows, 20)]
         for b, phi in enumerate(chunks):
@@ -312,7 +323,7 @@ class TestMcAverageState:
             grid = np.linspace(0.0, 1.0, points)
             tracemalloc.start()
             try:
-                ensemble = sample_trajectories(NoiseSpec.ou(1.0), grid, 8 * BLOCK, 3)
+                ensemble = sample_trajectories(NoiseSpec("ou", g=1.0), grid, 8 * BLOCK, 3)
                 mc_average_state(initial_state(1.0), ensemble, SystemParams(), -1)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
@@ -320,7 +331,7 @@ class TestMcAverageState:
             assert peak < bound, points
 
     def test_empirical_state_well_formed(self):
-        spec = NoiseSpec.gn(1.0)
+        spec = NoiseSpec("gn", g=1.0)
         grid = np.linspace(0.0, 1.0, 51)
         ensemble = sample_trajectories(spec, grid, 500, 9)
         report = mc_average_state(initial_state(1.0), ensemble, SystemParams(), -1)
@@ -330,7 +341,7 @@ class TestMcAverageState:
 
     def test_every_drawn_time_within_bound(self):
         grid = np.linspace(0.0, 2.0, 201)
-        ensemble = sample_trajectories(NoiseSpec.gn(1.0), grid, 20000, 13, TWENTY)
+        ensemble = sample_trajectories(NoiseSpec("gn", g=1.0), grid, 20000, 13, TWENTY)
         assert ensemble.jitter > 0.0
         for at_index in TWENTY:
             report = mc_average_state(initial_state(1.0), ensemble, SystemParams(), at_index)
@@ -338,7 +349,7 @@ class TestMcAverageState:
             assert report.within_bound, at_index
 
     def test_dephasing_factor_cross_check(self):
-        spec = NoiseSpec.ou(1.0)
+        spec = NoiseSpec("ou", g=1.0)
         grid = np.linspace(0.0, 1.0, 201)
         ensemble = sample_trajectories(spec, grid, 20000, 21)
         phis = all_phases(ensemble)[:, 0]
@@ -347,7 +358,7 @@ class TestMcAverageState:
         assert abs(sample.mean() - np.exp(-2.0 * np.exp(-1.0))) < 3.0 * se
 
     def test_odd_moments_vanish(self):
-        spec = NoiseSpec.ou(1.0)
+        spec = NoiseSpec("ou", g=1.0)
         grid = np.linspace(0.0, 1.0, 101)
         ensemble = sample_trajectories(spec, grid, 20000, 33)
         phis = all_phases(ensemble)[:, 0]
@@ -358,7 +369,7 @@ class TestMcAverageState:
 
     def test_convergence_scaling(self):
         # quadrupling N should roughly halve the median deviation
-        spec = NoiseSpec.ou(1.0)
+        spec = NoiseSpec("ou", g=1.0)
         grid = np.linspace(0.0, 1.0, 51)
         rho0 = initial_state(1.0)
         medians = {}
@@ -375,7 +386,7 @@ class TestMcAverageState:
     def test_grid_refinement_stability(self):
         # the phase variance is the trapezoid quadrature of beta: halving the
         # step moves it by under 1% and quarters its error
-        for spec in (NoiseSpec.ou(1.0), NoiseSpec.fgn(0.5), NoiseSpec.gn(1.0)):
+        for spec in (NoiseSpec("ou", g=1.0), NoiseSpec("fgn", hurst=0.5), NoiseSpec("gn", g=1.0)):
             variance = {}
             for points in (201, 401):
                 grid = np.linspace(0.0, 1.0, points)
@@ -387,7 +398,7 @@ class TestMcAverageState:
             assert (variance[201] - beta) / (variance[401] - beta) == pytest.approx(4.0, rel=1e-3)
 
     def test_index_out_of_range(self):
-        spec = NoiseSpec.ou(1.0)
+        spec = NoiseSpec("ou", g=1.0)
         grid = np.linspace(0.0, 1.0, 11)
         ensemble = sample_trajectories(spec, grid, 5, 0)
         with pytest.raises(IndexError):
@@ -395,7 +406,7 @@ class TestMcAverageState:
 
     def test_index_must_be_drawn(self):
         grid = np.linspace(0.0, 1.0, 11)
-        ensemble = sample_trajectories(NoiseSpec.ou(1.0), grid, 5, 0, [4, 10])
+        ensemble = sample_trajectories(NoiseSpec("ou", g=1.0), grid, 5, 0, [4, 10])
         mc_average_state(initial_state(1.0), ensemble, SystemParams(), -7)
         with pytest.raises(ValueError):
             mc_average_state(initial_state(1.0), ensemble, SystemParams(), 5)

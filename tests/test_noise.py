@@ -18,15 +18,15 @@ from qutrit_dephasing import (
 )
 
 ALL_SPECS = [
-    NoiseSpec.fgn(0.1),
-    NoiseSpec.fgn(0.5),
-    NoiseSpec.fgn(0.9),
-    NoiseSpec.gn(1.0),
-    NoiseSpec.gn(5.0),
-    NoiseSpec.ou(1.0),
-    NoiseSpec.ou(5.0),
-    NoiseSpec.pl(1.0, 3.0),
-    NoiseSpec.pl(5.0, 10.0),
+    NoiseSpec("fgn", hurst=0.1),
+    NoiseSpec("fgn", hurst=0.5),
+    NoiseSpec("fgn", hurst=0.9),
+    NoiseSpec("gn", g=1.0),
+    NoiseSpec("gn", g=5.0),
+    NoiseSpec("ou", g=1.0),
+    NoiseSpec("ou", g=5.0),
+    NoiseSpec("pl", g=1.0, alpha=3.0),
+    NoiseSpec("pl", g=5.0, alpha=10.0),
 ]
 
 # x = g*tau from deep in the cancellation region to far past the kernel scale.
@@ -52,7 +52,7 @@ class TestNoiseSpec:
     @pytest.mark.parametrize("hurst", [0.0, 1.0, -0.2, 1.4])
     def test_hurst_range(self, hurst):
         with pytest.raises(ValueError):
-            NoiseSpec.fgn(hurst)
+            NoiseSpec("fgn", hurst=hurst)
 
     @pytest.mark.parametrize("g", [0.0, -1.0])
     def test_positive_rate(self, g):
@@ -63,28 +63,55 @@ class TestNoiseSpec:
     @pytest.mark.parametrize("alpha", [2.0, 1.5, -3.0])
     def test_power_law_exponent(self, alpha):
         with pytest.raises(ValueError):
-            NoiseSpec.pl(1.0, alpha)
+            NoiseSpec("pl", g=1.0, alpha=alpha)
+
+    @pytest.mark.parametrize(
+        "kind, params, unread",
+        [
+            ("ou", {"g": 1.0, "alpha": 5.0}, "alpha"),
+            ("fgn", {"g": 2.0}, "g"),
+            ("gn", {"hurst": 0.3}, "hurst"),
+            ("pl", {"hurst": math.nan}, "hurst"),
+        ],
+    )
+    def test_unread_parameter_rejected(self, kind, params, unread):
+        with pytest.raises(ValueError, match=f"^{kind} does not read {unread}$"):
+            NoiseSpec(kind, **params)
+
+    @pytest.mark.parametrize(
+        "kind, params, default",
+        [
+            ("ou", {"g": 1.0}, {"alpha": 3.0}),
+            ("fgn", {"hurst": 0.2}, {"g": 1.0, "alpha": 3}),
+            ("pl", {"g": 2.0, "alpha": 4.0}, {"hurst": 0.5}),
+        ],
+    )
+    def test_unread_parameter_at_its_default_is_the_same_spec(self, kind, params, default):
+        given, bare = NoiseSpec(kind, **params, **default), NoiseSpec(kind, **params)
+        assert given == bare
+        assert hash(given) == hash(bare)
+        assert given.label() == bare.label()
 
 
 class TestAutocorrelation:
     def test_ou_at_zero_lag(self):
-        assert autocorrelation(NoiseSpec.ou(1.0), 0.3, 0.3) == pytest.approx(0.5)
+        assert autocorrelation(NoiseSpec("ou", g=1.0), 0.3, 0.3) == pytest.approx(0.5)
 
     def test_fgn_brownian_covariance(self):
         # H = 1/2 reduces to min(s, s')
-        assert autocorrelation(NoiseSpec.fgn(0.5), 2.0, 1.0) == pytest.approx(1.0)
-        assert autocorrelation(NoiseSpec.fgn(0.5), 0.7, 1.9) == pytest.approx(0.7)
+        assert autocorrelation(NoiseSpec("fgn", hurst=0.5), 2.0, 1.0) == pytest.approx(1.0)
+        assert autocorrelation(NoiseSpec("fgn", hurst=0.5), 0.7, 1.9) == pytest.approx(0.7)
 
     def test_power_law_kernel_value(self):
-        assert autocorrelation(NoiseSpec.pl(1.0, 3.0), 1.0, 0.0) == pytest.approx(0.125)
+        assert autocorrelation(NoiseSpec("pl", g=1.0, alpha=3.0), 1.0, 0.0) == pytest.approx(0.125)
 
     def test_gaussian_kernel_value(self):
-        val = autocorrelation(NoiseSpec.gn(2.0), 1.5, 1.0)
+        val = autocorrelation(NoiseSpec("gn", g=2.0), 1.5, 1.0)
         assert val == pytest.approx(2.0 * math.exp(-1.0) / math.sqrt(math.pi))
 
     def test_negative_times_rejected(self):
         with pytest.raises(ValueError):
-            autocorrelation(NoiseSpec.ou(1.0), -0.1, 0.5)
+            autocorrelation(NoiseSpec("ou", g=1.0), -0.1, 0.5)
 
     def test_stationary_kernels_symmetric(self):
         for spec in ALL_SPECS:
@@ -92,7 +119,9 @@ class TestAutocorrelation:
             b = autocorrelation(spec, 0.4, 1.3)
             assert a == pytest.approx(b, abs=1e-15)
 
-    @pytest.mark.parametrize("spec", [NoiseSpec.gn(1.0), NoiseSpec.pl(1.0, 3.0)], ids=NoiseSpec.label)
+    @pytest.mark.parametrize(
+        "spec", [NoiseSpec("gn", g=1.0), NoiseSpec("pl", g=1.0, alpha=3.0)], ids=NoiseSpec.label
+    )
     def test_far_apart_is_zero_without_warning(self, spec):
         # the lag overflows u*u (gn) or (g*u + 1)**alpha (pl); the kernel is 0
         assert np.all(autocorrelation(spec, [1e200, 1.7e308], 0.0) == 0.0)
@@ -104,24 +133,24 @@ class TestBetaClosed:
         assert beta_closed(spec, 0.0) == 0.0
 
     def test_ou_unit_values(self):
-        assert beta_closed(NoiseSpec.ou(1.0), 1.0) == pytest.approx(math.exp(-1.0), rel=1e-12)
+        assert beta_closed(NoiseSpec("ou", g=1.0), 1.0) == pytest.approx(math.exp(-1.0), rel=1e-12)
 
     def test_fgn_brownian(self):
-        assert beta_closed(NoiseSpec.fgn(0.5), 1.0) == pytest.approx(1.0 / 3.0, rel=1e-12)
+        assert beta_closed(NoiseSpec("fgn", hurst=0.5), 1.0) == pytest.approx(1.0 / 3.0, rel=1e-12)
 
     def test_power_law_alpha3(self):
         # g tau - 1 + 1/(1 + g tau) at g=1, tau=1
-        assert beta_closed(NoiseSpec.pl(1.0, 3.0), 1.0) == pytest.approx(0.5, rel=1e-12)
+        assert beta_closed(NoiseSpec("pl", g=1.0, alpha=3.0), 1.0) == pytest.approx(0.5, rel=1e-12)
 
     def test_negative_tau_rejected(self):
         with pytest.raises(ValueError):
-            beta_closed(NoiseSpec.ou(1.0), -0.5)
+            beta_closed(NoiseSpec("ou", g=1.0), -0.5)
         with pytest.raises(ValueError):
-            beta_closed(NoiseSpec.gn(1.0), np.array([0.0, 1.0, -1e-3]))
+            beta_closed(NoiseSpec("gn", g=1.0), np.array([0.0, 1.0, -1e-3]))
 
     def test_fgn_crossover_in_hurst(self):
-        early = [beta_closed(NoiseSpec.fgn(h), 0.5) for h in (0.1, 0.5, 0.9)]
-        late = [beta_closed(NoiseSpec.fgn(h), 2.0) for h in (0.1, 0.5, 0.9)]
+        early = [beta_closed(NoiseSpec("fgn", hurst=h), 0.5) for h in (0.1, 0.5, 0.9)]
+        late = [beta_closed(NoiseSpec("fgn", hurst=h), 2.0) for h in (0.1, 0.5, 0.9)]
         assert early[0] > early[1] > early[2]
         assert late[0] < late[1] < late[2]
 
@@ -133,8 +162,8 @@ class TestBetaClosed:
 
     @pytest.mark.parametrize(
         "spec",
-        [NoiseSpec.gn(1.0), NoiseSpec.ou(1.0)]
-        + [NoiseSpec.pl(1.0, a) for a in (2.001, 2.5, 3.0, 5.0, 10.0)],
+        [NoiseSpec("gn", g=1.0), NoiseSpec("ou", g=1.0)]
+        + [NoiseSpec("pl", g=1.0, alpha=a) for a in (2.001, 2.5, 3.0, 5.0, 10.0)],
         ids=lambda spec: spec.label(),
     )
     def test_relative_accuracy_small_to_large_x(self, spec):
@@ -144,8 +173,8 @@ class TestBetaClosed:
 
     @pytest.mark.parametrize(
         "spec",
-        [NoiseSpec.gn(10.0), NoiseSpec.ou(10.0)]
-        + [NoiseSpec.pl(10.0, a) for a in (3.0, 5.0)],
+        [NoiseSpec("gn", g=10.0), NoiseSpec("ou", g=10.0)]
+        + [NoiseSpec("pl", g=10.0, alpha=a) for a in (3.0, 5.0)],
         ids=lambda spec: spec.label(),
     )
     def test_finite_near_float_max(self, spec):
@@ -177,14 +206,14 @@ class TestBetaClosed:
 
 class TestBetaQuadrature:
     def test_zero_at_zero(self):
-        assert beta_quadrature(NoiseSpec.gn(1.0), 0.0) == 0.0
+        assert beta_quadrature(NoiseSpec("gn", g=1.0), 0.0) == 0.0
 
     def test_panel_floor(self):
         with pytest.raises(ValueError):
-            beta_quadrature(NoiseSpec.gn(1.0), 1.0, panels=4)
+            beta_quadrature(NoiseSpec("gn", g=1.0), 1.0, panels=4)
 
     def test_gn_agreement(self):
-        spec = NoiseSpec.gn(1.0)
+        spec = NoiseSpec("gn", g=1.0)
         closed = beta_closed(spec, 2.0)
         quad = beta_quadrature(spec, 2.0, panels=512)
         assert abs(quad - closed) / closed <= 1e-6
@@ -199,14 +228,14 @@ class TestBetaQuadrature:
 
 class TestDephasingFactor:
     def test_n_zero(self):
-        assert dephasing_factor(0, NoiseSpec.ou(3.0), 5.0) == 1.0
+        assert dephasing_factor(0, NoiseSpec("ou", g=3.0), 5.0) == 1.0
 
     def test_tau_zero(self):
-        assert dephasing_factor(2, NoiseSpec.gn(1.0), 0.0) == 1.0
+        assert dephasing_factor(2, NoiseSpec("gn", g=1.0), 0.0) == 1.0
 
     def test_ou_value(self):
         expected = math.exp(-2.0 * math.exp(-1.0))
-        assert dephasing_factor(2, NoiseSpec.ou(1.0), 1.0, omega=1.0) == pytest.approx(
+        assert dephasing_factor(2, NoiseSpec("ou", g=1.0), 1.0, omega=1.0) == pytest.approx(
             expected, rel=1e-12
         )
 
@@ -217,12 +246,12 @@ class TestDephasingFactor:
     )
     @settings(max_examples=60, deadline=None)
     def test_bounded_in_unit_interval(self, tau, n, omega):
-        value = dephasing_factor(n, NoiseSpec.ou(1.0), tau, omega)
+        value = dephasing_factor(n, NoiseSpec("ou", g=1.0), tau, omega)
         assert 0.0 < value <= 1.0
 
     @pytest.mark.parametrize("n", [0, 1, 2])
     def test_array_matches_scalar(self, n):
-        spec = NoiseSpec.pl(2.0, 4.0)
+        spec = NoiseSpec("pl", g=2.0, alpha=4.0)
         taus = np.linspace(0.0, 3.0, 13)
         values = dephasing_factor(n, spec, taus, omega=0.7)
         scalars = [dephasing_factor(n, spec, float(t), omega=0.7) for t in taus]
@@ -231,21 +260,21 @@ class TestDephasingFactor:
 
     def test_zero_where_omega_squared_beta_overflows(self):
         taus = np.array([0.0, 1.7e308])
-        values = dephasing_factor(2, NoiseSpec.ou(10.0), taus, omega=2.0)
+        values = dephasing_factor(2, NoiseSpec("ou", g=10.0), taus, omega=2.0)
         assert np.array_equal(values, [1.0, 0.0])
 
     def test_zero_order_is_one_where_beta_is_inf(self):
-        assert dephasing_factor(0, NoiseSpec.fgn(0.5), 1e200) == 1.0
-        values = dephasing_factor(0, NoiseSpec.fgn(0.5), np.array([0.0, 1e200]))
+        assert dephasing_factor(0, NoiseSpec("fgn", hurst=0.5), 1e200) == 1.0
+        values = dephasing_factor(0, NoiseSpec("fgn", hurst=0.5), np.array([0.0, 1e200]))
         assert np.array_equal(values, [1.0, 1.0])
 
     @pytest.mark.parametrize("omega", [0.0, -1.0])
     def test_nonpositive_omega_rejected(self, omega):
         with pytest.raises(ValueError, match=f"omega must be positive, got {omega}"):
-            dephasing_factor(2, NoiseSpec.ou(1.0), 1.0, omega)
+            dephasing_factor(2, NoiseSpec("ou", g=1.0), 1.0, omega)
 
     def test_monotone_in_arguments(self):
-        spec = NoiseSpec.gn(1.0)
+        spec = NoiseSpec("gn", g=1.0)
         taus = np.linspace(0.0, 3.0, 20)
         series = [dephasing_factor(2, spec, t) for t in taus]
         assert all(b <= a for a, b in zip(series, series[1:]))
