@@ -7,7 +7,6 @@ reproduction.
 """
 
 from .dynamics import (
-    SystemParams,
     evolve_averaged,
     fluctuation_series,
     initial_state,
@@ -44,7 +43,6 @@ __all__ = [
     "beta_quadrature",
     "dephasing_factor",
     "phase_covariance",
-    "SystemParams",
     "propagator",
     "initial_state",
     "evolve_averaged",

@@ -17,8 +17,6 @@ the noiseless states.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 SQRT2 = np.sqrt(2.0)
@@ -37,21 +35,6 @@ _GAPS = (SX_EIGENVALUES - SX_EIGENVALUES[:, None]).astype(int) + 2
 # A rounded exp(i theta) has modulus up to 1 + 2.2e-16, and the point-mass
 # phase law of a constant field must pass the |chi| <= 1 check.
 _MODULUS_TOL = 4.0 * np.finfo(float).eps
-
-
-@dataclass(frozen=True)
-class SystemParams:
-    """Physical parameters of the driven qutrit: the coupling omega of the
-    field to Sx, and r in [0, 1] the purity weight of the initial state."""
-
-    omega: float = 1.0
-    r: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.omega <= 0.0:
-            raise ValueError(f"omega must be positive, got {self.omega}")
-        if not 0.0 <= self.r <= 1.0:
-            raise ValueError(f"r must lie in [0, 1], got {self.r}")
 
 
 def propagator(phi) -> np.ndarray:
@@ -73,10 +56,16 @@ def propagator(phi) -> np.ndarray:
 
 def initial_state(r: float) -> np.ndarray:
     """(1-r)/3 * I + r |psi><psi| with psi the uniform superposition."""
-    SystemParams(r=r)  # rejects r outside [0, 1]
+    check_weight(r)
     return (1.0 - r) / 3.0 * np.eye(3, dtype=complex) + r / 3.0 * np.ones(
         (3, 3), dtype=complex
     )
+
+
+def check_weight(r: float) -> None:
+    """Raise unless r, the purity weight of the initial state, lies in [0, 1]."""
+    if not 0.0 <= r <= 1.0:
+        raise ValueError(f"r must lie in [0, 1], got {r}")
 
 
 def check_density_matrix(rho: np.ndarray) -> None:
@@ -123,14 +112,16 @@ def evolve_averaged(rho0: np.ndarray, chi1, chi2) -> np.ndarray:
     return 0.5 * (rho + rho.conj().swapaxes(-1, -2))
 
 
-def fluctuation_series(params: SystemParams, t_grid) -> np.ndarray:
-    """Noiseless states along a time grid, shape (T, 3, 3): the field is
-    eta = 1, so the phase at time t is omega * t, the point-mass law
-    chi_n = exp(i n omega t) of evolve_averaged."""
+def fluctuation_series(t_grid, omega: float = 1.0, r: float = 1.0) -> np.ndarray:
+    """Noiseless states from initial_state(r) along a time grid, shape
+    (T, 3, 3): the field is eta = 1, so the phase at time t is omega * t, the
+    point-mass law chi_n = exp(i n omega t) of evolve_averaged."""
+    if omega <= 0.0:
+        raise ValueError(f"omega must be positive, got {omega}")
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.size == 0:
         raise ValueError("time grid must be nonempty")
     if np.any(np.diff(t_grid) < 0.0) or np.any(t_grid < 0.0):
         raise ValueError("time grid must be sorted and nonnegative")
-    phase = params.omega * t_grid
-    return evolve_averaged(initial_state(params.r), np.exp(1j * phase), np.exp(2j * phase))
+    phase = omega * t_grid
+    return evolve_averaged(initial_state(r), np.exp(1j * phase), np.exp(2j * phase))

@@ -10,11 +10,12 @@ identical inputs produce byte-identical outputs.
 
 from __future__ import annotations
 
+import math
 import os
 
 import numpy as np
 
-from .dynamics import SystemParams, evolve_averaged, fluctuation_series, initial_state
+from .dynamics import evolve_averaged, fluctuation_series, initial_state
 from .metrics import purity_closed, vn_entropy_closed
 from .montecarlo import RNG_ALGORITHM, OracleReport, mc_average_state, sample_trajectories
 from .noise import NoiseSpec, beta_closed, dephasing_factor
@@ -86,7 +87,6 @@ def sweep_rows(
 ) -> np.ndarray:
     """CSV rows (tau, beta, purity, entropy[, matrix]) for one spec, as one
     (T, ncols) array."""
-    SystemParams(omega=omega, r=r)  # rejects omega <= 0 and r outside [0, 1]
     tau = np.asarray(tau_grid, dtype=float)
     chi2 = dephasing_factor(2, spec, tau, omega)
     columns = [tau, beta_closed(spec, tau), purity_closed(chi2, r), vn_entropy_closed(chi2, r)]
@@ -171,9 +171,11 @@ def preservation_time(
 
     The state starts from initial_state(r); the saturation level is the
     closed form at chi2 = 0, the dephased state.  Monotone beta makes the
-    crossing unique; located by doubling then bisection to 1e-4 relative.
+    crossing unique; it is located by doubling, then by bisection until the
+    bracket holds two adjacent floats, and the upper one is returned.  The
+    remaining error comes from the cancellation in metric - saturation and
+    grows roughly as 1e-16 / delta, relative.
     """
-    SystemParams(omega=omega, r=r)  # rejects omega <= 0 and r outside [0, 1]
     if delta <= 0.0:
         raise ValueError("delta must be positive")
     if measure not in ("purity", "entropy"):
@@ -189,14 +191,12 @@ def preservation_time(
         raise ValueError(
             f"delta={delta:g} already satisfied at tau=0; choose a smaller delta"
         )
-    hi = 1.0
+    lo, hi = 0.0, 1.0
     while not satisfied(hi):
-        hi *= 2.0
-        if hi > 2**60:
-            raise ValueError("saturation never reached; delta too small")
-    lo = 0.0
-    while (hi - lo) > 1e-4 * hi:
-        mid = 0.5 * (lo + hi)
+        lo, hi = hi, 2.0 * hi
+        if hi == math.inf:
+            raise ValueError("saturation is not reached at any finite tau")
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
         if satisfied(mid):
             hi = mid
         else:
@@ -213,15 +213,15 @@ def run_oracle(
     r: float = 1.0,
     outputs: str | None = None,
 ) -> tuple[OracleReport, str | None]:
-    """Sample an ensemble on ``t_grid``, average the states evolved to its
-    last point, compare to analytic.
+    """Sample an ensemble on ``t_grid``, which starts at 0, average the
+    states evolved to its last point, compare to analytic.
 
     Writes a plain-text report when ``outputs`` is given; callers should
     treat a report outside its bound as a failure (the CLI exits 3).
     """
+    rho0 = initial_state(r)
     ensemble = sample_trajectories(spec, t_grid, n, seed)
-    params = SystemParams(omega=omega, r=r)
-    report = mc_average_state(initial_state(r), ensemble, params, at_index=-1)
+    report = mc_average_state(rho0, ensemble, omega, at_index=-1)
     path = None
     if outputs is not None:
         path = os.path.join(outputs, f"oracle_{spec.label()}.txt")
@@ -230,14 +230,15 @@ def run_oracle(
 
 
 def _write_report(path: str, report: OracleReport) -> None:
+    ensemble = report.ensemble
     lines = [
-        f"noise = {report.spec.label()}",
+        f"noise = {ensemble.spec.label()}",
         f"tau = {fmt(report.tau)}",
-        f"n_samples = {report.n_samples}",
-        f"seed = {report.seed}",
+        f"n_samples = {ensemble.n_paths}",
+        f"seed = {ensemble.seed}",
         f"rng_algorithm = {RNG_ALGORITHM}",
-        f"grid_step = {fmt(report.grid_step)}",
-        f"cholesky_jitter = {fmt(report.jitter)}",
+        f"grid_step = {fmt(np.diff(ensemble.t_grid).max())}",
+        f"cholesky_jitter = {fmt(ensemble.jitter)}",
         f"max_abs_deviation = {fmt(report.max_abs_deviation)}",
         f"stderr_bound = {fmt(report.stderr_bound)}",
         f"within_bound = {report.within_bound}",
@@ -280,7 +281,7 @@ def figure(name: str, outputs: str = ".") -> list[str]:
         zeros, ones = np.zeros_like(t), np.ones_like(t)
 
         def rows(omega: float) -> np.ndarray:
-            states = fluctuation_series(SystemParams(omega=omega), t)
+            states = fluctuation_series(t, omega)
             return np.column_stack([t, zeros, ones, zeros, _matrix_columns(states)])
 
         header = CSV_HEADER + _MATRIX_COLUMNS

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dynamics import SystemParams, check_density_matrix, check_dephasing_factor
+from .dynamics import check_density_matrix, check_dephasing_factor, check_weight
 
 _CLAMP_TOL = 1e-10
 
@@ -66,7 +66,7 @@ def vn_entropy_closed(chi2, r: float = 1.0):
 
 def _checked(chi2, r: float) -> np.ndarray:
     """|chi2|, the only part of chi2 that purity and entropy depend on."""
-    SystemParams(r=r)  # rejects r outside [0, 1], as initial_state does
+    check_weight(r)
     return np.abs(check_dephasing_factor(chi2))
 
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import SystemParams, check_density_matrix, evolve_averaged, propagator
+from .dynamics import evolve_averaged, propagator
 from .noise import NoiseSpec, dephasing_factor, phase_covariance
 
 BLOCK = 4096
@@ -69,18 +69,20 @@ class TrajectoryEnsemble:
 
 @dataclass(frozen=True)
 class OracleReport:
-    """Comparison of the analytic averaged state with the ensemble average."""
+    """The analytic averaged state at tau against the average over ensemble."""
 
     analytic: np.ndarray
     empirical: np.ndarray
-    max_abs_deviation: float
-    stderr_bound: float
-    n_samples: int
-    seed: int
+    ensemble: TrajectoryEnsemble
     tau: float
-    grid_step: float
-    spec: NoiseSpec
-    jitter: float = 0.0
+
+    @property
+    def max_abs_deviation(self) -> float:
+        return float(np.max(np.abs(self.empirical - self.analytic)))
+
+    @property
+    def stderr_bound(self) -> float:
+        return 3.0 / np.sqrt(self.ensemble.n_paths)
 
     @property
     def within_bound(self) -> bool:
@@ -112,7 +114,9 @@ def sample_trajectories(
 ) -> TrajectoryEnsemble:
     """n draws of the zero-mean Gaussian phases at the grid indices
     ``at_indices`` (by default the last only), for a field with covariance
-    K(s_i, s_j) on ``t_grid``.
+    K(s_i, s_j) on ``t_grid``.  The grid starts at 0, where the phases and
+    beta start: the fgn kernel is not stationary, so a phase accumulated
+    over [t0, t] does not have the variance beta(t - t0).
 
     Factors the phases' covariance once; the phases themselves are drawn
     block by block when the ensemble is read (``phases``).
@@ -122,6 +126,8 @@ def sample_trajectories(
         raise ValueError("time grid must be one-dimensional with at least 2 points")
     if np.any(np.diff(t_grid) <= 0.0):
         raise ValueError("time grid must be strictly increasing")
+    if t_grid[0] != 0.0:
+        raise ValueError(f"time grid must start at 0, got {t_grid[0]}")
     if n < 1:
         raise ValueError("need at least one path")
     indices = np.arange(t_grid.size)[np.asarray(at_indices, dtype=int)]
@@ -143,17 +149,17 @@ def sample_trajectories(
 def mc_average_state(
     rho0: np.ndarray,
     ensemble: TrajectoryEnsemble,
-    params: SystemParams,
+    omega: float,
     at_index: int,
 ) -> OracleReport:
     """Ensemble-averaged evolved state at one grid time, vs the analytic state.
 
-    at_index must be one of the ensemble's drawn indices.  Each path is
-    evolved unitarily with its own phase omega * phi there, and the resulting
-    matrices are summed in block order and averaged; the analytic reference
-    is evolve_averaged with the Gaussian dephasing factors at tau.
+    at_index must be one of the ensemble's drawn indices.  The analytic
+    reference, evolve_averaged with the Gaussian dephasing factors at tau, is
+    computed first, so a bad rho0 or omega fails before the state sum.  Each
+    path is then evolved unitarily with its own phase omega * phi there, and
+    the resulting matrices are summed in block order and averaged.
     """
-    check_density_matrix(rho0)
     if ensemble.n_paths == 0:
         raise ValueError("ensemble is empty")
     size = ensemble.t_grid.size
@@ -164,25 +170,11 @@ def mc_average_state(
         raise ValueError(f"the ensemble holds no phases at grid index {at_index}")
     column = columns[0]
     rho0 = np.asarray(rho0, dtype=complex)
+    tau = float(ensemble.t_grid[at_index])
+    chi1, chi2 = (dephasing_factor(n, ensemble.spec, tau, omega) for n in (1, 2))
+    analytic = evolve_averaged(rho0, chi1, chi2)
     total = np.zeros((3, 3), dtype=complex)
     for phases in ensemble.phases():
-        u = propagator(params.omega * phases[:, column])
+        u = propagator(omega * phases[:, column])
         total += np.einsum("nij,jk,nlk->il", u, rho0, u.conj(), optimize=True)
-    empirical = total / ensemble.n_paths
-    tau = float(ensemble.t_grid[at_index] - ensemble.t_grid[0])
-    chi1, chi2 = (dephasing_factor(n, ensemble.spec, tau, params.omega) for n in (1, 2))
-    analytic = evolve_averaged(rho0, chi1, chi2)
-    deviation = float(np.max(np.abs(empirical - analytic)))
-    steps = np.diff(ensemble.t_grid)
-    return OracleReport(
-        analytic=analytic,
-        empirical=empirical,
-        max_abs_deviation=deviation,
-        stderr_bound=3.0 / np.sqrt(ensemble.n_paths),
-        n_samples=ensemble.n_paths,
-        seed=ensemble.seed,
-        tau=tau,
-        grid_step=float(steps.max()),
-        spec=ensemble.spec,
-        jitter=ensemble.jitter,
-    )
+    return OracleReport(analytic, total / ensemble.n_paths, ensemble, tau)

@@ -10,6 +10,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -275,9 +276,85 @@ class TestPreservation:
         tau_star = float(capsys.readouterr().out.split("tau_star=")[1])
         target = -math.log(18.0 * delta / r**2) / 4.0
         spec = NoiseSpec("ou", g=1e-3)
-        # bisection stops once its bracket is within 1e-4 of tau_star, relative
-        assert beta_closed(spec, tau_star * (1.0 - 1e-4)) <= target
+        # bisection stops at adjacent floats; the rounding of the purity gap
+        # leaves about 1e-16 / delta of tau_star, relative
+        assert beta_closed(spec, tau_star * (1.0 - 1e-12)) <= target
         assert beta_closed(spec, tau_star) >= target
+
+    @staticmethod
+    def _tau_star_reference(spec, delta, measure, r, omega):
+        """tau at which the metric's gap to saturation falls to delta, by
+        bisection in 50-digit arithmetic."""
+        with mpmath.workdps(50):
+            r, omega, delta = mpmath.mpf(r), mpmath.mpf(omega), mpmath.mpf(delta)
+
+            def beta(tau):
+                h2 = 2 * mpmath.mpf(spec.hurst) + 2
+                g, a = mpmath.mpf(spec.g), mpmath.mpf(spec.alpha)
+                x = g * tau
+                if spec.kind == "fgn":
+                    return tau**h2 / h2
+                if spec.kind == "gn":
+                    return (mpmath.expm1(-x * x) / mpmath.sqrt(mpmath.pi) + x * mpmath.erf(x)) / g
+                if spec.kind == "ou":
+                    return (x + mpmath.expm1(-x)) / g
+                return (x * (a - 2) - 1 + (1 + x) ** (2 - a)) / (a - 2) / g
+
+            def entropy(chi2):
+                root = mpmath.sqrt(chi2 * chi2 + 8)
+                lams = [(1 - r) / 3 + r * lam / 6 for lam in (3 + root, 3 - root, 0)]
+                return -sum(lam * mpmath.log(lam) for lam in lams if lam > 0)
+
+            def gap(tau):
+                chi2 = mpmath.exp(-2 * omega**2 * beta(tau))
+                if measure == "purity":
+                    return r * r * chi2 * chi2 / 18
+                return entropy(0) - entropy(chi2)
+
+            lo, hi = mpmath.mpf(0), mpmath.mpf(1)
+            while gap(hi) > delta:
+                lo, hi = hi, 2 * hi
+            for _ in range(200):
+                mid = (lo + hi) / 2
+                lo, hi = (lo, mid) if gap(mid) <= delta else (mid, hi)
+            return float(hi)
+
+    @pytest.mark.parametrize(
+        "spec, delta, measure, r, omega",
+        [
+            (NoiseSpec("ou", g=1e-3), 1e-3, "purity", 1.0, 1.0),
+            (NoiseSpec("gn", g=1e-3), 1e-3, "purity", 1.0, 1.0),
+            (NoiseSpec("gn", g=10.0), 1e-3, "purity", 1.0, 1.0),
+            (NoiseSpec("pl", g=1e-3, alpha=3.0), 1e-3, "purity", 1.0, 1.0),
+            (NoiseSpec("fgn", hurst=0.5), 1e-3, "purity", 1.0, 1.0),
+            (NoiseSpec("ou", g=1e-3), 1e-3, "entropy", 1.0, 1.0),
+            (NoiseSpec("gn", g=1.0), 1e-6, "entropy", 0.5, 1.7),
+        ],
+        ids=lambda value: value.label() if isinstance(value, NoiseSpec) else None,
+    )
+    def test_tau_star_matches_mpmath(self, spec, delta, measure, r, omega, capsys):
+        family = [f"--{name}={getattr(spec, name)!r}" for name in PARAMETERS[spec.kind]]
+        assert run(
+            ["preservation", "--noise", spec.kind, *family, "--delta", str(delta),
+             "--measure", measure, "--r", str(r), "--omega", str(omega)]
+        ) == 0
+        tau_star = float(capsys.readouterr().out.split("tau_star=")[1])
+        exact = self._tau_star_reference(spec, delta, measure, r, omega)
+        assert abs(tau_star / exact - 1.0) <= 1e-16 / delta
+
+    def test_tiny_g_reaches_saturation(self, capsys):
+        # ou's beta is g tau^2 / 2 to relative g tau ~ 1e-20 here, so tau* is
+        # sqrt(2 beta* / g) with beta* = ln(1 / (18 delta)) / 4
+        assert run(["preservation", "--noise", "ou", "--g", "1e-40"]) == 0
+        tau_star = float(capsys.readouterr().out.split("tau_star=")[1])
+        beta_star = math.log(1.0 / 18e-3) / 4.0
+        assert tau_star == pytest.approx(math.sqrt(2.0 * beta_star / 1e-40), rel=1e-13)
+
+    def test_saturation_out_of_float_range(self, capsys):
+        # the crossing lies near tau = ln(1 / (18 delta)) / (4 omega^2) ~ 1e400;
+        # in floats omega^2 underflows to 0, so chi2 stays 1 at every tau
+        assert run(["preservation", "--noise", "ou", "--omega", "1e-200"]) == 2
+        assert "saturation is not reached at any finite tau" in capsys.readouterr().err
 
     def test_entropy_measure(self, capsys):
         assert run(
@@ -360,22 +437,21 @@ class TestOracle:
         assert list(tmp_path.iterdir()) == []
 
     def test_bound_violation_exits_3(self, monkeypatch, capsys):
-        from qutrit_dephasing.montecarlo import OracleReport
-        from qutrit_dephasing.noise import NoiseSpec
+        from qutrit_dephasing import initial_state, mc_average_state
+        from qutrit_dephasing.montecarlo import TrajectoryEnsemble
 
-        fake = OracleReport(
-            analytic=np.eye(3) / 3,
-            empirical=np.eye(3) / 3,
-            max_abs_deviation=0.5,
-            stderr_bound=0.01,
-            n_samples=10,
-            seed=0,
-            tau=1.0,
-            grid_step=0.005,
-            spec=NoiseSpec("ou", g=1.0),
+        # a zero factor draws every phase as 0, so the empirical state stays
+        # the initial one while the analytic state dephases
+        grid = np.linspace(0.0, 1.0, 11)
+        ensemble = TrajectoryEnsemble(
+            t_grid=grid, indices=np.array([10]), factor=np.zeros((1, 1)),
+            n_paths=10000, seed=0, spec=NoiseSpec("ou", g=1.0),
         )
-        monkeypatch.setattr(cli, "run_oracle", lambda *a, **k: (fake, None))
+        report = mc_average_state(initial_state(1.0), ensemble, 1.0, -1)
+        assert report.max_abs_deviation > report.stderr_bound == 0.03
+        monkeypatch.setattr(cli, "run_oracle", lambda *a, **k: (report, None))
         assert run(["oracle", "--noise", "ou", "--tau-max", "1"]) == 3
+        assert "oracle bound violated" in capsys.readouterr().err
 
 
 class TestFigure:

@@ -6,7 +6,6 @@ from numpy.polynomial.hermite_e import hermegauss
 from scipy.linalg import expm
 
 from qutrit_dephasing import (
-    SystemParams,
     evolve_averaged,
     fluctuation_series,
     initial_state,
@@ -82,13 +81,13 @@ class TestEvolveNoiseless:
 
     def test_time_zero_identity(self):
         rho0 = initial_state(0.7)
-        out = fluctuation_series(SystemParams(r=0.7), [0.0])[0]
+        out = fluctuation_series([0.0], r=0.7)[0]
         assert np.max(np.abs(out - rho0)) <= 1e-15
 
     def test_matches_closed_form_matrix(self):
         # r=1: entries (3 + cos 2phi)/12, (4 +- i sqrt2 sin 2phi)/12, (6 - 2 cos 2phi)/12
         t = np.array([0.3, np.pi / 2, 2.2])
-        for phi, out in zip(t, fluctuation_series(SystemParams(omega=1.0), t)):
+        for phi, out in zip(t, fluctuation_series(t, omega=1.0)):
             c2, s2 = np.cos(2 * phi), np.sin(2 * phi)
             expected = (
                 np.array(
@@ -103,12 +102,12 @@ class TestEvolveNoiseless:
             assert np.allclose(out, expected, atol=1e-12)
 
     def test_center_entry_at_half_pi(self):
-        out = fluctuation_series(SystemParams(), [np.pi / 2])[0]
+        out = fluctuation_series([np.pi / 2])[0]
         assert out[1, 1].real == pytest.approx(2.0 / 3.0, abs=1e-12)
 
     def test_trace_and_spectrum_preserved(self):
         rho0 = initial_state(0.7)
-        out = fluctuation_series(SystemParams(r=0.7), [3.2])[0]
+        out = fluctuation_series([3.2], r=0.7)[0]
         assert np.trace(out).real == pytest.approx(1.0, abs=1e-12)
         assert np.allclose(
             np.linalg.eigvalsh(out), np.linalg.eigvalsh(rho0), atol=1e-10
@@ -241,7 +240,7 @@ class TestEvolveAveraged:
 
 class TestFluctuationSeries:
     def test_single_point_grid(self):
-        series = fluctuation_series(SystemParams(r=0.6), [0.0])
+        series = fluctuation_series([0.0], r=0.6)
         rho0 = initial_state(0.6)
         for i in range(3):
             for j in range(3):
@@ -249,7 +248,7 @@ class TestFluctuationSeries:
 
     def test_entry_period_pi(self):
         t = np.linspace(0.0, 3.0 * np.pi, 1000)
-        series = fluctuation_series(SystemParams(omega=1.0), t)
+        series = fluctuation_series(t, omega=1.0)
         corner = series[:, 0, 0].real
         shifted = np.interp(t[t <= 2.0 * np.pi] + np.pi, t, corner)
         assert np.allclose(shifted, np.interp(t[t <= 2.0 * np.pi], t, corner), atol=1e-6)
@@ -258,16 +257,15 @@ class TestFluctuationSeries:
         t = np.linspace(0.0, 15.0, 6000)
         counts = {}
         for omega in (0.5, 1.0):
-            series = fluctuation_series(SystemParams(omega=omega), t)
+            series = fluctuation_series(t, omega=omega)
             signal = series[:, 0, 0].real - np.mean(series[:, 0, 0].real)
             counts[omega] = int(np.sum(np.diff(np.sign(signal)) != 0))
         assert counts[1.0] == pytest.approx(2 * counts[0.5], abs=1)
 
     @pytest.mark.parametrize("omega, r", [(1.0, 1.0), (0.5, 0.6)])
     def test_matches_noiseless_evolution(self, omega, r):
-        params = SystemParams(omega=omega, r=r)
         t = np.linspace(0.0, 15.0, 301)
-        series = fluctuation_series(params, t)
+        series = fluctuation_series(t, omega, r)
         assert series.shape == (t.size, 3, 3)
         rho0 = initial_state(r)
         direct = np.array(
@@ -277,4 +275,4 @@ class TestFluctuationSeries:
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
-            fluctuation_series(SystemParams(), [])
+            fluctuation_series([])

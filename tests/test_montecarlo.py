@@ -13,7 +13,6 @@ from scipy.linalg import expm
 import qutrit_dephasing
 from qutrit_dephasing import (
     NoiseSpec,
-    SystemParams,
     TrajectoryEnsemble,
     autocorrelation,
     beta_closed,
@@ -50,6 +49,10 @@ class TestSampleTrajectories:
             sample_trajectories(spec, [0.0], 10, 0)
         with pytest.raises(ValueError):
             sample_trajectories(spec, [0.0, 0.0, 1.0], 10, 0)
+        # beta starts at 0; the fgn kernel is not stationary, so on [1, 1.5]
+        # the phase has variance 0.2917, not beta(0.5) = 0.0417
+        with pytest.raises(ValueError, match="must start at 0"):
+            sample_trajectories(NoiseSpec("fgn", hurst=0.5), np.linspace(1.0, 1.5, 51), 10, 0)
 
     @pytest.mark.parametrize(
         "indices, error",
@@ -261,7 +264,7 @@ class TestMcAverageState:
         grid = np.linspace(0.0, 1.0, 11)
         ensemble = self._manual_ensemble(np.zeros((1, 1)), 1, grid, NoiseSpec("ou", g=1.0))
         rho0 = initial_state(0.8)
-        report = mc_average_state(rho0, ensemble, SystemParams(), -1)
+        report = mc_average_state(rho0, ensemble, 1.0, -1)
         assert np.max(np.abs(report.empirical - rho0)) < 1e-14
 
     def test_matches_per_path_matrix_exponential(self):
@@ -269,21 +272,21 @@ class TestMcAverageState:
         rho0 = self._random_state(rng)
         grid = np.linspace(0.0, 1.0, 11)
         factor = np.tril(rng.normal(size=(3, 3)))
-        params = SystemParams(omega=1.3)
+        omega = 1.3
         ensemble = self._manual_ensemble(factor, 4, grid, NoiseSpec("ou", g=1.0), (3, 7, 10))
         phases = all_phases(ensemble)
         for column, at_index in enumerate((3, -4, 10)):
-            report = mc_average_state(rho0, ensemble, params, at_index)
-            expected = self._per_phase_average(rho0, phases[:, column], params.omega)
+            report = mc_average_state(rho0, ensemble, omega, at_index)
+            expected = self._per_phase_average(rho0, phases[:, column], omega)
             assert np.max(np.abs(report.empirical - expected)) < 1e-13
 
     def test_streamed_blocks_match_per_path_matrix_exponential(self):
         rho0 = self._random_state(np.random.default_rng(8))
         grid = np.linspace(0.0, 1.0, 11)
-        params = SystemParams(omega=1.3)
+        omega = 1.3
         ensemble = sample_trajectories(NoiseSpec("ou", g=2.0), grid, BLOCK + 37, 4)
-        report = mc_average_state(rho0, ensemble, params, -1)
-        expected = self._per_phase_average(rho0, all_phases(ensemble)[:, 0], params.omega)
+        report = mc_average_state(rho0, ensemble, omega, -1)
+        expected = self._per_phase_average(rho0, all_phases(ensemble)[:, 0], omega)
         assert np.max(np.abs(report.empirical - expected)) < 1e-13
 
     @pytest.mark.parametrize("rows", [1, 2, 1023, 1024, 1025, 1297, 1298, 2049, BLOCK])
@@ -324,7 +327,7 @@ class TestMcAverageState:
             tracemalloc.start()
             try:
                 ensemble = sample_trajectories(NoiseSpec("ou", g=1.0), grid, 8 * BLOCK, 3)
-                mc_average_state(initial_state(1.0), ensemble, SystemParams(), -1)
+                mc_average_state(initial_state(1.0), ensemble, 1.0, -1)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -334,7 +337,7 @@ class TestMcAverageState:
         spec = NoiseSpec("gn", g=1.0)
         grid = np.linspace(0.0, 1.0, 51)
         ensemble = sample_trajectories(spec, grid, 500, 9)
-        report = mc_average_state(initial_state(1.0), ensemble, SystemParams(), -1)
+        report = mc_average_state(initial_state(1.0), ensemble, 1.0, -1)
         emp = report.empirical
         assert abs(np.trace(emp).real - 1.0) < 1e-12
         assert np.max(np.abs(emp - emp.conj().T)) < 1e-12
@@ -344,7 +347,7 @@ class TestMcAverageState:
         ensemble = sample_trajectories(NoiseSpec("gn", g=1.0), grid, 20000, 13, TWENTY)
         assert ensemble.jitter > 0.0
         for at_index in TWENTY:
-            report = mc_average_state(initial_state(1.0), ensemble, SystemParams(), at_index)
+            report = mc_average_state(initial_state(1.0), ensemble, 1.0, at_index)
             assert report.tau == pytest.approx(grid[at_index], rel=1e-15)
             assert report.within_bound, at_index
 
@@ -377,7 +380,7 @@ class TestMcAverageState:
             deviations = []
             for seed in range(40):
                 ensemble = sample_trajectories(spec, grid, n, seed)
-                report = mc_average_state(rho0, ensemble, SystemParams(), -1)
+                report = mc_average_state(rho0, ensemble, 1.0, -1)
                 deviations.append(report.max_abs_deviation)
             medians[n] = np.median(deviations)
         ratio = medians[400] / medians[1600]
@@ -402,11 +405,11 @@ class TestMcAverageState:
         grid = np.linspace(0.0, 1.0, 11)
         ensemble = sample_trajectories(spec, grid, 5, 0)
         with pytest.raises(IndexError):
-            mc_average_state(initial_state(1.0), ensemble, SystemParams(), 11)
+            mc_average_state(initial_state(1.0), ensemble, 1.0, 11)
 
     def test_index_must_be_drawn(self):
         grid = np.linspace(0.0, 1.0, 11)
         ensemble = sample_trajectories(NoiseSpec("ou", g=1.0), grid, 5, 0, [4, 10])
-        mc_average_state(initial_state(1.0), ensemble, SystemParams(), -7)
+        mc_average_state(initial_state(1.0), ensemble, 1.0, -7)
         with pytest.raises(ValueError):
-            mc_average_state(initial_state(1.0), ensemble, SystemParams(), 5)
+            mc_average_state(initial_state(1.0), ensemble, 1.0, 5)
