@@ -32,6 +32,7 @@ from .noise import (
     autocorrelation,
     beta_closed,
     beta_quadrature,
+    coherence_loss,
     dephasing_factor,
     phase_covariance,
 )
@@ -41,6 +42,7 @@ __all__ = [
     "autocorrelation",
     "beta_closed",
     "beta_quadrature",
+    "coherence_loss",
     "dephasing_factor",
     "phase_covariance",
     "propagator",

@@ -18,17 +18,13 @@ import numpy as np
 from .dynamics import evolve_averaged, fluctuation_series, initial_state
 from .metrics import purity_closed, vn_entropy_closed
 from .montecarlo import RNG_ALGORITHM, OracleReport, mc_average_state, sample_trajectories
-from .noise import NoiseSpec, beta_closed, dephasing_factor
+from .noise import NoiseSpec, beta_closed, coherence_loss, dephasing_factor
 
 CSV_HEADER = ["tau", "beta", "purity", "entropy"]
 
 _MATRIX_COLUMNS = [
     f"rho_{part}_{i}{j}" for i in range(3) for j in range(3) for part in ("re", "im")
 ]
-
-
-class OracleBoundError(RuntimeError):
-    """Monte-Carlo deviation exceeded its statistical bound."""
 
 
 def fmt(x: float) -> str:
@@ -88,10 +84,10 @@ def sweep_rows(
     """CSV rows (tau, beta, purity, entropy[, matrix]) for one spec, as one
     (T, ncols) array."""
     tau = np.asarray(tau_grid, dtype=float)
-    chi2 = dephasing_factor(2, spec, tau, omega)
-    columns = [tau, beta_closed(spec, tau), purity_closed(chi2, r), vn_entropy_closed(chi2, r)]
+    loss = coherence_loss(2, spec, tau, omega)
+    columns = [tau, beta_closed(spec, tau), purity_closed(loss, r), vn_entropy_closed(loss, r)]
     if with_matrix:
-        chi1 = dephasing_factor(1, spec, tau, omega)
+        chi1, chi2 = (dephasing_factor(n, spec, tau, omega) for n in (1, 2))
         columns.append(_matrix_columns(evolve_averaged(initial_state(r), chi1, chi2)))
     return np.column_stack(columns)
 
@@ -170,22 +166,28 @@ def preservation_time(
     """Smallest tau at which the metric is within delta of its saturation.
 
     The state starts from initial_state(r); the saturation level is the
-    closed form at chi2 = 0, the dephased state.  Monotone beta makes the
+    closed form at s = 1, the dephased state.  Monotone beta makes the
     crossing unique; it is located by doubling, then by bisection until the
     bracket holds two adjacent floats, and the upper one is returned.  The
-    remaining error comes from the cancellation in metric - saturation and
-    grows roughly as 1e-16 / delta, relative.
+    remaining error comes from the rounding of metric - saturation and grows
+    roughly as 1e-16 / delta, relative.  That gap is 0 or at least one float
+    spacing of the saturation level, so a delta below that spacing is
+    rejected: it would return where the metric first rounds to saturation.
     """
     if delta <= 0.0:
         raise ValueError("delta must be positive")
     if measure not in ("purity", "entropy"):
         raise ValueError(f"unknown measure {measure!r}")
+    metric = purity_closed if measure == "purity" else vn_entropy_closed
+    saturation = metric(1.0, r)
+    if delta < np.spacing(saturation):
+        raise ValueError(
+            f"delta={delta:g} is below the float spacing {np.spacing(saturation):g} "
+            f"of the {measure} saturation level, so the crossing cannot be resolved"
+        )
 
     def satisfied(tau: float) -> bool:
-        chi2 = dephasing_factor(2, spec, tau, omega)
-        if measure == "purity":
-            return purity_closed(chi2, r) - purity_closed(0.0, r) <= delta
-        return vn_entropy_closed(0.0, r) - vn_entropy_closed(chi2, r) <= delta
+        return abs(metric(coherence_loss(2, spec, tau, omega), r) - saturation) <= delta
 
     if satisfied(0.0):
         raise ValueError(

@@ -89,8 +89,8 @@ class OracleReport:
         return self.max_abs_deviation <= self.stderr_bound
 
 
-class CovarianceError(RuntimeError):
-    """Covariance matrix failed Cholesky factorization even with jitter."""
+class CovarianceError(ValueError):
+    """Covariance matrix not finite, or not factorable even with jitter."""
 
 
 def _cholesky_with_jitter(cov: np.ndarray, spec: NoiseSpec) -> tuple[np.ndarray, float]:

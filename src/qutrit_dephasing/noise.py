@@ -218,21 +218,51 @@ def phase_covariance(spec: NoiseSpec, t_grid, indices) -> np.ndarray:
         return 0.5 * (cov + cov.T)
 
 
+def _half_exponent(n: int, spec: NoiseSpec, tau, omega: float) -> np.ndarray:
+    """n^2 omega^2 beta / 2 at tau, the exponent of the Gaussian law: 0 for
+    n = 0 even where beta is inf, and inf past the float range.
+
+    Where beta itself is inf, the exponent is only known to be inf if
+    n^2 omega^2 * (float max) / 2 already makes exp(-exponent) 0; otherwise
+    (tiny omega) the factor is not resolved and this raises ValueError.
+    """
+    if omega <= 0.0:
+        raise ValueError(f"omega must be positive, got {omega}")
+    beta = np.asarray(beta_closed(spec, tau))
+    if n == 0:
+        return np.zeros_like(beta)
+    half = 0.5 * n * n * omega * omega
+    with np.errstate(over="ignore"):  # past the float range the exponent is inf
+        if np.any(np.isinf(beta)) and np.exp(-half * np.finfo(float).max) > 0.0:
+            raise ValueError(
+                f"beta of {spec.label()} overflows the float range before "
+                f"exp(-n^2 omega^2 beta / 2) reaches 0 at n={n}, omega={omega:g}"
+            )
+        return half * beta
+
+
 def dephasing_factor(n: int, spec: NoiseSpec, tau, omega: float = 1.0):
     """Expectation <exp(i n phi)> for the Gaussian phase at time tau.
 
     phi has zero mean and variance omega^2 * beta(tau), so the expectation is
     exp(-n^2 omega^2 beta / 2).  This is the factor damping the coherence
     between Sx eigenstates whose eigenvalues differ by n in the averaged
-    density matrix; ``evolve_averaged`` and the closed-form metrics take it for
-    n = 1, 2.  Past the float range of omega^2 beta it is 0, the dephased
-    state.  tau may be a scalar (the result is a float) or an array.
+    density matrix; ``evolve_averaged`` takes it for n = 1, 2.  Past the
+    float range of omega^2 beta it is 0, the dephased state.  tau may be a
+    scalar (the result is a float) or an array.
     """
-    if omega <= 0.0:
-        raise ValueError(f"omega must be positive, got {omega}")
-    beta = beta_closed(spec, tau)
-    if n == 0:  # 1 even where beta is inf, not exp(-0.0 * inf)
-        return np.ones_like(beta) if np.ndim(beta) else 1.0
-    with np.errstate(over="ignore"):  # past the float range the factor is 0
-        out = np.exp(-0.5 * n * n * omega * omega * beta)
+    out = np.exp(-_half_exponent(n, spec, tau, omega))
+    return out if out.ndim else float(out)
+
+
+def coherence_loss(n: int, spec: NoiseSpec, tau, omega: float = 1.0):
+    """s = 1 - dephasing_factor(n, ...)^2 = -expm1(-n^2 omega^2 beta).
+
+    The closed-form metrics take it for n = 2.  Written with expm1, it keeps
+    full relative precision where omega^2 beta is tiny, which a float
+    dephasing factor near 1 cannot.  tau may be a scalar (the result is a
+    float) or an array.
+    """
+    with np.errstate(over="ignore"):  # past the float range s is 1
+        out = -np.expm1(-2.0 * _half_exponent(n, spec, tau, omega))
     return out if out.ndim else float(out)

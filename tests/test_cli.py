@@ -128,10 +128,15 @@ class TestBeta:
         check_schema(path)
 
     def test_tiny_g_tau_stays_positive(self, capsys):
-        # g*tau <= 1e-8: the closed forms cancel unless summed as a series
-        assert run(["beta", "--noise", "pl", "--g", "1e-3", "--tau-max", "1e-5"]) == 0
-        rows = capsys.readouterr().out.splitlines()[2:]
-        assert all(float(row.split(",")[1]) > 0.0 for row in rows)
+        # g*tau <= 1e-8: the closed forms cancel unless summed as a series,
+        # and the entropy keeps its steps only through s = -expm1(-4 beta)
+        argv = ["beta", "--noise", "pl", "--g", "1e-3", "--tau-max", "1e-5", "--tau-steps", "201"]
+        assert run(argv) == 0
+        rows = [row.split(",") for row in capsys.readouterr().out.splitlines()[2:]]
+        assert all(float(row[1]) > 0.0 for row in rows)
+        entropies = [float(row[3]) for row in rows]
+        assert entropies[0] > 0.0
+        assert all(b > a for a, b in zip(entropies, entropies[1:]))
 
 
 class TestSweep:
@@ -265,6 +270,21 @@ class TestPreservation:
     def test_oversized_delta_rejected(self):
         assert run(["preservation", "--noise", "ou", "--g", "1", "--delta", "1"]) == 2
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--delta", "1e-300"],
+            ["--delta", "1e-300", "--measure", "entropy"],
+            ["--delta", "1e-16"],
+        ],
+    )
+    def test_delta_below_float_spacing_rejected(self, flags, capsys):
+        # metric - saturation is 0 or at least one spacing of the saturation
+        # level, so a smaller delta would return where the metric first
+        # rounds to saturation (tau ~ 9.49 instead of ~173 for 1e-300)
+        assert run(["preservation", "--noise", "ou", *flags]) == 2
+        assert "below the float spacing" in capsys.readouterr().err
+
     def test_r_sets_the_saturation_gap(self, capsys):
         # purity - saturation = r^2 exp(-4 beta) / 18, so the crossing lies
         # at beta = -ln(18 delta / r^2) / 4
@@ -355,6 +375,32 @@ class TestPreservation:
         # in floats omega^2 underflows to 0, so chi2 stays 1 at every tau
         assert run(["preservation", "--noise", "ou", "--omega", "1e-200"]) == 2
         assert "saturation is not reached at any finite tau" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("omega", ["1e-160", "1e-200"])
+    def test_beta_overflow_before_dephasing_rejected(self, omega):
+        # fgn's beta = tau^3 / 3 passes the float range before omega^2 beta
+        # dephases (the exact crossing at 1e-160 is ~6.7e106); at 1e-200
+        # omega^2 is 0, and 0 * inf must not become a nan.  In a subprocess,
+        # so a RuntimeWarning would reach stderr.
+        argv = [
+            sys.executable, "-m", "qutrit_dephasing.cli", "preservation", "--noise", "fgn",
+            "--omega", omega,
+        ]
+        src = os.path.dirname(os.path.dirname(qutrit_dephasing.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run(argv, env=env, capture_output=True, text=True)
+        assert out.returncode == 2 and out.stdout == ""
+        assert out.stderr == (
+            "error: beta of fgn_H0.5 overflows the float range before "
+            f"exp(-n^2 omega^2 beta / 2) reaches 0 at n=2, omega={omega}\n"
+        )
+
+    def test_tiny_omega_inside_float_range(self, capsys):
+        # at omega = 1e-150 the crossing, ~1.44e100, keeps beta finite
+        assert run(["preservation", "--noise", "fgn", "--omega", "1e-150"]) == 0
+        tau_star = float(capsys.readouterr().out.split("tau_star=")[1])
+        exact = self._tau_star_reference(NoiseSpec("fgn"), 1e-3, "purity", 1.0, 1e-150)
+        assert abs(tau_star / exact - 1.0) <= 1e-13
 
     def test_entropy_measure(self, capsys):
         assert run(
@@ -451,7 +497,10 @@ class TestOracle:
         assert report.max_abs_deviation > report.stderr_bound == 0.03
         monkeypatch.setattr(cli, "run_oracle", lambda *a, **k: (report, None))
         assert run(["oracle", "--noise", "ou", "--tau-max", "1"]) == 3
-        assert "oracle bound violated" in capsys.readouterr().err
+        deviation = f"{report.max_abs_deviation:g}"
+        assert capsys.readouterr().err == (
+            f"oracle bound violated: deviation {deviation} exceeds bound 0.03\n"
+        )
 
 
 class TestFigure:

@@ -145,7 +145,7 @@ class TestEvolveAveraged:
     def test_infinite_variance_keeps_sx_diagonal_part(self):
         out = evolve_averaged(initial_state(1.0), *gaussian(np.inf))
         assert np.all(np.isfinite(out))
-        assert purity(out) == pytest.approx(purity_closed(0.0), abs=1e-15)
+        assert purity(out) == pytest.approx(purity_closed(1.0), abs=1e-15)
 
     @pytest.mark.parametrize("r", [0.0, 0.4, 1.0])
     def test_real_state_stays_real(self, r):

@@ -10,7 +10,7 @@ from qutrit_dephasing import (
     ENTROPY_SATURATION,
     PURITY_SATURATION,
     NoiseSpec,
-    dephasing_factor,
+    coherence_loss,
     evolve_averaged,
     initial_state,
     propagator,
@@ -28,6 +28,11 @@ def gaussian(var):
     return np.exp(-0.5 * var), np.exp(-2.0 * var)
 
 
+def loss(var):
+    """Coherence loss s = 1 - chi2^2 of a zero-mean Gaussian phase of variance var."""
+    return -np.expm1(-4.0 * var)
+
+
 class TestPurity:
     def test_maximally_mixed(self):
         assert purity(np.eye(3) / 3.0) == pytest.approx(1.0 / 3.0)
@@ -42,25 +47,24 @@ class TestPurity:
 
 class TestPurityClosed:
     def test_zero_beta(self):
-        assert purity_closed(np.exp(-2.0 * 0.0)) == 1.0
+        assert purity_closed(loss(0.0)) == 1.0
 
     def test_saturation(self):
-        assert purity_closed(np.exp(-2.0 * 1e3)) == pytest.approx(17.0 / 18.0, abs=1e-15)
+        assert purity_closed(loss(1e3)) == pytest.approx(17.0 / 18.0, abs=1e-15)
         assert PURITY_SATURATION == pytest.approx(0.9444444444444444)
-        # -2 omega^2 beta would overflow near the float maximum
-        dephased = dephasing_factor(2, NoiseSpec("ou", g=1.0), 1.7e308)
-        assert purity_closed(dephased) == purity_closed(np.exp(-2.0 * math.inf))
+        # -4 omega^2 beta would overflow near the float maximum
+        dephased = coherence_loss(2, NoiseSpec("ou", g=1.0), 1.7e308)
+        assert purity_closed(dephased) == purity_closed(loss(math.inf))
 
     def test_quarter_beta(self):
-        assert purity_closed(np.exp(-2.0 * 0.25)) == pytest.approx(
+        assert purity_closed(loss(0.25)) == pytest.approx(
             (17.0 + math.exp(-1.0)) / 18.0
         )
 
     def test_factor_outside_unit_interval_rejected(self):
-        with pytest.raises(ValueError, match=r"must lie in \[-1, 1\]"):
-            purity_closed(1.1)
-        with pytest.raises(ValueError, match=r"must lie in \[-1, 1\]"):
-            purity_closed(np.array([0.5, -1.0 - 1e-9]), 0.5)
+        for s in (1.1, np.array([0.5, -1e-300]), math.nan):
+            with pytest.raises(ValueError, match=r"coherence loss s must lie in \[0, 1\]"):
+                purity_closed(s, 0.5)
 
 
 class TestVnEntropy:
@@ -78,64 +82,46 @@ class TestVnEntropy:
 
 class TestVnEntropyClosed:
     def test_zero_beta(self):
-        assert vn_entropy_closed(np.exp(-2.0 * 0.0)) == 0.0
+        assert vn_entropy_closed(loss(0.0)) == 0.0
 
     def test_saturation(self):
-        assert vn_entropy_closed(np.exp(-2.0 * 1e3)) == pytest.approx(
-            ENTROPY_SATURATION, abs=1e-14
-        )
-        # -2 omega^2 beta would overflow near the float maximum
-        dephased = dephasing_factor(2, NoiseSpec("ou", g=1.0), 1.7e308)
-        assert vn_entropy_closed(dephased) == vn_entropy_closed(np.exp(-2.0 * math.inf))
+        assert vn_entropy_closed(loss(1e3)) == pytest.approx(ENTROPY_SATURATION, abs=1e-14)
+        # -4 omega^2 beta would overflow near the float maximum
+        dephased = coherence_loss(2, NoiseSpec("ou", g=1.0), 1.7e308)
+        assert vn_entropy_closed(dephased) == vn_entropy_closed(loss(math.inf))
 
     def test_factor_outside_unit_interval_rejected(self):
-        with pytest.raises(ValueError, match=r"must lie in \[-1, 1\]"):
-            vn_entropy_closed(-1.5)
-        with pytest.raises(ValueError, match=r"must lie in \[-1, 1\]"):
-            vn_entropy_closed(np.array([0.5, 1.0 + 1e-9]), 0.5)
+        for s in (-1.5, np.array([0.5, 1.0 + 1e-9]), np.array([math.nan])):
+            with pytest.raises(ValueError, match=r"coherence loss s must lie in \[0, 1\]"):
+                vn_entropy_closed(s, 0.5)
 
     @pytest.mark.parametrize("beta", BETAS)
     def test_matches_eigensolver(self, beta):
         rho = evolve_averaged(initial_state(1.0), *gaussian(beta))
-        assert vn_entropy_closed(np.exp(-2.0 * beta)) == pytest.approx(
-            vn_entropy(rho), abs=1e-10
-        )
+        assert vn_entropy_closed(loss(beta)) == pytest.approx(vn_entropy(rho), abs=1e-10)
 
     @pytest.mark.parametrize("r", [0.0, 0.5, 0.999, 1.0])
     def test_matches_50_digit_reference(self, r):
-        # as chi2 -> +-1 the small eigenvalue (3 - sqrt(chi2^2 + 8)) / 6 is a
+        # as s -> 0 the small eigenvalue (3 - sqrt(9 - s)) / 6 is a
         # difference of nearly equal numbers unless written without it
         rng = np.random.default_rng(11)
-        chi2s = np.concatenate([1.0 - np.logspace(-16.0, 0.0, 161), rng.uniform(-1.0, 1.0, 200)])
-        for chi2, value in zip(chi2s, vn_entropy_closed(chi2s, r)):
+        losses = np.concatenate([np.logspace(-16.0, 0.0, 161), rng.uniform(0.0, 1.0, 200)])
+        for s, value in zip(losses, vn_entropy_closed(losses, r)):
             with mpmath.workdps(50):
-                root = mpmath.sqrt(mpmath.mpf(chi2) ** 2 + 8)
+                root = mpmath.sqrt(9 - mpmath.mpf(s))
                 mixed = (1 - mpmath.mpf(r)) / 3
                 lams = [mixed + mpmath.mpf(r) * lam / 6 for lam in (3 + root, 3 - root, 0)]
                 exact = float(-sum(lam * mpmath.log(lam) for lam in lams if lam > 0))
-            assert abs(value - exact) <= 1e-15 * exact, chi2
-
-
-@pytest.mark.parametrize("closed", [purity_closed, vn_entropy_closed])
-@pytest.mark.parametrize("r", [0.0, 0.5, 1.0])
-def test_depends_on_modulus_of_chi2_only(closed, r):
-    rng = np.random.default_rng(3)
-    chi2s = np.concatenate([rng.uniform(-1.0, 1.0, 200), [-1.0, 0.0, 1.0]])
-    values = closed(chi2s, r)
-    # multiplying by -1 or +-i keeps |chi2| exact, so the bits must not move
-    for turn in (-1.0, 1j, -1j):
-        assert np.array_equal(closed(chi2s * turn, r), values)
-    rotated = chi2s * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, chi2s.size))
-    assert np.array_equal(closed(rotated, r), closed(np.abs(rotated), r))
+            assert abs(value - exact) <= 1e-15 * exact, s
 
 
 @pytest.mark.parametrize("closed", [purity_closed, vn_entropy_closed])
 @pytest.mark.parametrize("r", [0.0, 0.5, 1.0])
 def test_array_input_matches_scalar(closed, r):
     betas = np.array(BETAS + [1e-12, math.inf])
-    values = closed(np.exp(-2.0 * betas), r)
+    values = closed(loss(betas), r)
     assert values.shape == betas.shape
-    scalars = [closed(math.exp(-2.0 * b), r) for b in betas]
+    scalars = [closed(-math.expm1(-4.0 * b), r) for b in betas]
     assert all(type(v) is float for v in scalars)
     np.testing.assert_allclose(values, scalars, rtol=1e-15, atol=0.0)
 
@@ -144,19 +130,19 @@ class TestConsistency:
     @pytest.mark.parametrize("beta", BETAS)
     def test_purity_closed_vs_matrix(self, beta):
         rho = evolve_averaged(initial_state(1.0), *gaussian(beta))
-        assert abs(purity_closed(np.exp(-2.0 * beta)) - purity(rho)) <= 1e-10
+        assert abs(purity_closed(loss(beta)) - purity(rho)) <= 1e-10
 
     def test_monotone_in_beta(self):
         betas = np.linspace(0.0, 6.0, 80)
-        purities = [purity_closed(np.exp(-2.0 * b)) for b in betas]
-        entropies = [vn_entropy_closed(np.exp(-2.0 * b)) for b in betas]
+        purities = [purity_closed(loss(b)) for b in betas]
+        entropies = [vn_entropy_closed(loss(b)) for b in betas]
         assert all(b < a for a, b in zip(purities, purities[1:]))
         assert all(b > a for a, b in zip(entropies, entropies[1:]))
 
     def test_extrema_concordant_and_joint_saturation(self):
         betas = np.linspace(0.0, 10.0, 400)
-        purities = np.array([purity_closed(np.exp(-2.0 * b)) for b in betas])
-        entropies = np.array([vn_entropy_closed(np.exp(-2.0 * b)) for b in betas])
+        purities = np.array([purity_closed(loss(b)) for b in betas])
+        entropies = np.array([vn_entropy_closed(loss(b)) for b in betas])
         assert betas[np.argmax(purities)] == 0.0
         assert betas[np.argmin(entropies)] == 0.0
         # both metrics approach saturation through the shared exp(-4 beta)
@@ -182,12 +168,13 @@ class TestConsistency:
     @pytest.mark.parametrize("r", [0.0, 0.5, 1.0])
     @pytest.mark.parametrize("a", [1.0, 2.0, 2.5])
     def test_two_point_phase_law(self, a, r):
-        # phi = +-a with equal weights: chi_n = cos(n a), negative for these a
+        # phi = +-a with equal weights: chi_n = cos(n a), negative for these a,
+        # so s = 1 - cos(2a)^2 = sin(2a)^2
         u = propagator(np.array([a, -a]))
         rho = np.mean(u @ initial_state(r) @ u.conj().swapaxes(-1, -2), axis=0)
-        chi2 = np.cos(2.0 * a)
-        assert purity_closed(chi2, r) == pytest.approx(purity(rho), abs=1e-14)
-        assert vn_entropy_closed(chi2, r) == pytest.approx(vn_entropy(rho), abs=1e-14)
+        s = np.sin(2.0 * a) ** 2
+        assert purity_closed(s, r) == pytest.approx(purity(rho), abs=1e-14)
+        assert vn_entropy_closed(s, r) == pytest.approx(vn_entropy(rho), abs=1e-14)
 
     @pytest.mark.parametrize("r", [0.0, 0.5, 1.0])
     @pytest.mark.parametrize("a, b, p", [(1.0, 0.4, 0.3), (2.5, 1.2, 0.5), (0.2, 3.0, 0.9)])
@@ -197,8 +184,9 @@ class TestConsistency:
         states = u @ initial_state(r) @ u.conj().swapaxes(-1, -2)
         rho = p * states[0] + (1.0 - p) * states[1]
         chi2 = p * np.exp(2j * a) + (1.0 - p) * np.exp(-2j * b)
-        assert purity_closed(chi2, r) == pytest.approx(purity(rho), abs=2e-15)
-        assert vn_entropy_closed(chi2, r) == pytest.approx(vn_entropy(rho), abs=2e-15)
+        s = 1.0 - abs(chi2) ** 2
+        assert purity_closed(s, r) == pytest.approx(purity(rho), abs=2e-15)
+        assert vn_entropy_closed(s, r) == pytest.approx(vn_entropy(rho), abs=2e-15)
 
 
 @pytest.mark.parametrize("closed", [purity_closed, vn_entropy_closed])

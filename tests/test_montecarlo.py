@@ -54,6 +54,12 @@ class TestSampleTrajectories:
         with pytest.raises(ValueError, match="must start at 0"):
             sample_trajectories(NoiseSpec("fgn", hurst=0.5), np.linspace(1.0, 1.5, 51), 10, 0)
 
+    def test_non_finite_covariance_is_value_error(self):
+        # fgn's kernel overflows at tau ~ 1e200: an invalid numerical input
+        grid = np.linspace(0.0, 1e200, 3)
+        with pytest.raises(ValueError, match="covariance for fgn_H0.5 is not finite"):
+            sample_trajectories(NoiseSpec("fgn", hurst=0.5), grid, 10, 0)
+
     @pytest.mark.parametrize(
         "indices, error",
         [

@@ -14,7 +14,9 @@ from qutrit_dephasing import (
     autocorrelation,
     beta_closed,
     beta_quadrature,
+    coherence_loss,
     dephasing_factor,
+    vn_entropy_closed,
 )
 
 ALL_SPECS = [
@@ -33,15 +35,16 @@ ALL_SPECS = [
 SMALL_TO_LARGE_X = np.logspace(-12.0, 4.0, 161)
 
 
-def beta_reference(kind: str, x: float, alpha: float) -> float:
-    """g * beta at x = g*tau, evaluated in 50-digit arithmetic."""
+def beta_reference(kind: str, x, alpha: float) -> mpmath.mpf:
+    """g * beta at x = g*tau (a float or an mpf), evaluated in 50-digit
+    arithmetic and returned as a 50-digit number."""
     with mpmath.workdps(50):
         x, a = mpmath.mpf(x), mpmath.mpf(alpha)
         if kind == "gn":
-            return float((mpmath.exp(-x * x) - 1) / mpmath.sqrt(mpmath.pi) + x * mpmath.erf(x))
+            return (mpmath.exp(-x * x) - 1) / mpmath.sqrt(mpmath.pi) + x * mpmath.erf(x)
         if kind == "ou":
-            return float(x + mpmath.exp(-x) - 1)
-        return float((x * (a - 2) - 1 + (1 + x) ** (2 - a)) / (a - 2))
+            return x + mpmath.exp(-x) - 1
+        return (x * (a - 2) - 1 + (1 + x) ** (2 - a)) / (a - 2)
 
 
 class TestNoiseSpec:
@@ -168,7 +171,7 @@ class TestBetaClosed:
     )
     def test_relative_accuracy_small_to_large_x(self, spec):
         got = beta_closed(spec, SMALL_TO_LARGE_X)
-        want = np.array([beta_reference(spec.kind, x, spec.alpha) for x in SMALL_TO_LARGE_X])
+        want = np.array([float(beta_reference(spec.kind, x, spec.alpha)) for x in SMALL_TO_LARGE_X])
         assert np.max(np.abs(got - want) / want) <= 1e-13
 
     @pytest.mark.parametrize(
@@ -267,6 +270,17 @@ class TestDephasingFactor:
         assert dephasing_factor(0, NoiseSpec("fgn", hurst=0.5), 1e200) == 1.0
         values = dephasing_factor(0, NoiseSpec("fgn", hurst=0.5), np.array([0.0, 1e200]))
         assert np.array_equal(values, [1.0, 1.0])
+        assert coherence_loss(0, NoiseSpec("fgn", hurst=0.5), 1e200) == 0.0
+
+    @pytest.mark.parametrize("law", [dephasing_factor, coherence_loss])
+    @pytest.mark.parametrize("omega", [1e-160, 1e-200])
+    def test_overflowed_beta_at_tiny_omega_rejected(self, law, omega):
+        # beta = tau^3 / 3 is inf, but n^2 omega^2 beta / 2 need not be: at
+        # omega = 1e-200, omega^2 is 0 and 0 * inf would be nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="overflows the float range"):
+                law(2, NoiseSpec("fgn", hurst=0.5), np.array([1.0, 1e200]), omega)
 
     @pytest.mark.parametrize("omega", [0.0, -1.0])
     def test_nonpositive_omega_rejected(self, omega):
@@ -282,3 +296,23 @@ class TestDephasingFactor:
         assert by_n[0] >= by_n[1] >= by_n[2]
         by_omega = [dephasing_factor(2, spec, 1.0, w) for w in (0.5, 1.0, 2.0)]
         assert by_omega[0] >= by_omega[1] >= by_omega[2]
+
+
+class TestCoherenceLoss:
+    @pytest.mark.parametrize("g", [1e-3, 1.0, 10.0])
+    @pytest.mark.parametrize("r", [0.5, 0.999, 1.0])
+    def test_entropy_matches_exact_beta(self, g, r):
+        # a float chi2 = exp(-2 beta) cannot resolve 1 - chi2 below ~1e-16,
+        # so the entropy must come from s = -expm1(-4 beta) to stay exact at
+        # tiny g*tau
+        taus = np.logspace(-12.0, 1.0, 14)
+        values = vn_entropy_closed(coherence_loss(2, NoiseSpec("ou", g=g), taus), r)
+        for tau, value in zip(taus, values):
+            with mpmath.workdps(50):
+                g_mp, r_mp = mpmath.mpf(g), mpmath.mpf(r)
+                beta = beta_reference("ou", g_mp * mpmath.mpf(tau), 3.0) / g_mp
+                root = mpmath.sqrt(9 + mpmath.expm1(-4 * beta))
+                mixed = (1 - r_mp) / 3
+                lams = [mixed + r_mp * lam / 6 for lam in (3 + root, 3 - root, 0)]
+                exact = float(-sum(lam * mpmath.log(lam) for lam in lams if lam > 0))
+            assert abs(value - exact) <= 4e-15 * exact, tau
