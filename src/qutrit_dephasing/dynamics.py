@@ -10,9 +10,9 @@ propagator is diagonal, so the coherence between eigenstates with eigenvalues
 lambda_j and lambda_k picks up the phase exp(i (lambda_k - lambda_j) phi).
 Averaged over any phase law it is multiplied by chi_n = <exp(i n phi)> at the
 signed gap n = lambda_k - lambda_j, with chi_{-n} = conj(chi_n).
-``noise.dephasing_factor`` gives the real chi_n of the zero-mean Gaussian
-phase; a constant field is the point mass chi_n = exp(i n phi), which gives
-the noiseless states.
+``noise.dephasing_factor(n, beta, omega)`` gives the real chi_n of the
+zero-mean Gaussian phase of variance omega^2 beta; a constant field is the
+point mass chi_n = exp(i n phi), which gives the noiseless states.
 """
 
 from __future__ import annotations
@@ -116,7 +116,7 @@ def fluctuation_series(t_grid, omega: float = 1.0, r: float = 1.0) -> np.ndarray
     """Noiseless states from initial_state(r) along a time grid, shape
     (T, 3, 3): the field is eta = 1, so the phase at time t is omega * t, the
     point-mass law chi_n = exp(i n omega t) of evolve_averaged."""
-    if omega <= 0.0:
+    if not omega > 0.0:  # nan fails too
         raise ValueError(f"omega must be positive, got {omega}")
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.size == 0:

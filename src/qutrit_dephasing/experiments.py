@@ -84,10 +84,11 @@ def sweep_rows(
     """CSV rows (tau, beta, purity, entropy[, matrix]) for one spec, as one
     (T, ncols) array."""
     tau = np.asarray(tau_grid, dtype=float)
-    loss = coherence_loss(2, spec, tau, omega)
-    columns = [tau, beta_closed(spec, tau), purity_closed(loss, r), vn_entropy_closed(loss, r)]
+    beta = beta_closed(spec, tau)
+    loss = coherence_loss(2, beta, omega)
+    columns = [tau, beta, purity_closed(loss, r), vn_entropy_closed(loss, r)]
     if with_matrix:
-        chi1, chi2 = (dephasing_factor(n, spec, tau, omega) for n in (1, 2))
+        chi1, chi2 = (dephasing_factor(n, beta, omega) for n in (1, 2))
         columns.append(_matrix_columns(evolve_averaged(initial_state(r), chi1, chi2)))
     return np.column_stack(columns)
 
@@ -187,7 +188,8 @@ def preservation_time(
         )
 
     def satisfied(tau: float) -> bool:
-        return abs(metric(coherence_loss(2, spec, tau, omega), r) - saturation) <= delta
+        loss = coherence_loss(2, beta_closed(spec, tau), omega)
+        return abs(metric(loss, r) - saturation) <= delta
 
     if satisfied(0.0):
         raise ValueError(
@@ -297,14 +299,12 @@ def figure(name: str, outputs: str = ".") -> list[str]:
             NoiseSpec("ou", g=1.0), NoiseSpec("pl", g=1.0, alpha=5.0),
         ]
         header = CSV_HEADER + ["dephasing_n2"]
-        curves = (
-            (
-                f"noisephase_{s.label()}.csv",
-                header,
-                np.column_stack([sweep_rows(s, t), dephasing_factor(2, s, t)]),
-            )
-            for s in specs
-        )
+
+        def phase_rows(spec: NoiseSpec) -> np.ndarray:
+            swept = sweep_rows(spec, t)
+            return np.column_stack([swept, dephasing_factor(2, swept[:, 1])])  # the beta column
+
+        curves = ((f"noisephase_{s.label()}.csv", header, phase_rows(s)) for s in specs)
         return _write_curves(outputs, "plot_noisephase.py", ["dephasing_n2"], curves)
     # joint: gn, ou and pl (alpha=3) at small g on one long grid
     t = tau_grid(50.0, 501)

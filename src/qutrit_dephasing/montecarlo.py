@@ -2,14 +2,15 @@
 chosen grid times and average the evolved qutrit states over the ensemble.
 
 The sampling never touches the analytic dephasing factors; only the
-reference state does, through ``noise.dephasing_factor``.  The phases at the K
-chosen grid indices are jointly Gaussian with covariance C = W^T K W
-(``noise.phase_covariance``): exactly the law of the trapezoid phases of
-paths drawn from the kernel on the grid, so the oracle needs no paths.  The
-phases are drawn as ``Z F^T`` with F the Cholesky factor of C, and the states
-U(phi) rho0 U(phi)+ are averaged matrix-by-matrix with the closed-form
-``propagator``.  Agreement with ``evolve_averaged`` within the 3/sqrt(N)
-statistical bound is the independent check of the analytic averaging rule.
+reference state does, through ``noise.dephasing_factor`` at the closed-form
+beta.  The phases at the K chosen grid indices are jointly Gaussian with
+covariance C = W^T K W (``noise.phase_covariance``): exactly the law of the
+trapezoid phases of paths drawn from the kernel on the grid, so the oracle
+needs no paths.  The phases are drawn as ``Z F^T`` with F the Cholesky factor
+of C, and the states U(phi) rho0 U(phi)+ are averaged matrix-by-matrix with
+the closed-form ``propagator``.  Agreement with ``evolve_averaged`` within
+the 3/sqrt(N) statistical bound is the independent check of the analytic
+averaging rule.
 
 Sampling and averaging stream over blocks of BLOCK = 4096 paths: block b
 draws its (rows, K) standard normals from SFC64 seeded by SeedSequence(seed,
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import evolve_averaged, propagator
-from .noise import NoiseSpec, dephasing_factor, phase_covariance
+from .noise import NoiseSpec, beta_closed, dephasing_factor, phase_covariance
 
 BLOCK = 4096
 RNG_ALGORITHM = (
@@ -171,7 +172,8 @@ def mc_average_state(
     column = columns[0]
     rho0 = np.asarray(rho0, dtype=complex)
     tau = float(ensemble.t_grid[at_index])
-    chi1, chi2 = (dephasing_factor(n, ensemble.spec, tau, omega) for n in (1, 2))
+    beta = beta_closed(ensemble.spec, tau)
+    chi1, chi2 = (dephasing_factor(n, beta, omega) for n in (1, 2))
     analytic = evolve_averaged(rho0, chi1, chi2)
     total = np.zeros((3, 3), dtype=complex)
     for phases in ensemble.phases():

@@ -15,7 +15,9 @@ omega^2 * beta(tau), where beta is the double integral of the kernel over
 [0, tau]^2.  ``beta_closed`` gives the analytic value.  ``phase_covariance``
 gives W^T K W, the covariance of the trapezoid phases at chosen times of a
 grid (the law the Monte-Carlo oracle samples), and ``beta_quadrature`` its
-Richardson-extrapolated 1 x 1 case, an independent numerical beta.
+Richardson-extrapolated 1 x 1 case, an independent numerical beta.  The
+Gaussian law, ``dephasing_factor`` and ``coherence_loss``, reads beta itself,
+so a caller evaluates beta once per grid and may pass any other beta.
 """
 
 from __future__ import annotations
@@ -90,7 +92,7 @@ def autocorrelation(spec: NoiseSpec, s, s_prime):
     elif spec.kind == "gn":
         u = s - sp
         with np.errstate(over="ignore"):  # far apart the kernel is 0
-            out = spec.g * np.exp(-spec.g ** 2 * u * u) / math.sqrt(math.pi)
+            out = spec.g * np.exp(-((spec.g * u) ** 2)) / math.sqrt(math.pi)
     elif spec.kind == "ou":
         out = 0.5 * spec.g * np.exp(-spec.g * np.abs(s - sp))
     else:  # pl
@@ -218,51 +220,57 @@ def phase_covariance(spec: NoiseSpec, t_grid, indices) -> np.ndarray:
         return 0.5 * (cov + cov.T)
 
 
-def _half_exponent(n: int, spec: NoiseSpec, tau, omega: float) -> np.ndarray:
-    """n^2 omega^2 beta / 2 at tau, the exponent of the Gaussian law: 0 for
-    n = 0 even where beta is inf, and inf past the float range.
+def _half_exponent(n: int, beta, omega: float) -> np.ndarray:
+    """n^2 omega^2 beta / 2, the exponent of the Gaussian law: 0 for n = 0
+    even where beta is inf, and inf past the float range.
 
     Where beta itself is inf, the exponent is only known to be inf if
     n^2 omega^2 * (float max) / 2 already makes exp(-exponent) 0; otherwise
     (tiny omega) the factor is not resolved and this raises ValueError.
     """
-    if omega <= 0.0:
+    if not omega > 0.0:  # nan fails too
         raise ValueError(f"omega must be positive, got {omega}")
-    beta = np.asarray(beta_closed(spec, tau))
+    beta = np.asarray(beta, dtype=float)
+    if not np.all(beta >= 0.0):
+        raise ValueError("beta must be nonnegative, not nan")
     if n == 0:
         return np.zeros_like(beta)
-    half = 0.5 * n * n * omega * omega
     with np.errstate(over="ignore"):  # past the float range the exponent is inf
+        half = 0.5 * n * n * omega * omega
         if np.any(np.isinf(beta)) and np.exp(-half * np.finfo(float).max) > 0.0:
             raise ValueError(
-                f"beta of {spec.label()} overflows the float range before "
+                "beta overflows the float range before "
                 f"exp(-n^2 omega^2 beta / 2) reaches 0 at n={n}, omega={omega:g}"
             )
+        if math.isinf(half):  # huge omega: inf * 0 would be nan at beta = 0
+            return 0.5 * (omega * np.sqrt(beta) * n) ** 2
         return half * beta
 
 
-def dephasing_factor(n: int, spec: NoiseSpec, tau, omega: float = 1.0):
-    """Expectation <exp(i n phi)> for the Gaussian phase at time tau.
+def dephasing_factor(n: int, beta, omega: float = 1.0):
+    """Expectation <exp(i n phi)> for a zero-mean Gaussian phase phi of
+    variance omega^2 * beta, where beta is the phase variance budget
+    (``beta_closed(spec, tau)`` for a noise spec at time tau).
 
-    phi has zero mean and variance omega^2 * beta(tau), so the expectation is
-    exp(-n^2 omega^2 beta / 2).  This is the factor damping the coherence
-    between Sx eigenstates whose eigenvalues differ by n in the averaged
-    density matrix; ``evolve_averaged`` takes it for n = 1, 2.  Past the
-    float range of omega^2 beta it is 0, the dephased state.  tau may be a
+    The expectation is exp(-n^2 omega^2 beta / 2).  This is the factor
+    damping the coherence between Sx eigenstates whose eigenvalues differ by
+    n in the averaged density matrix; ``evolve_averaged`` takes it for
+    n = 1, 2.  Past the float range of omega^2 beta it is 0, the dephased
+    state.  beta must be nonnegative and omega positive; beta may be a
     scalar (the result is a float) or an array.
     """
-    out = np.exp(-_half_exponent(n, spec, tau, omega))
+    out = np.exp(-_half_exponent(n, beta, omega))
     return out if out.ndim else float(out)
 
 
-def coherence_loss(n: int, spec: NoiseSpec, tau, omega: float = 1.0):
-    """s = 1 - dephasing_factor(n, ...)^2 = -expm1(-n^2 omega^2 beta).
+def coherence_loss(n: int, beta, omega: float = 1.0):
+    """s = 1 - dephasing_factor(n, beta, omega)^2 = -expm1(-n^2 omega^2 beta).
 
     The closed-form metrics take it for n = 2.  Written with expm1, it keeps
     full relative precision where omega^2 beta is tiny, which a float
-    dephasing factor near 1 cannot.  tau may be a scalar (the result is a
+    dephasing factor near 1 cannot.  beta may be a scalar (the result is a
     float) or an array.
     """
     with np.errstate(over="ignore"):  # past the float range s is 1
-        out = -np.expm1(-2.0 * _half_exponent(n, spec, tau, omega))
+        out = -np.expm1(-2.0 * _half_exponent(n, beta, omega))
     return out if out.ndim else float(out)

@@ -57,7 +57,7 @@ def test_criterion_01_purity_saturation():
     for spec, tau in DEEP_SATURATION:
         beta = beta_closed(spec, tau)
         assert beta >= 5.0, spec.label()
-        assert abs(purity_closed(coherence_loss(2, spec, tau)) - PURITY_SAT) <= 1e-6
+        assert abs(purity_closed(coherence_loss(2, beta)) - PURITY_SAT) <= 1e-6
 
 
 @criterion("02 entropy saturation 0.1302")
@@ -65,7 +65,7 @@ def test_criterion_02_entropy_saturation():
     for spec, tau in DEEP_SATURATION:
         beta = beta_closed(spec, tau)
         assert beta >= 5.0
-        assert abs(vn_entropy_closed(coherence_loss(2, spec, tau)) - 0.1302) <= 1e-3
+        assert abs(vn_entropy_closed(coherence_loss(2, beta)) - 0.1302) <= 1e-3
 
 
 @criterion("03 beta closed form vs quadrature 1e-6")
@@ -144,8 +144,8 @@ SWEEP_SETS = (
 def test_criterion_07_monotone_decay():
     taus = np.linspace(0.0, 2.0, 201)
     for spec in SWEEP_SETS:
-        purities = [purity_closed(coherence_loss(2, spec, t)) for t in taus]
-        entropies = [vn_entropy_closed(coherence_loss(2, spec, t)) for t in taus]
+        purities = [purity_closed(coherence_loss(2, beta_closed(spec, t))) for t in taus]
+        entropies = [vn_entropy_closed(coherence_loss(2, beta_closed(spec, t))) for t in taus]
         assert all(b <= a for a, b in zip(purities, purities[1:])), spec.label()
         assert all(b >= a for a, b in zip(entropies, entropies[1:])), spec.label()
 
@@ -155,7 +155,7 @@ def test_criterion_08_g_ordering():
     taus = np.linspace(0.0, 2.0, 201)[1:]
     for kind in ("gn", "ou", "pl"):
         curves = [
-            [purity_closed(coherence_loss(2, NoiseSpec(kind, g=g), t)) for t in taus]
+            [purity_closed(coherence_loss(2, beta_closed(NoiseSpec(kind, g=g), t))) for t in taus]
             for g in (1.0, 3.0, 10.0)
         ]
         for t_idx in range(len(taus)):
@@ -208,6 +208,7 @@ def test_criterion_13_ou_least_destructive():
     for g in np.logspace(-3.0, 1.0, 17):
         rivals = [NoiseSpec("gn", g=g)] + [NoiseSpec("pl", g=g, alpha=a) for a in (3.0, 5.0, 10.0)]
         for taus in grids:
-            ou = purity_closed(coherence_loss(2, NoiseSpec("ou", g=g), taus))
+            ou = purity_closed(coherence_loss(2, beta_closed(NoiseSpec("ou", g=g), taus)))
             for spec in rivals:
-                assert np.all(ou >= purity_closed(coherence_loss(2, spec, taus))), spec.label()
+                rival = purity_closed(coherence_loss(2, beta_closed(spec, taus)))
+                assert np.all(ou >= rival), spec.label()

@@ -138,6 +138,14 @@ class TestBeta:
         assert entropies[0] > 0.0
         assert all(b > a for a, b in zip(entropies, entropies[1:]))
 
+    def test_huge_omega_at_zero_beta(self, capsys):
+        # past omega ~ 9.5e153, n^2 omega^2 / 2 overflows to inf; at beta = 0
+        # the exponent is still 0, not inf * 0 = nan (a warning fails the test)
+        assert run(["beta", "--noise", "ou", "--omega", "1e200", "--tau-steps", "3"]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert out.splitlines()[1] == "0,0,1,0"
+
 
 class TestSweep:
     def test_one_csv_per_value(self, tmp_path):
@@ -391,7 +399,7 @@ class TestPreservation:
         out = subprocess.run(argv, env=env, capture_output=True, text=True)
         assert out.returncode == 2 and out.stdout == ""
         assert out.stderr == (
-            "error: beta of fgn_H0.5 overflows the float range before "
+            "error: beta overflows the float range before "
             f"exp(-n^2 omega^2 beta / 2) reaches 0 at n=2, omega={omega}\n"
         )
 
@@ -460,6 +468,11 @@ class TestOracle:
         assert run(argv + ["--out", str(tmp_path)]) == 0
         assert capsys.readouterr().err == ""
         assert "within_bound = True\n" in (tmp_path / "oracle_ou_g1.txt").read_text()
+
+    def test_gn_kernel_at_huge_rate(self, capsys):
+        # g^2 of a Python float raises OverflowError past g ~ 1.34e154
+        assert run(["oracle", "--noise", "gn", "--g", "1e160", "--samples", "10"]) == 0
+        assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize(
         "flags, label",

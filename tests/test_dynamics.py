@@ -6,6 +6,7 @@ from numpy.polynomial.hermite_e import hermegauss
 from scipy.linalg import expm
 
 from qutrit_dephasing import (
+    dephasing_factor,
     evolve_averaged,
     fluctuation_series,
     initial_state,
@@ -20,7 +21,7 @@ SX = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=complex) / np.sqrt(2.0)
 
 def gaussian(var):
     """(chi1, chi2) of a zero-mean Gaussian phase of variance var."""
-    return np.exp(-0.5 * var), np.exp(-2.0 * var)
+    return dephasing_factor(1, var), dephasing_factor(2, var)
 
 
 def random_state(rng):

@@ -10,7 +10,9 @@ from qutrit_dephasing import (
     ENTROPY_SATURATION,
     PURITY_SATURATION,
     NoiseSpec,
+    beta_closed,
     coherence_loss,
+    dephasing_factor,
     evolve_averaged,
     initial_state,
     propagator,
@@ -25,12 +27,12 @@ BETAS = [0.0, 0.1, 0.5, 1.0, 2.0, 5.0, 20.0]
 
 def gaussian(var):
     """(chi1, chi2) of a zero-mean Gaussian phase of variance var."""
-    return np.exp(-0.5 * var), np.exp(-2.0 * var)
+    return dephasing_factor(1, var), dephasing_factor(2, var)
 
 
 def loss(var):
     """Coherence loss s = 1 - chi2^2 of a zero-mean Gaussian phase of variance var."""
-    return -np.expm1(-4.0 * var)
+    return coherence_loss(2, var)
 
 
 class TestPurity:
@@ -53,7 +55,7 @@ class TestPurityClosed:
         assert purity_closed(loss(1e3)) == pytest.approx(17.0 / 18.0, abs=1e-15)
         assert PURITY_SATURATION == pytest.approx(0.9444444444444444)
         # -4 omega^2 beta would overflow near the float maximum
-        dephased = coherence_loss(2, NoiseSpec("ou", g=1.0), 1.7e308)
+        dephased = coherence_loss(2, beta_closed(NoiseSpec("ou", g=1.0), 1.7e308))
         assert purity_closed(dephased) == purity_closed(loss(math.inf))
 
     def test_quarter_beta(self):
@@ -87,7 +89,7 @@ class TestVnEntropyClosed:
     def test_saturation(self):
         assert vn_entropy_closed(loss(1e3)) == pytest.approx(ENTROPY_SATURATION, abs=1e-14)
         # -4 omega^2 beta would overflow near the float maximum
-        dephased = coherence_loss(2, NoiseSpec("ou", g=1.0), 1.7e308)
+        dephased = coherence_loss(2, beta_closed(NoiseSpec("ou", g=1.0), 1.7e308))
         assert vn_entropy_closed(dephased) == vn_entropy_closed(loss(math.inf))
 
     def test_factor_outside_unit_interval_rejected(self):
@@ -121,7 +123,7 @@ def test_array_input_matches_scalar(closed, r):
     betas = np.array(BETAS + [1e-12, math.inf])
     values = closed(loss(betas), r)
     assert values.shape == betas.shape
-    scalars = [closed(-math.expm1(-4.0 * b), r) for b in betas]
+    scalars = [closed(loss(b), r) for b in betas]
     assert all(type(v) is float for v in scalars)
     np.testing.assert_allclose(values, scalars, rtol=1e-15, atol=0.0)
 

@@ -16,8 +16,13 @@ from qutrit_dephasing import (
     beta_quadrature,
     coherence_loss,
     dephasing_factor,
+    fluctuation_series,
+    initial_state,
+    mc_average_state,
+    sample_trajectories,
     vn_entropy_closed,
 )
+from qutrit_dephasing import experiments, montecarlo, noise
 
 ALL_SPECS = [
     NoiseSpec("fgn", hurst=0.1),
@@ -111,6 +116,10 @@ class TestAutocorrelation:
     def test_gaussian_kernel_value(self):
         val = autocorrelation(NoiseSpec("gn", g=2.0), 1.5, 1.0)
         assert val == pytest.approx(2.0 * math.exp(-1.0) / math.sqrt(math.pi))
+
+    def test_gaussian_kernel_at_huge_rate(self):
+        # g^2 alone overflows a Python float past g ~ 1.34e154; (g u)^2 is 0 at u = 0
+        assert autocorrelation(NoiseSpec("gn", g=1e160), 1.0, 1.0) == 1e160 / math.sqrt(math.pi)
 
     def test_negative_times_rejected(self):
         with pytest.raises(ValueError):
@@ -231,16 +240,15 @@ class TestBetaQuadrature:
 
 class TestDephasingFactor:
     def test_n_zero(self):
-        assert dephasing_factor(0, NoiseSpec("ou", g=3.0), 5.0) == 1.0
+        assert dephasing_factor(0, beta_closed(NoiseSpec("ou", g=3.0), 5.0)) == 1.0
 
     def test_tau_zero(self):
-        assert dephasing_factor(2, NoiseSpec("gn", g=1.0), 0.0) == 1.0
+        assert dephasing_factor(2, beta_closed(NoiseSpec("gn", g=1.0), 0.0)) == 1.0
 
     def test_ou_value(self):
         expected = math.exp(-2.0 * math.exp(-1.0))
-        assert dephasing_factor(2, NoiseSpec("ou", g=1.0), 1.0, omega=1.0) == pytest.approx(
-            expected, rel=1e-12
-        )
+        beta = beta_closed(NoiseSpec("ou", g=1.0), 1.0)
+        assert dephasing_factor(2, beta, omega=1.0) == pytest.approx(expected, rel=1e-12)
 
     @given(
         tau=st.floats(0.0, 10.0),
@@ -249,28 +257,29 @@ class TestDephasingFactor:
     )
     @settings(max_examples=60, deadline=None)
     def test_bounded_in_unit_interval(self, tau, n, omega):
-        value = dephasing_factor(n, NoiseSpec("ou", g=1.0), tau, omega)
+        value = dephasing_factor(n, beta_closed(NoiseSpec("ou", g=1.0), tau), omega)
         assert 0.0 < value <= 1.0
 
     @pytest.mark.parametrize("n", [0, 1, 2])
     def test_array_matches_scalar(self, n):
         spec = NoiseSpec("pl", g=2.0, alpha=4.0)
         taus = np.linspace(0.0, 3.0, 13)
-        values = dephasing_factor(n, spec, taus, omega=0.7)
-        scalars = [dephasing_factor(n, spec, float(t), omega=0.7) for t in taus]
+        values = dephasing_factor(n, beta_closed(spec, taus), omega=0.7)
+        scalars = [dephasing_factor(n, beta_closed(spec, float(t)), omega=0.7) for t in taus]
         assert all(type(v) is float for v in scalars)
         np.testing.assert_allclose(values, scalars, rtol=1e-15, atol=0.0)
 
     def test_zero_where_omega_squared_beta_overflows(self):
         taus = np.array([0.0, 1.7e308])
-        values = dephasing_factor(2, NoiseSpec("ou", g=10.0), taus, omega=2.0)
+        values = dephasing_factor(2, beta_closed(NoiseSpec("ou", g=10.0), taus), omega=2.0)
         assert np.array_equal(values, [1.0, 0.0])
 
     def test_zero_order_is_one_where_beta_is_inf(self):
-        assert dephasing_factor(0, NoiseSpec("fgn", hurst=0.5), 1e200) == 1.0
-        values = dephasing_factor(0, NoiseSpec("fgn", hurst=0.5), np.array([0.0, 1e200]))
+        spec = NoiseSpec("fgn", hurst=0.5)
+        assert dephasing_factor(0, beta_closed(spec, 1e200)) == 1.0
+        values = dephasing_factor(0, beta_closed(spec, np.array([0.0, 1e200])))
         assert np.array_equal(values, [1.0, 1.0])
-        assert coherence_loss(0, NoiseSpec("fgn", hurst=0.5), 1e200) == 0.0
+        assert coherence_loss(0, beta_closed(spec, 1e200)) == 0.0
 
     @pytest.mark.parametrize("law", [dephasing_factor, coherence_loss])
     @pytest.mark.parametrize("omega", [1e-160, 1e-200])
@@ -280,21 +289,67 @@ class TestDephasingFactor:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="overflows the float range"):
-                law(2, NoiseSpec("fgn", hurst=0.5), np.array([1.0, 1e200]), omega)
+                law(2, beta_closed(NoiseSpec("fgn", hurst=0.5), np.array([1.0, 1e200])), omega)
 
-    @pytest.mark.parametrize("omega", [0.0, -1.0])
+    @pytest.mark.parametrize("law", [dephasing_factor, coherence_loss])
+    @pytest.mark.parametrize("n", [0, 2])
+    @pytest.mark.parametrize(
+        "beta", [-1e-300, math.nan, np.array([0.0, 1.0, -1.0]), np.array([math.nan, 1.0])]
+    )
+    def test_negative_or_nan_beta_rejected(self, law, n, beta):
+        with pytest.raises(ValueError, match="beta must be nonnegative, not nan"):
+            law(n, beta)
+
+    def test_huge_omega(self):
+        # past omega ~ 9.5e153, n^2 omega^2 / 2 overflows to inf: at beta = 0
+        # the exponent is still 0, not inf * 0 = nan, and at a small beta it
+        # stays finite
+        assert dephasing_factor(2, 0.0, 1e200) == 1.0
+        assert coherence_loss(2, np.array([0.0]), 1e200) == 0.0
+        chi1 = dephasing_factor(1, 1e-307, 9.5e153)
+        assert abs(chi1 / 0.010970998366931497 - 1.0) <= 1e-15
+        for beta in (2.3e-308, 5e-308, 1e-307):
+            for n in (1, 2):
+                with mpmath.workdps(50):
+                    x = n * n * mpmath.mpf(9.5e153) ** 2 * mpmath.mpf(beta) / 2
+                    chi, s = float(mpmath.exp(-x)), float(-mpmath.expm1(-2 * x))
+                # exp(-x) carries x times the relative error of x
+                assert abs(dephasing_factor(n, beta, 9.5e153) - chi) <= 4e-16 * float(x) * chi
+                assert abs(coherence_loss(n, beta, 9.5e153) - s) <= 4e-16 * s
+
+    def test_one_beta_per_spec(self, monkeypatch):
+        calls = []
+
+        def counted(spec, tau):
+            calls.append(spec)
+            return beta_closed(spec, tau)
+
+        for module in (noise, experiments, montecarlo):
+            monkeypatch.setattr(module, "beta_closed", counted)
+        spec = NoiseSpec("pl", g=3.0, alpha=3.0)
+        grid = np.linspace(0.0, 2.0, 21)
+        experiments.sweep_rows(spec, grid, with_matrix=True)
+        assert calls == [spec]
+        ensemble = sample_trajectories(spec, grid, 10, 0)
+        mc_average_state(initial_state(1.0), ensemble, 1.0, -1)
+        assert calls == [spec, spec]
+
+    @pytest.mark.parametrize("omega", [0.0, -1.0, math.nan])
     def test_nonpositive_omega_rejected(self, omega):
         with pytest.raises(ValueError, match=f"omega must be positive, got {omega}"):
-            dephasing_factor(2, NoiseSpec("ou", g=1.0), 1.0, omega)
+            dephasing_factor(2, beta_closed(NoiseSpec("ou", g=1.0), 1.0), omega)
+        with pytest.raises(ValueError, match=f"omega must be positive, got {omega}"):
+            fluctuation_series([0.0, 1.0], omega)
 
     def test_monotone_in_arguments(self):
         spec = NoiseSpec("gn", g=1.0)
         taus = np.linspace(0.0, 3.0, 20)
-        series = [dephasing_factor(2, spec, t) for t in taus]
+        series = [dephasing_factor(2, beta_closed(spec, t)) for t in taus]
         assert all(b <= a for a, b in zip(series, series[1:]))
-        by_n = [dephasing_factor(n, spec, 1.0) for n in (0, 1, 2)]
+        beta = beta_closed(spec, 1.0)
+        by_n = [dephasing_factor(n, beta) for n in (0, 1, 2)]
         assert by_n[0] >= by_n[1] >= by_n[2]
-        by_omega = [dephasing_factor(2, spec, 1.0, w) for w in (0.5, 1.0, 2.0)]
+        by_omega = [dephasing_factor(2, beta, w) for w in (0.5, 1.0, 2.0)]
         assert by_omega[0] >= by_omega[1] >= by_omega[2]
 
 
@@ -306,7 +361,7 @@ class TestCoherenceLoss:
         # so the entropy must come from s = -expm1(-4 beta) to stay exact at
         # tiny g*tau
         taus = np.logspace(-12.0, 1.0, 14)
-        values = vn_entropy_closed(coherence_loss(2, NoiseSpec("ou", g=g), taus), r)
+        values = vn_entropy_closed(coherence_loss(2, beta_closed(NoiseSpec("ou", g=g), taus)), r)
         for tau, value in zip(taus, values):
             with mpmath.workdps(50):
                 g_mp, r_mp = mpmath.mpf(g), mpmath.mpf(r)
