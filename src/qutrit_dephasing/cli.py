@@ -14,11 +14,20 @@ same types and choices, and explicit flags win.  Flags and keys are spelt in
 full, and every float must be finite.  Exit codes: 0 ok, 1 usage error
 (including an unreadable config file or an output path that cannot be
 written), 2 numerical failure or invalid parameters, 3 oracle bound violation.
+
+``run()`` is the process entry point (the ``sim`` script and ``python -m
+qutrit_dephasing.cli``): it calls ``gc.freeze()`` and exits with ``main()``'s
+code.  The freeze moves everything allocated so far, the import-time heap of
+numpy, argparse and this package, to the collector's permanent generation,
+so the full collections of interpreter shutdown skip it.  ``main(argv)``
+does not freeze: tests and library callers that run it in-process keep a
+normal collector.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import itertools
 import math
 import os
@@ -284,5 +293,13 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_NUMERICAL
 
 
-if __name__ == "__main__":
+def run() -> None:
+    """Run ``main()`` on sys.argv and exit with its code, after freezing the
+    heap allocated so far out of the collector's reach (see the module
+    docstring); outputs are those of ``main()``."""
+    gc.freeze()
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    run()

@@ -17,6 +17,8 @@ point mass chi_n = exp(i n phi), which gives the noiseless states.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 SQRT2 = np.sqrt(2.0)
@@ -116,8 +118,8 @@ def fluctuation_series(t_grid, omega: float = 1.0, r: float = 1.0) -> np.ndarray
     """Noiseless states from initial_state(r) along a time grid, shape
     (T, 3, 3): the field is eta = 1, so the phase at time t is omega * t, the
     point-mass law chi_n = exp(i n omega t) of evolve_averaged."""
-    if not omega > 0.0:  # nan fails too
-        raise ValueError(f"omega must be positive, got {omega}")
+    if not 0.0 < omega < math.inf:  # nan fails too
+        raise ValueError(f"omega must be positive and finite, got {omega}")
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.size == 0:
         raise ValueError("time grid must be nonempty")

@@ -103,37 +103,51 @@ def autocorrelation(spec: NoiseSpec, s, s_prime):
 
 
 # Below this (scaled) x the ou and pl forms lose digits to cancellation and
-# are summed as their Taylor series from x^2 instead; _SERIES_TERMS terms
-# reach double precision there.
+# are summed as their Taylor series instead; _SERIES_TERMS terms reach double
+# precision there.  gn's form only cancels by half, and is summed as its
+# series below _GN_SERIES_X, where three terms are exact to ~x^6/168.
 _SERIES_X = 0.05
 _SERIES_TERMS = 14
+_GN_SERIES_X = 1e-4
+_GN_SERIES = (1.0, 0.0, -1.0 / 6.0, 0.0, 1.0 / 30.0)
 _erf = np.vectorize(math.erf, otypes=[float])
+_TINY = np.finfo(float).tiny  # the smallest normal float
 
 
-def _series(x, c2: float, ratio) -> np.ndarray:
-    """Sum_{k>=2} c_k x^k with c_{k+1} = c_k * ratio(k)."""
-    coeffs = [c2]
+def _ratio_series(e2: float, ratio) -> list[float]:
+    """_SERIES_TERMS coefficients [e_2, e_3, ...], with e_{k+1} = e_k * ratio(k)."""
+    coeffs = [e2]
     for k in range(2, _SERIES_TERMS + 1):
         coeffs.append(coeffs[-1] * ratio(k))
-    return x * x * np.polyval(coeffs[::-1], x)
+    return coeffs
+
+
+def _series(tau, x, small, coeffs) -> np.ndarray:
+    """tau * x * P(x) where small, else 0, with P's coefficients given from
+    the constant term up.  Formed as tau * (x * P(x)), never as x * x / g, so
+    it stays exact where x * x underflows but beta is a normal float."""
+    x = np.where(small, x, 0.0)
+    return np.where(small, tau, 0.0) * (x * np.polyval(coeffs[::-1], x))
 
 
 def beta_closed(spec: NoiseSpec, tau):
     """Analytic double integral of the kernel over [0, tau]^2.
 
     tau may be a scalar (the result is a float) or an array.  With x = g*tau
-    the gn, ou and pl forms are written with expm1/log1p, and ou and pl are
-    summed as their series at small x, so beta keeps full relative precision
-    as x -> 0.  Where x or a product with it overflows, beta is taken as
-    tau plus its bounded tail, which stays finite.
+    the gn, ou and pl forms are written with expm1/log1p, and at small x each
+    is summed as its series tau * x * P(x) (pl's in y = (alpha-1) x), so beta
+    keeps full relative precision as x -> 0, also where x * x underflows.
+    Where x or a product with it overflows, beta is taken as tau plus its
+    bounded tail, which stays finite.
     """
     tau = np.asarray(tau, dtype=float)
     if np.any(tau < 0.0):
         raise ValueError("tau must be nonnegative")
     if spec.kind == "fgn":
-        h1 = spec.hurst + 1.0
+        # tau^(2H + 2) as tau^2H * tau * tau: the exponent 2H is exact, where
+        # a rounded 2H + 2 would carry |ln tau| times its rounding
         with np.errstate(over="ignore"):  # past the float range beta is inf
-            out = tau ** (2.0 * h1) / (2.0 * h1)
+            out = tau * (tau ** (2.0 * spec.hurst) * tau / (2.0 * spec.hurst + 2.0))
         return out if out.ndim else float(out)
     # At large x each form is tau + tail/g with a bounded tail (gn's erf(x) is
     # 1 there).  Where g*tau, gn's x*x or pl's x*(alpha-2) overflows, out is
@@ -142,22 +156,27 @@ def beta_closed(spec: NoiseSpec, tau):
         x = spec.g * tau
         if spec.kind == "gn":
             tail = np.expm1(-x * x) / math.sqrt(math.pi)
-            out = (tail + x * _erf(x)) / spec.g
+            small = x < _GN_SERIES_X
+            series = _series(tau, x, small, _GN_SERIES) / math.sqrt(math.pi)
+            direct = (tail + x * _erf(x)) / spec.g
         elif spec.kind == "ou":
             tail = np.expm1(-x)
             small = x < _SERIES_X
-            series = _series(np.where(small, x, 0.0), 0.5, lambda k: -1.0 / (k + 1))
-            out = np.where(small, series, x + tail) / spec.g
+            series = _series(tau, x, small, _ratio_series(0.5, lambda k: -1.0 / (k + 1)))
+            direct = (x + tail) / spec.g
         else:  # pl; alpha > 2 enforced at construction
             a = spec.alpha
             decay = np.expm1((2.0 - a) * np.log1p(x))
             tail = decay / (a - 2.0)
-            small = (a - 1.0) * x < _SERIES_X
-            series = _series(
-                np.where(small, x, 0.0), 0.5 * (a - 1.0), lambda k: (2.0 - a - k) / (k + 1)
-            )
-            direct = (x * (a - 2.0) + decay) / (a - 2.0)
-            out = np.where(small, series, direct) / spec.g
+            # in y the coefficients stay bounded for any alpha; in x they
+            # grow like alpha^k and overflow for huge alpha.  y is formed
+            # without x, which underflows first where alpha is huge.
+            y = (a - 1.0) * tau * spec.g
+            small = y < _SERIES_X
+            coeffs = _ratio_series(0.5, lambda k: (2.0 - a - k) / (a - 1.0) / (k + 1))
+            series = _series(tau, y, small, coeffs)
+            direct = (x * (a - 2.0) + decay) / (a - 2.0) / spec.g
+        out = np.where(small, series, direct)
         out = np.where(np.isinf(out), tau + tail / spec.g, out)
     return out if out.ndim else float(out)
 
@@ -224,12 +243,15 @@ def _half_exponent(n: int, beta, omega: float) -> np.ndarray:
     """n^2 omega^2 beta / 2, the exponent of the Gaussian law: 0 for n = 0
     even where beta is inf, and inf past the float range.
 
-    Where beta itself is inf, the exponent is only known to be inf if
-    n^2 omega^2 * (float max) / 2 already makes exp(-exponent) 0; otherwise
-    (tiny omega) the factor is not resolved and this raises ValueError.
+    Where n^2 omega^2 / 2 alone overflows (omega > ~9.5e153) or underflows
+    past the normal floats (omega < ~1.5e-154), it is formed as
+    (omega * sqrt(beta) * n)^2 / 2.  Where beta itself is inf, the exponent
+    is only known to be inf if n^2 omega^2 * (float max) / 2 already makes
+    exp(-exponent) 0; otherwise (tiny omega) the factor is not resolved and
+    this raises ValueError.
     """
-    if not omega > 0.0:  # nan fails too
-        raise ValueError(f"omega must be positive, got {omega}")
+    if not 0.0 < omega < math.inf:  # nan fails too
+        raise ValueError(f"omega must be positive and finite, got {omega}")
     beta = np.asarray(beta, dtype=float)
     if not np.all(beta >= 0.0):
         raise ValueError("beta must be nonnegative, not nan")
@@ -242,7 +264,10 @@ def _half_exponent(n: int, beta, omega: float) -> np.ndarray:
                 "beta overflows the float range before "
                 f"exp(-n^2 omega^2 beta / 2) reaches 0 at n={n}, omega={omega:g}"
             )
-        if math.isinf(half):  # huge omega: inf * 0 would be nan at beta = 0
+        # Where n^2 omega^2 / 2 is not a normal float, form omega * sqrt(beta)
+        # first: at a huge omega inf * 0 would be nan at beta = 0, and at a
+        # tiny one a subnormal half would keep only a few bits.
+        if not _TINY <= half < math.inf:
             return 0.5 * (omega * np.sqrt(beta) * n) ** 2
         return half * beta
 
@@ -256,8 +281,8 @@ def dephasing_factor(n: int, beta, omega: float = 1.0):
     damping the coherence between Sx eigenstates whose eigenvalues differ by
     n in the averaged density matrix; ``evolve_averaged`` takes it for
     n = 1, 2.  Past the float range of omega^2 beta it is 0, the dephased
-    state.  beta must be nonnegative and omega positive; beta may be a
-    scalar (the result is a float) or an array.
+    state.  beta must be nonnegative and omega positive and finite; beta may
+    be a scalar (the result is a float) or an array.
     """
     out = np.exp(-_half_exponent(n, beta, omega))
     return out if out.ndim else float(out)

@@ -2,6 +2,7 @@
 
 import argparse
 import csv
+import gc
 import math
 import os
 import re
@@ -20,7 +21,8 @@ from qutrit_dephasing import cli, metrics
 from qutrit_dephasing.experiments import FIGURES
 from qutrit_dephasing.noise import PARAMETERS, NoiseSpec, beta_closed
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 
 def run(argv):
@@ -137,6 +139,21 @@ class TestBeta:
         entropies = [float(row[3]) for row in rows]
         assert entropies[0] > 0.0
         assert all(b > a for a, b in zip(entropies, entropies[1:]))
+
+    def test_pl_at_huge_alpha(self, capsys):
+        # the small-x series of pl once overflowed at alpha ~ 1e23, and beta(0)
+        # was nan: exit 2 with "beta must be nonnegative, not nan"
+        grid = ["--tau-max", "1e-24", "--tau-steps", "3"]
+        assert run(["beta", "--noise", "pl", "--alpha", "1e23"] + grid) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        rows = [row.split(",") for row in out.splitlines()[1:]]
+        assert rows[0] == ["0", "0", "1", "0"]
+        for row in rows[1:]:  # y = (alpha - 1) g tau is 0.05 and 0.1
+            with mpmath.workdps(200):
+                x, a = mpmath.mpf(float(row[0])), mpmath.mpf(1e23)
+                exact = (x * (a - 2) - 1 + (1 + x) ** (2 - a)) / (a - 2)
+            assert abs(float(row[1]) / exact - 1) <= 1e-14
 
     def test_huge_omega_at_zero_beta(self, capsys):
         # past omega ~ 9.5e153, n^2 omega^2 / 2 overflows to inf; at beta = 0
@@ -794,6 +811,13 @@ def test_readme_family_flags_match_parameters():
     assert listed == readers
 
 
+def python(args: list[str]) -> subprocess.CompletedProcess:
+    """A fresh interpreter that imports the package under test."""
+    src = os.path.dirname(os.path.dirname(qutrit_dephasing.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+
+
 def test_import_loads_numpy_only():
     # Beyond numpy, importing the CLI may load only the package and the
     # standard library: no scipy, no optional accelerator.
@@ -802,7 +826,49 @@ def test_import_loads_numpy_only():
         "added = {m.split('.')[0] for m in set(sys.modules) - before}; "
         "print(sorted(added - set(sys.stdlib_module_names) - {'qutrit_dephasing'}))"
     )
-    src = os.path.dirname(os.path.dirname(qutrit_dephasing.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    out = python(["-c", code])
     assert out.returncode == 0 and out.stdout.strip() == "[]", out.stderr
+
+
+class TestEntryPoint:
+    def test_run_freezes_the_import_heap(self, tmp_path):
+        # run() moves the import-time heap to the permanent generation, so the
+        # collections of interpreter shutdown skip it; its outputs are main()'s
+        code = (
+            "import atexit, gc, sys\n"
+            "from qutrit_dephasing import cli\n"
+            "atexit.register(lambda: print('frozen', gc.get_freeze_count()))\n"
+            f"sys.argv = ['sim', 'figure', 'fgn', '--out', {str(tmp_path / 'run')!r}]\n"
+            "cli.run()\n"
+        )
+        out = python(["-c", code])
+        assert out.returncode == 0, out.stderr
+        assert int(out.stdout.splitlines()[-1].removeprefix("frozen ")) >= 10000
+        assert run(["figure", "fgn", "--out", str(tmp_path / "main")]) == 0
+        names = sorted(path.name for path in (tmp_path / "main").iterdir())
+        assert sorted(path.name for path in (tmp_path / "run").iterdir()) == names
+        for name in names:
+            assert (tmp_path / "run" / name).read_bytes() == (tmp_path / "main" / name).read_bytes()
+
+    def test_main_does_not_freeze(self, tmp_path):
+        before = gc.get_freeze_count()
+        assert run(["figure", "fgn", "--out", str(tmp_path)]) == 0
+        assert gc.get_freeze_count() == before
+
+    def test_sim_script_is_run(self):
+        tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+        with open(ROOT / "pyproject.toml", "rb") as handle:
+            scripts = tomllib.load(handle)["project"]["scripts"]
+        assert scripts == {"sim": "qutrit_dephasing.cli:run"}
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["beta", "--noise", "ou", "--tau-steps", "3"], 0),
+            (["beta", "--noise", "ou", "--tau-steps", "x"], 1),
+            (["beta", "--noise", "pl", "--alpha", "2"], 2),
+        ],
+    )
+    def test_exit_code_reaches_the_shell(self, argv, code):
+        out = python(["-m", "qutrit_dephasing.cli", *argv])
+        assert out.returncode == code, out.stderr

@@ -1,12 +1,13 @@
 """Kernels, closed-form beta vs the quadrature oracle, dephasing factors."""
 
 import math
+import sys
 import warnings
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings, target
 from hypothesis import strategies as st
 
 from qutrit_dephasing import (
@@ -19,10 +20,12 @@ from qutrit_dephasing import (
     fluctuation_series,
     initial_state,
     mc_average_state,
+    purity_closed,
     sample_trajectories,
     vn_entropy_closed,
 )
 from qutrit_dephasing import experiments, montecarlo, noise
+from qutrit_dephasing.noise import KINDS
 
 ALL_SPECS = [
     NoiseSpec("fgn", hurst=0.1),
@@ -40,16 +43,37 @@ ALL_SPECS = [
 SMALL_TO_LARGE_X = np.logspace(-12.0, 4.0, 161)
 
 
+def digits_below_one(value) -> int:
+    """Decimal digits between a positive value and 1 (0 from 1 up, and for 0)."""
+    return max(0, -int(mpmath.log10(value))) if value else 0
+
+
 def beta_reference(kind: str, x, alpha: float) -> mpmath.mpf:
-    """g * beta at x = g*tau (a float or an mpf), evaluated in 50-digit
-    arithmetic and returned as a 50-digit number."""
-    with mpmath.workdps(50):
+    """g * beta at x = g*tau (a float or an mpf) to 50 digits.  Each form
+    cancels about twice the digits of x below 1 (pl's also those of alpha - 2),
+    and pl's 1 + x needs them once more, so the working precision adds them."""
+    lost = 3 * digits_below_one(x) + digits_below_one(alpha - 2)
+    with mpmath.workdps(50 + lost):
         x, a = mpmath.mpf(x), mpmath.mpf(alpha)
         if kind == "gn":
             return (mpmath.exp(-x * x) - 1) / mpmath.sqrt(mpmath.pi) + x * mpmath.erf(x)
         if kind == "ou":
             return x + mpmath.exp(-x) - 1
         return (x * (a - 2) - 1 + (1 + x) ** (2 - a)) / (a - 2)
+
+
+def beta_exact(spec: NoiseSpec, tau: float) -> mpmath.mpf:
+    """beta_closed(spec, tau) to 50 digits, from the exact float inputs."""
+    with mpmath.workdps(50):
+        if spec.kind == "fgn":
+            c = 2 * mpmath.mpf(spec.hurst) + 2
+            return mpmath.mpf(tau) ** c / c
+        g = mpmath.mpf(spec.g)
+        return beta_reference(spec.kind, g * mpmath.mpf(tau), spec.alpha) / g
+
+
+def relative_error(got: float, exact) -> float:
+    return float(abs(got - exact) / exact)
 
 
 class TestNoiseSpec:
@@ -182,6 +206,27 @@ class TestBetaClosed:
         got = beta_closed(spec, SMALL_TO_LARGE_X)
         want = np.array([float(beta_reference(spec.kind, x, spec.alpha)) for x in SMALL_TO_LARGE_X])
         assert np.max(np.abs(got - want) / want) <= 1e-13
+
+    @pytest.mark.parametrize("kind", ["gn", "ou"])
+    def test_exact_where_x_squared_underflows(self, kind):
+        # x = g*tau = 1e-160: x*x underflows, although beta ~ 5e-21 is a normal
+        # float; a series written as x*x*P(x)/g read 4.99994e-21 for ou
+        spec = NoiseSpec(kind, g=1e-300)
+        assert relative_error(beta_closed(spec, 1e140), beta_exact(spec, 1e140)) <= 1e-15
+
+    @pytest.mark.parametrize("alpha", [2.0 + 1e-7, 3.0, 1e8, 1e22, 1e23, 1e100])
+    def test_pl_series_at_any_alpha(self, alpha):
+        # in x the series coefficients grow like alpha^k: they overflowed at
+        # alpha = 1e23, and beta(0) was nan
+        spec = NoiseSpec("pl", g=1.0, alpha=alpha)
+        y = np.array([0.0, 1e-3, 0.04, 0.06, 1.0])  # (alpha - 1) * x
+        taus = np.append(y / (alpha - 1.0), 1e-100)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = beta_closed(spec, taus)
+        assert values[0] == 0.0
+        for tau, value in zip(taus[1:], values[1:]):
+            assert relative_error(value, beta_exact(spec, tau)) <= 1e-14, tau
 
     @pytest.mark.parametrize(
         "spec",
@@ -334,12 +379,19 @@ class TestDephasingFactor:
         mc_average_state(initial_state(1.0), ensemble, 1.0, -1)
         assert calls == [spec, spec]
 
-    @pytest.mark.parametrize("omega", [0.0, -1.0, math.nan])
+    @pytest.mark.parametrize("omega", [0.0, -1.0, math.nan, math.inf, -math.inf])
     def test_nonpositive_omega_rejected(self, omega):
-        with pytest.raises(ValueError, match=f"omega must be positive, got {omega}"):
-            dephasing_factor(2, beta_closed(NoiseSpec("ou", g=1.0), 1.0), omega)
-        with pytest.raises(ValueError, match=f"omega must be positive, got {omega}"):
-            fluctuation_series([0.0, 1.0], omega)
+        # omega = inf once passed an omega > 0 check: at beta = 0 the law
+        # returned nan with a RuntimeWarning
+        message = f"omega must be positive and finite, got {omega}"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for law in (dephasing_factor, coherence_loss):
+                for beta in (0.0, beta_closed(NoiseSpec("ou", g=1.0), 1.0)):
+                    with pytest.raises(ValueError, match=message):
+                        law(2, beta, omega)
+            with pytest.raises(ValueError, match=message):
+                fluctuation_series([0.0, 1.0], omega)
 
     def test_monotone_in_arguments(self):
         spec = NoiseSpec("gn", g=1.0)
@@ -361,13 +413,95 @@ class TestCoherenceLoss:
         # so the entropy must come from s = -expm1(-4 beta) to stay exact at
         # tiny g*tau
         taus = np.logspace(-12.0, 1.0, 14)
-        values = vn_entropy_closed(coherence_loss(2, beta_closed(NoiseSpec("ou", g=g), taus)), r)
+        spec = NoiseSpec("ou", g=g)
+        values = vn_entropy_closed(coherence_loss(2, beta_closed(spec, taus)), r)
         for tau, value in zip(taus, values):
+            beta = beta_exact(spec, tau)
             with mpmath.workdps(50):
-                g_mp, r_mp = mpmath.mpf(g), mpmath.mpf(r)
-                beta = beta_reference("ou", g_mp * mpmath.mpf(tau), 3.0) / g_mp
+                r_mp = mpmath.mpf(r)
                 root = mpmath.sqrt(9 + mpmath.expm1(-4 * beta))
                 mixed = (1 - r_mp) / 3
                 lams = [mixed + r_mp * lam / 6 for lam in (3 + root, 3 - root, 0)]
                 exact = float(-sum(lam * mpmath.log(lam) for lam in lams if lam > 0))
             assert abs(value - exact) <= 4e-15 * exact, tau
+
+
+# log10 of the smallest and the largest normal float, each moved inward a little
+LOG_TINY, LOG_HUGE = -307.6, 308.2
+
+
+def log_uniform(low: float = LOG_TINY, high: float = LOG_HUGE):
+    return st.floats(low, high).map(lambda u: 10.0**u)
+
+
+@st.composite
+def domain_points(draw):
+    """A spec, a tau and an omega, each parameter log-uniform over the normal
+    floats it may take: H below 1, and alpha - 2 down to where 2 + it > 2."""
+    kind = draw(st.sampled_from(KINDS))
+    if kind == "fgn":
+        spec = NoiseSpec(kind, hurst=draw(log_uniform(high=-1e-15)))
+    elif kind == "pl":
+        alpha = 2.0 + draw(log_uniform(low=math.log10(4.5e-16)))
+        spec = NoiseSpec(kind, g=draw(log_uniform()), alpha=alpha)
+    else:
+        spec = NoiseSpec(kind, g=draw(log_uniform()))
+    return spec, draw(log_uniform()), draw(log_uniform())
+
+
+def is_normal(exact) -> bool:
+    return sys.float_info.min <= exact <= sys.float_info.max
+
+
+def domain_errors(spec: NoiseSpec, tau: float, omega: float) -> list[tuple[float, str]]:
+    """(relative error, quantity) of beta, chi1, s and the r = 1 purity and
+    entropy against 50-digit mpmath, each through the library's own chain
+    (beta_closed, then the law at its beta, then the metrics at its s).  A
+    quantity is left out where its exact value, or that of one it is computed
+    from, is not a normal float.  chi1 = exp(-x) carries x times the relative
+    error of its exponent x, so its error is taken per unit of max(1, x)."""
+    exact_beta = beta_exact(spec, tau)
+    if not is_normal(exact_beta):
+        return []
+    beta = beta_closed(spec, tau)
+    errors = [(relative_error(beta, exact_beta), "beta")]
+    with mpmath.workdps(50):
+        x = mpmath.mpf(omega) ** 2 * exact_beta / 2
+        # s = 1 - chi2^2 = 1 - exp(-8 x); past x = 800, chi1 is far below the
+        # normal floats and s is 1 to 50 digits
+        chi1 = mpmath.exp(-x) if x < 800 else mpmath.mpf(0)
+        s = -mpmath.expm1(-8 * x) if x < 800 else mpmath.mpf(1)
+        purity = 1 - s / 18
+    if is_normal(chi1):
+        got = dephasing_factor(1, beta, omega)
+        errors.append((relative_error(got, chi1) / max(1.0, float(x)), "chi1"))
+    if not is_normal(s):
+        return errors
+    loss = coherence_loss(2, beta, omega)
+    errors.append((relative_error(loss, s), "s"))
+    errors.append((relative_error(purity_closed(loss), purity), "purity"))
+    with mpmath.workdps(50 + digits_below_one(s)):  # 3 - sqrt(9 - s) cancels
+        root = mpmath.sqrt(9 - s)
+        entropy = -sum(lam * mpmath.log(lam) for lam in ((3 + root) / 6, (3 - root) / 6))
+    if is_normal(entropy):
+        errors.append((relative_error(vn_entropy_closed(loss), entropy), "entropy"))
+    return errors
+
+
+def test_whole_domain_accuracy():
+    # ROADMAP aim 3: about 1e-13 relative over the whole parameter domain
+    seen = []
+
+    @seed(20211)
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(domain_points())
+    def sample(point):
+        errors = domain_errors(*point)
+        if errors:
+            worst = max(errors)
+            target(worst[0])
+            seen.append((*worst, point))
+
+    sample()
+    error, quantity, (spec, tau, omega) = max(seen, key=lambda case: case[0])
+    assert error <= 1e-13, f"{quantity} off by {error:.3g} at {spec}, tau={tau!r}, omega={omega!r}"
