@@ -7,20 +7,24 @@ beta.  The phases at the K chosen grid indices are jointly Gaussian with
 covariance C = W^T K W (``noise.phase_covariance``): exactly the law of the
 trapezoid phases of paths drawn from the kernel on the grid, so the oracle
 needs no paths.  The phases are drawn as ``Z F^T`` with F the Cholesky factor
-of C, and the states U(phi) rho0 U(phi)+ are averaged matrix-by-matrix with
-the closed-form ``propagator``.  Agreement with ``evolve_averaged`` within
-the 3/sqrt(N) statistical bound is the independent check of the analytic
-averaging rule.
+of C.  The state U(phi) rho0 U(phi)+ is a degree-2 trigonometric polynomial
+in phi, so its ensemble mean depends on the paths only through the two
+moments m_n = mean exp(i n omega phi), n = 1, 2.  It is the sum of the states
+at five equispaced phases theta_j, built with the closed-form ``propagator``,
+with weights (1 + 2 Re(m1 exp(-i theta_j) + m2 exp(-2i theta_j))) / 5: the
+mean of the polynomial's interpolant on those nodes.  Agreement with
+``evolve_averaged`` within the 3/sqrt(N) statistical bound is the independent
+check of the analytic averaging rule, whose eigenbasis the empirical side
+never uses.
 
 Sampling and averaging stream over blocks of BLOCK = 4096 paths: block b
 draws its (rows, K) standard normals from SFC64 seeded by SeedSequence(seed,
 spawn_key=(b,)), NumPy's scheme for spawning independent parallel streams,
 so path i depends only on (seed, i) and the ensemble is bit-reproducible.
-C and the phases are plain ``np.einsum`` calls, which sum in one fixed order
-and never call the BLAS, and the K x K factor is too small for the BLAS to
-thread.  The state sum's ``einsum(..., optimize=True)`` contracts each
-block over its paths through ``matmul``, which calls the BLAS, so that a
-report is the same bits for any BLAS thread count is pinned by a test
+C, the phases, the two moment sums and the node sum are plain ``np.einsum``
+and ``sum`` calls, which sum in one fixed order and never call the BLAS, and
+the K x K factor is too small for the BLAS to thread; that a report is the
+same bits for any BLAS thread count is pinned by a test
 (``test_report_bits_do_not_depend_on_blas_threads``).  One block is in
 memory at a time, so memory is O((BLOCK + M) * K) for M grid points.
 """
@@ -42,6 +46,8 @@ RNG_ALGORITHM = (
 )
 
 _JITTERS = (0.0, 1e-12, 1e-10, 1e-8)
+# theta_j = 2 pi j / 5, the phases at which mc_average_state evaluates states.
+_NODES = 2.0 * np.pi / 5.0 * np.arange(5)
 
 
 @dataclass(frozen=True)
@@ -157,9 +163,12 @@ def mc_average_state(
 
     at_index must be one of the ensemble's drawn indices.  The analytic
     reference, evolve_averaged with the Gaussian dephasing factors at tau, is
-    computed first, so a bad rho0 or omega fails before the state sum.  Each
-    path is then evolved unitarily with its own phase omega * phi there, and
-    the resulting matrices are summed in block order and averaged.
+    computed first, so a bad rho0 or omega fails before the state sum.  The
+    sums of exp(i omega phi) and exp(2i omega phi) over the paths' phases
+    there run in block order.  Their means m1, m2 weight the states
+    U(theta_j) rho0 U(theta_j)+ at theta_j = 2 pi j / 5, j = 0..4, and the
+    weighted sum is exactly the mean of the per-path states
+    U(omega phi) rho0 U(omega phi)+.
     """
     if ensemble.n_paths == 0:
         raise ValueError("ensemble is empty")
@@ -175,8 +184,12 @@ def mc_average_state(
     beta = beta_closed(ensemble.spec, tau)
     chi1, chi2 = (dephasing_factor(n, beta, omega) for n in (1, 2))
     analytic = evolve_averaged(rho0, chi1, chi2)
-    total = np.zeros((3, 3), dtype=complex)
+    sums = np.zeros(2, dtype=complex)
     for phases in ensemble.phases():
-        u = propagator(omega * phases[:, column])
-        total += np.einsum("nij,jk,nlk->il", u, rho0, u.conj(), optimize=True)
-    return OracleReport(analytic, total / ensemble.n_paths, ensemble, tau)
+        phasor = np.exp(1j * (omega * phases[:, column]))
+        sums += phasor.sum(), (phasor * phasor).sum()
+    m1, m2 = sums / ensemble.n_paths
+    weights = (1.0 + 2.0 * (m1 * np.exp(-1j * _NODES) + m2 * np.exp(-2j * _NODES)).real) / 5.0
+    u = propagator(_NODES)
+    empirical = np.einsum("n,nij,jk,nlk->il", weights, u, rho0, u.conj())
+    return OracleReport(analytic, empirical, ensemble, tau)

@@ -19,6 +19,7 @@ from qutrit_dephasing import (
     initial_state,
     mc_average_state,
     phase_covariance,
+    propagator,
     sample_trajectories,
 )
 from qutrit_dephasing import cli, montecarlo, noise
@@ -274,17 +275,43 @@ class TestMcAverageState:
         assert np.max(np.abs(report.empirical - rho0)) < 1e-14
 
     def test_matches_per_path_matrix_exponential(self):
+        # four drawn paths; the same four with each column scaled so that its
+        # largest omega * phi is 1e3; one path with omega * phi = pi
         rng = np.random.default_rng(5)
         rho0 = self._random_state(rng)
         grid = np.linspace(0.0, 1.0, 11)
         factor = np.tril(rng.normal(size=(3, 3)))
         omega = 1.3
-        ensemble = self._manual_ensemble(factor, 4, grid, NoiseSpec("ou", g=1.0), (3, 7, 10))
-        phases = all_phases(ensemble)
-        for column, at_index in enumerate((3, -4, 10)):
-            report = mc_average_state(rho0, ensemble, omega, at_index)
-            expected = self._per_phase_average(rho0, phases[:, column], omega)
-            assert np.max(np.abs(report.empirical - expected)) < 1e-13
+        spec = NoiseSpec("ou", g=1.0)
+        for n, peak in ((4, None), (4, 1e3), (1, np.pi)):
+            ensemble = self._manual_ensemble(factor, n, grid, spec, (3, 7, 10))
+            phases = all_phases(ensemble)
+            if peak is not None:
+                top = phases[np.argmax(np.abs(phases), axis=0), range(3)]
+                scaled = factor * (peak / (omega * top))[:, None]
+                ensemble = self._manual_ensemble(scaled, n, grid, spec, (3, 7, 10))
+                phases = all_phases(ensemble)
+                assert np.allclose(np.max(omega * phases, axis=0), peak, rtol=1e-14)
+            for column, at_index in enumerate((3, -4, 10)):
+                report = mc_average_state(rho0, ensemble, omega, at_index)
+                expected = self._per_phase_average(rho0, phases[:, column], omega)
+                assert np.max(np.abs(report.empirical - expected)) < 1e-13, (n, peak)
+
+    def test_five_node_interpolant_is_the_state_at_one_phase(self):
+        # one path: the moments are exp(i n omega phi) themselves, so the
+        # empirical state is the five-node interpolant at omega * phi
+        rng = np.random.default_rng(12)
+        grid = np.linspace(0.0, 1.0, 11)
+        spec = NoiseSpec("ou", g=1.0)
+        worst = 0.0
+        for seed in range(200):
+            rho0 = self._random_state(rng)
+            omega = rng.uniform(0.1, 20.0)
+            ensemble = self._manual_ensemble(np.ones((1, 1)), 1, grid, spec, seed=seed)
+            u = propagator(omega * all_phases(ensemble)[0, 0])
+            report = mc_average_state(rho0, ensemble, omega, -1)
+            worst = max(worst, np.max(np.abs(report.empirical - u @ rho0 @ u.conj().T)))
+        assert worst < 1e-14
 
     def test_streamed_blocks_match_per_path_matrix_exponential(self):
         rho0 = self._random_state(np.random.default_rng(8))
@@ -311,7 +338,8 @@ class TestMcAverageState:
 
     def test_report_bits_do_not_depend_on_blas_threads(self, tmp_path):
         # the gn kernel is numerically rank-deficient, so an M x M factor of it
-        # moves with the BLAS thread count; the phases' K x K one does not
+        # moves with the BLAS thread count; the phases' K x K one does not, and
+        # the state sum is fixed-order sums of moments with no matmul at all
         src = os.path.dirname(os.path.dirname(qutrit_dephasing.__file__))
         reports = []
         for threads in ("1", "2"):
@@ -338,6 +366,16 @@ class TestMcAverageState:
             finally:
                 tracemalloc.stop()
             assert peak < bound, points
+            # the state sum itself keeps a few BLOCK-long vectors, no per-path
+            # matrices; the warm-up call imports numpy.random first
+            mc_average_state(initial_state(1.0), ensemble, 1.0, -1)
+            tracemalloc.start()
+            try:
+                mc_average_state(initial_state(1.0), ensemble, 1.0, -1)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < BLOCK * 16 * 8, points
 
     def test_empirical_state_well_formed(self):
         spec = NoiseSpec("gn", g=1.0)
