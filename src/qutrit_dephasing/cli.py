@@ -135,7 +135,7 @@ def build_parser() -> _Parser:
     def grid(p: _Parser, number=_finite) -> _Parser:
         system(p, number)
         p.add_argument("--tau-max", type=_finite, default=2.0)
-        p.add_argument("--tau-steps", type=int, default=201)
+        p.add_argument("--tau-steps", type=_integer, default=201)
         p.add_argument("--out", help="output directory")
         return p
 

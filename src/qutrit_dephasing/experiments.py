@@ -225,7 +225,7 @@ def run_oracle(
     """
     rho0 = initial_state(r)
     ensemble = sample_trajectories(spec, t_grid, n, seed)
-    report = mc_average_state(rho0, ensemble, omega, at_index=-1)
+    (report,) = mc_average_state(rho0, ensemble, omega)
     path = None
     if outputs is not None:
         path = os.path.join(outputs, f"oracle_{spec.label()}.txt")

@@ -12,7 +12,9 @@ in phi, so its ensemble mean depends on the paths only through the two
 moments m_n = mean exp(i n omega phi), n = 1, 2.  It is the sum of the states
 at five equispaced phases theta_j, built with the closed-form ``propagator``,
 with weights (1 + 2 Re(m1 exp(-i theta_j) + m2 exp(-2i theta_j))) / 5: the
-mean of the polynomial's interpolant on those nodes.  Agreement with
+mean of the polynomial's interpolant on those nodes.  One pass over the
+blocks keeps the two moment sums of every drawn column, so
+``mc_average_state`` reports all K times at once.  Agreement with
 ``evolve_averaged`` within the 3/sqrt(N) statistical bound is the independent
 check of the analytic averaging rule, whose eigenbasis the empirical side
 never uses.
@@ -21,7 +23,7 @@ Sampling and averaging stream over blocks of BLOCK = 4096 paths: block b
 draws its (rows, K) standard normals from SFC64 seeded by SeedSequence(seed,
 spawn_key=(b,)), NumPy's scheme for spawning independent parallel streams,
 so path i depends only on (seed, i) and the ensemble is bit-reproducible.
-C, the phases, the two moment sums and the node sum are plain ``np.einsum``
+C, the phases, the moment sums and the node sums are plain ``np.einsum``
 and ``sum`` calls, which sum in one fixed order and never call the BLAS, and
 the K x K factor is too small for the BLAS to thread; that a report is the
 same bits for any BLAS thread count is pinned by a test
@@ -154,42 +156,34 @@ def sample_trajectories(
 
 
 def mc_average_state(
-    rho0: np.ndarray,
-    ensemble: TrajectoryEnsemble,
-    omega: float,
-    at_index: int,
-) -> OracleReport:
-    """Ensemble-averaged evolved state at one grid time, vs the analytic state.
+    rho0: np.ndarray, ensemble: TrajectoryEnsemble, omega: float
+) -> list[OracleReport]:
+    """Ensemble-averaged evolved states at every drawn grid time, vs the
+    analytic states: one report per entry of ``ensemble.indices``, in order.
 
-    at_index must be one of the ensemble's drawn indices.  The analytic
-    reference, evolve_averaged with the Gaussian dephasing factors at tau, is
-    computed first, so a bad rho0 or omega fails before the state sum.  The
-    sums of exp(i omega phi) and exp(2i omega phi) over the paths' phases
-    there run in block order.  Their means m1, m2 weight the states
-    U(theta_j) rho0 U(theta_j)+ at theta_j = 2 pi j / 5, j = 0..4, and the
-    weighted sum is exactly the mean of the per-path states
-    U(omega phi) rho0 U(omega phi)+.
+    The analytic references, evolve_averaged with the Gaussian dephasing
+    factors at each tau, are computed first, so a bad rho0 or omega fails
+    before the state sum.  One pass over the blocks sums exp(i omega phi) and
+    exp(2i omega phi) for every drawn column, in block order.  Their means
+    m1, m2 weight the states U(theta_j) rho0 U(theta_j)+ at
+    theta_j = 2 pi j / 5, j = 0..4, and each weighted sum is exactly the mean
+    of the per-path states U(omega phi) rho0 U(omega phi)+ at its time.
     """
     if ensemble.n_paths == 0:
         raise ValueError("ensemble is empty")
-    size = ensemble.t_grid.size
-    if not -size <= at_index < size:
-        raise IndexError("at_index outside the time grid")
-    columns = np.flatnonzero(ensemble.indices == at_index % size)
-    if not columns.size:
-        raise ValueError(f"the ensemble holds no phases at grid index {at_index}")
-    column = columns[0]
     rho0 = np.asarray(rho0, dtype=complex)
-    tau = float(ensemble.t_grid[at_index])
-    beta = beta_closed(ensemble.spec, tau)
+    taus = ensemble.t_grid[ensemble.indices]
+    beta = beta_closed(ensemble.spec, taus)
     chi1, chi2 = (dephasing_factor(n, beta, omega) for n in (1, 2))
     analytic = evolve_averaged(rho0, chi1, chi2)
-    sums = np.zeros(2, dtype=complex)
+    sums = np.zeros((2, taus.size), dtype=complex)
     for phases in ensemble.phases():
-        phasor = np.exp(1j * (omega * phases[:, column]))
-        sums += phasor.sum(), (phasor * phasor).sum()
-    m1, m2 = sums / ensemble.n_paths
+        phasor = np.exp(1j * (omega * phases))
+        sums += phasor.sum(axis=0), (phasor * phasor).sum(axis=0)
+    m1, m2 = sums[..., None] / ensemble.n_paths
     weights = (1.0 + 2.0 * (m1 * np.exp(-1j * _NODES) + m2 * np.exp(-2j * _NODES)).real) / 5.0
     u = propagator(_NODES)
-    empirical = np.einsum("n,nij,jk,nlk->il", weights, u, rho0, u.conj())
-    return OracleReport(analytic, empirical, ensemble, tau)
+    empirical = np.einsum("kn,nij,jl,nml->kim", weights, u, rho0, u.conj())
+    return [
+        OracleReport(a, e, ensemble, float(tau)) for a, e, tau in zip(analytic, empirical, taus)
+    ]

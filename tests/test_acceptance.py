@@ -99,7 +99,7 @@ def test_criterion_04_oracle_equivalence():
     )
     for spec in specs:
         ensemble = sample_trajectories(spec, grid, n, seed=2024)
-        report = mc_average_state(rho0, ensemble, 1.0, at_index=-1)
+        (report,) = mc_average_state(rho0, ensemble, 1.0)
         assert report.stderr_bound == pytest.approx(3.0 / math.sqrt(n))
         assert report.max_abs_deviation <= report.stderr_bound, (
             spec.label(),

@@ -523,7 +523,7 @@ class TestOracle:
             t_grid=grid, indices=np.array([10]), factor=np.zeros((1, 1)),
             n_paths=10000, seed=0, spec=NoiseSpec("ou", g=1.0),
         )
-        report = mc_average_state(initial_state(1.0), ensemble, 1.0, -1)
+        (report,) = mc_average_state(initial_state(1.0), ensemble, 1.0)
         assert report.max_abs_deviation > report.stderr_bound == 0.03
         monkeypatch.setattr(cli, "run_oracle", lambda *a, **k: (report, None))
         assert run(["oracle", "--noise", "ou", "--tau-max", "1"]) == 3
@@ -641,6 +641,22 @@ class TestSystemParameters:
         assert not re.search(r"\b_\w", captured.err)  # names no private function
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["beta", "--noise", "ou", "--tau-steps", "abc"], "expected an integer, got 'abc'"),
+            (["oracle", "--noise", "ou", "--samples", "abc"], "expected an integer, got 'abc'"),
+            (["beta", "--noise", "ou", "--omega", "abc"], "expected a finite number, got 'abc'"),
+        ],
+    )
+    def test_misspelt_number_quotes_the_text(self, argv, message, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument {argv[-2]}: {message}" in captured.err
+        assert list(tmp_path.iterdir()) == []
+
 
 @pytest.mark.parametrize(
     "argv",
@@ -661,6 +677,19 @@ def test_unwritable_out_is_usage_error(argv, tmp_path, capsys):
     assert sorted(tmp_path.iterdir()) == [blocker]
 
 
+def test_failed_write_leaves_no_temporary_file(tmp_path, monkeypatch, capsys):
+    def failing_replace(src, dst):
+        raise OSError("replace failed")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    out = tmp_path / "out"
+    assert run(["beta", "--noise", "ou", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "cannot write outputs: replace failed" in captured.err
+    assert list(out.iterdir()) == []
+
+
 class TestConfigFile:
     def test_config_supplies_defaults_cli_wins(self, tmp_path, capsys):
         config = tmp_path / "run.cfg"
@@ -670,6 +699,14 @@ class TestConfigFile:
         assert len(out) == 4  # header + 3 rows from the config's tau-steps
         # final beta reflects g=1 (CLI value), not g=5
         assert float(out[-1].split(",")[1]) == pytest.approx(math.exp(-1.0), rel=1e-10)
+
+    def test_blank_and_comment_lines_are_skipped(self, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text("# an ou run\n\nnoise = ou  # g stays 1\n   \n# g = 5\ntau-max = 1\n")
+        assert cli.config_flags(["--config", str(config)]) == ["--noise=ou", "--tau-max=1"]
+        assert run(["beta", "--config", str(config), "--tau-steps", "3"]) == 0
+        last = capsys.readouterr().out.splitlines()[-1]
+        assert float(last.split(",")[1]) == pytest.approx(math.exp(-1.0), rel=1e-10)
 
     def test_unknown_config_key(self, tmp_path):
         config = tmp_path / "bad.cfg"

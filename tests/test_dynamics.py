@@ -200,6 +200,21 @@ class TestEvolveAveraged:
         with pytest.raises(ValueError, match=r"or the unit disc if complex"):
             evolve_averaged(initial_state(1.0), 0.5, (1.0 + 1e-12) * np.exp(0.3j))
 
+    @pytest.mark.parametrize(
+        "rho, message",
+        [
+            (np.eye(2) / 2.0, r"expected a 3x3 matrix, got shape \(2, 2\)"),
+            (np.diag([0.5, 0.5, 0.0]) + np.triu(np.ones((3, 3)), 1), "is not Hermitian"),
+            (np.eye(3) / 2.0, "trace differs from 1"),
+            (np.diag([1.2, -0.2, 0.0]), "significantly negative eigenvalue"),
+        ],
+        ids=["shape", "hermitian", "trace", "negative"],
+    )
+    @pytest.mark.parametrize("call", [lambda rho: evolve_averaged(rho, 0.5, 0.25), purity])
+    def test_invalid_density_matrix_rejected(self, call, rho, message):
+        with pytest.raises(ValueError, match=message):
+            call(rho)
+
     def test_array_matches_stacked_scalars(self):
         rho0 = random_state(np.random.default_rng(11))
         variances = np.array([[0.0, 1e-9, 0.2], [1.0, 7.5, 300.0]])

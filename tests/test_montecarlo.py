@@ -61,6 +61,16 @@ class TestSampleTrajectories:
         with pytest.raises(ValueError, match="covariance for fgn_H0.5 is not finite"):
             sample_trajectories(NoiseSpec("fgn", hurst=0.5), grid, 10, 0)
 
+    def test_needs_a_path(self):
+        with pytest.raises(ValueError, match="need at least one path"):
+            sample_trajectories(NoiseSpec("ou", g=1.0), np.linspace(0.0, 1.0, 11), 0, 0)
+
+    def test_indefinite_covariance_is_covariance_error(self):
+        cov = np.array([[1.0, 2.0], [2.0, 1.0]])
+        message = "not positive semidefinite even with diagonal jitter up to 1e-08"
+        with pytest.raises(montecarlo.CovarianceError, match=message):
+            montecarlo._cholesky_with_jitter(cov, NoiseSpec("ou", g=1.0))
+
     @pytest.mark.parametrize(
         "indices, error",
         [
@@ -271,7 +281,7 @@ class TestMcAverageState:
         grid = np.linspace(0.0, 1.0, 11)
         ensemble = self._manual_ensemble(np.zeros((1, 1)), 1, grid, NoiseSpec("ou", g=1.0))
         rho0 = initial_state(0.8)
-        report = mc_average_state(rho0, ensemble, 1.0, -1)
+        (report,) = mc_average_state(rho0, ensemble, 1.0)
         assert np.max(np.abs(report.empirical - rho0)) < 1e-14
 
     def test_matches_per_path_matrix_exponential(self):
@@ -292,8 +302,7 @@ class TestMcAverageState:
                 ensemble = self._manual_ensemble(scaled, n, grid, spec, (3, 7, 10))
                 phases = all_phases(ensemble)
                 assert np.allclose(np.max(omega * phases, axis=0), peak, rtol=1e-14)
-            for column, at_index in enumerate((3, -4, 10)):
-                report = mc_average_state(rho0, ensemble, omega, at_index)
+            for column, report in enumerate(mc_average_state(rho0, ensemble, omega)):
                 expected = self._per_phase_average(rho0, phases[:, column], omega)
                 assert np.max(np.abs(report.empirical - expected)) < 1e-13, (n, peak)
 
@@ -309,7 +318,7 @@ class TestMcAverageState:
             omega = rng.uniform(0.1, 20.0)
             ensemble = self._manual_ensemble(np.ones((1, 1)), 1, grid, spec, seed=seed)
             u = propagator(omega * all_phases(ensemble)[0, 0])
-            report = mc_average_state(rho0, ensemble, omega, -1)
+            (report,) = mc_average_state(rho0, ensemble, omega)
             worst = max(worst, np.max(np.abs(report.empirical - u @ rho0 @ u.conj().T)))
         assert worst < 1e-14
 
@@ -318,7 +327,7 @@ class TestMcAverageState:
         grid = np.linspace(0.0, 1.0, 11)
         omega = 1.3
         ensemble = sample_trajectories(NoiseSpec("ou", g=2.0), grid, BLOCK + 37, 4)
-        report = mc_average_state(rho0, ensemble, omega, -1)
+        (report,) = mc_average_state(rho0, ensemble, omega)
         expected = self._per_phase_average(rho0, all_phases(ensemble)[:, 0], omega)
         assert np.max(np.abs(report.empirical - expected)) < 1e-13
 
@@ -361,17 +370,17 @@ class TestMcAverageState:
             tracemalloc.start()
             try:
                 ensemble = sample_trajectories(NoiseSpec("ou", g=1.0), grid, 8 * BLOCK, 3)
-                mc_average_state(initial_state(1.0), ensemble, 1.0, -1)
+                mc_average_state(initial_state(1.0), ensemble, 1.0)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
             assert peak < bound, points
             # the state sum itself keeps a few BLOCK-long vectors, no per-path
             # matrices; the warm-up call imports numpy.random first
-            mc_average_state(initial_state(1.0), ensemble, 1.0, -1)
+            mc_average_state(initial_state(1.0), ensemble, 1.0)
             tracemalloc.start()
             try:
-                mc_average_state(initial_state(1.0), ensemble, 1.0, -1)
+                mc_average_state(initial_state(1.0), ensemble, 1.0)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -381,7 +390,7 @@ class TestMcAverageState:
         spec = NoiseSpec("gn", g=1.0)
         grid = np.linspace(0.0, 1.0, 51)
         ensemble = sample_trajectories(spec, grid, 500, 9)
-        report = mc_average_state(initial_state(1.0), ensemble, 1.0, -1)
+        (report,) = mc_average_state(initial_state(1.0), ensemble, 1.0)
         emp = report.empirical
         assert abs(np.trace(emp).real - 1.0) < 1e-12
         assert np.max(np.abs(emp - emp.conj().T)) < 1e-12
@@ -390,9 +399,9 @@ class TestMcAverageState:
         grid = np.linspace(0.0, 2.0, 201)
         ensemble = sample_trajectories(NoiseSpec("gn", g=1.0), grid, 20000, 13, TWENTY)
         assert ensemble.jitter > 0.0
-        for at_index in TWENTY:
-            report = mc_average_state(initial_state(1.0), ensemble, 1.0, at_index)
-            assert report.tau == pytest.approx(grid[at_index], rel=1e-15)
+        reports = mc_average_state(initial_state(1.0), ensemble, 1.0)
+        assert [report.tau for report in reports] == list(grid[TWENTY])
+        for at_index, report in zip(TWENTY, reports):
             assert report.within_bound, at_index
 
     def test_dephasing_factor_cross_check(self):
@@ -424,7 +433,7 @@ class TestMcAverageState:
             deviations = []
             for seed in range(40):
                 ensemble = sample_trajectories(spec, grid, n, seed)
-                report = mc_average_state(rho0, ensemble, 1.0, -1)
+                (report,) = mc_average_state(rho0, ensemble, 1.0)
                 deviations.append(report.max_abs_deviation)
             medians[n] = np.median(deviations)
         ratio = medians[400] / medians[1600]
@@ -444,16 +453,24 @@ class TestMcAverageState:
             beta = beta_closed(spec, 1.0)
             assert (variance[201] - beta) / (variance[401] - beta) == pytest.approx(4.0, rel=1e-3)
 
-    def test_index_out_of_range(self):
-        spec = NoiseSpec("ou", g=1.0)
-        grid = np.linspace(0.0, 1.0, 11)
-        ensemble = sample_trajectories(spec, grid, 5, 0)
-        with pytest.raises(IndexError):
-            mc_average_state(initial_state(1.0), ensemble, 1.0, 11)
+    def test_one_pass_over_the_blocks(self, monkeypatch):
+        # twenty drawn times, three blocks: each block's stream is seeded once
+        # per call, not once per time
+        grid = np.linspace(0.0, 2.0, 201)
+        ensemble = sample_trajectories(NoiseSpec("ou", g=1.0), grid, 2 * BLOCK + 1, 6, TWENTY)
+        seed_sequence = np.random.SeedSequence
+        seeded = []
 
-    def test_index_must_be_drawn(self):
+        def counting(*args, **kwargs):
+            seeded.append(kwargs["spawn_key"])
+            return seed_sequence(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "SeedSequence", counting)
+        assert len(mc_average_state(initial_state(1.0), ensemble, 1.0)) == 20
+        assert seeded == [(0,), (1,), (2,)]
+
+    def test_empty_ensemble(self):
         grid = np.linspace(0.0, 1.0, 11)
-        ensemble = sample_trajectories(NoiseSpec("ou", g=1.0), grid, 5, 0, [4, 10])
-        mc_average_state(initial_state(1.0), ensemble, 1.0, -7)
-        with pytest.raises(ValueError):
-            mc_average_state(initial_state(1.0), ensemble, 1.0, 5)
+        ensemble = self._manual_ensemble(np.ones((1, 1)), 0, grid, NoiseSpec("ou", g=1.0))
+        with pytest.raises(ValueError, match="ensemble is empty"):
+            mc_average_state(initial_state(1.0), ensemble, 1.0)

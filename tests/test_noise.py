@@ -375,8 +375,9 @@ class TestDephasingFactor:
         grid = np.linspace(0.0, 2.0, 21)
         experiments.sweep_rows(spec, grid, with_matrix=True)
         assert calls == [spec]
-        ensemble = sample_trajectories(spec, grid, 10, 0)
-        mc_average_state(initial_state(1.0), ensemble, 1.0, -1)
+        # one beta for the analytic states at all twenty drawn times
+        ensemble = sample_trajectories(spec, grid, 10, 0, range(1, 21))
+        mc_average_state(initial_state(1.0), ensemble, 1.0)
         assert calls == [spec, spec]
 
     @pytest.mark.parametrize("omega", [0.0, -1.0, math.nan, math.inf, -math.inf])
