@@ -35,8 +35,8 @@ def tau_grid(tau_max: float, steps: int) -> np.ndarray:
     """The uniform grid ``linspace(0, tau_max, steps)`` of beta, sweep and oracle."""
     if steps < 2:
         raise ValueError("tau_steps must be at least 2")
-    if not tau_max > 0.0:
-        raise ValueError("tau_max must be positive")
+    if not 0.0 < tau_max < math.inf:  # nan fails too
+        raise ValueError(f"tau_max must be positive and finite, got {tau_max}")
     return np.linspace(0.0, tau_max, steps)
 
 
@@ -76,14 +76,14 @@ def _matrix_columns(states: np.ndarray) -> np.ndarray:
 
 def sweep_rows(
     spec: NoiseSpec,
-    tau_grid: np.ndarray,
+    taus: np.ndarray,
     omega: float = 1.0,
     r: float = 1.0,
     with_matrix: bool = False,
 ) -> np.ndarray:
     """CSV rows (tau, beta, purity, entropy[, matrix]) for one spec, as one
     (T, ncols) array."""
-    tau = np.asarray(tau_grid, dtype=float)
+    tau = np.asarray(taus, dtype=float)
     beta = beta_closed(spec, tau)
     loss = coherence_loss(2, beta, omega)
     columns = [tau, beta, purity_closed(loss, r), vn_entropy_closed(loss, r)]
@@ -140,7 +140,7 @@ def _write_curves(outputs: str, script: str, ys: list[str], curves) -> list[str]
 
 def run_sweep(
     specs: list[NoiseSpec],
-    tau_grid: np.ndarray,
+    taus: np.ndarray,
     omega: float = 1.0,
     r: float = 1.0,
     with_matrix: bool = False,
@@ -150,7 +150,7 @@ def run_sweep(
     family of the first spec."""
     header = CSV_HEADER + (_MATRIX_COLUMNS if with_matrix else [])
     curves = (
-        (f"sweep_{s.label()}.csv", header, sweep_rows(s, tau_grid, omega, r, with_matrix))
+        (f"sweep_{s.label()}.csv", header, sweep_rows(s, taus, omega, r, with_matrix))
         for s in specs
     )
     script = f"plot_sweep_{specs[0].kind}.py"
@@ -175,8 +175,8 @@ def preservation_time(
     spacing of the saturation level, so a delta below that spacing is
     rejected: it would return where the metric first rounds to saturation.
     """
-    if delta <= 0.0:
-        raise ValueError("delta must be positive")
+    if not delta > 0.0:  # nan fails too
+        raise ValueError(f"delta must be positive, got {delta}")
     if measure not in ("purity", "entropy"):
         raise ValueError(f"unknown measure {measure!r}")
     metric = purity_closed if measure == "purity" else vn_entropy_closed

@@ -91,7 +91,7 @@ class OracleReport:
 
     @property
     def stderr_bound(self) -> float:
-        return 3.0 / np.sqrt(self.ensemble.n_paths)
+        return float(3.0 / np.sqrt(self.ensemble.n_paths))
 
     @property
     def within_bound(self) -> bool:
@@ -133,8 +133,8 @@ def sample_trajectories(
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size < 2:
         raise ValueError("time grid must be one-dimensional with at least 2 points")
-    if np.any(np.diff(t_grid) <= 0.0):
-        raise ValueError("time grid must be strictly increasing")
+    if not np.all(np.diff(t_grid) > 0.0):  # nan fails too
+        raise ValueError("time grid must be strictly increasing, not nan")
     if t_grid[0] != 0.0:
         raise ValueError(f"time grid must start at 0, got {t_grid[0]}")
     if n < 1:

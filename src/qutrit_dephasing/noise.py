@@ -15,9 +15,11 @@ omega^2 * beta(tau), where beta is the double integral of the kernel over
 [0, tau]^2.  ``beta_closed`` gives the analytic value.  ``phase_covariance``
 gives W^T K W, the covariance of the trapezoid phases at chosen times of a
 grid (the law the Monte-Carlo oracle samples), and ``beta_quadrature`` its
-Richardson-extrapolated 1 x 1 case, an independent numerical beta.  The
-Gaussian law, ``dephasing_factor`` and ``coherence_loss``, reads beta itself,
-so a caller evaluates beta once per grid and may pass any other beta.
+1 x 1 case at 512 and 1024 panels, Richardson-extrapolated: an independent
+numerical beta at any finite tau.  Every time read here must be nonnegative,
+and nan is rejected.  The Gaussian law, ``dephasing_factor`` and
+``coherence_loss``, reads beta itself, so a caller evaluates beta once per
+grid and may pass any other beta.
 """
 
 from __future__ import annotations
@@ -84,8 +86,8 @@ def autocorrelation(spec: NoiseSpec, s, s_prime):
     """
     s = np.asarray(s, dtype=float)
     sp = np.asarray(s_prime, dtype=float)
-    if np.any(s < 0.0) or np.any(sp < 0.0):
-        raise ValueError("autocorrelation times must be nonnegative")
+    if not (np.all(s >= 0.0) and np.all(sp >= 0.0)):  # nan fails too
+        raise ValueError("autocorrelation times must be nonnegative, not nan")
     if spec.kind == "fgn":
         two_h = 2.0 * spec.hurst
         out = 0.5 * (np.abs(sp) ** two_h - np.abs(s - sp) ** two_h + np.abs(s) ** two_h)
@@ -141,8 +143,8 @@ def beta_closed(spec: NoiseSpec, tau):
     bounded tail, which stays finite.
     """
     tau = np.asarray(tau, dtype=float)
-    if np.any(tau < 0.0):
-        raise ValueError("tau must be nonnegative")
+    if not np.all(tau >= 0.0):  # nan fails too
+        raise ValueError("tau must be nonnegative, not nan")
     if spec.kind == "fgn":
         # tau^(2H + 2) as tau^2H * tau * tau: the exponent 2H is exact, where
         # a rounded 2H + 2 would carry |ln tau| times its rounding
@@ -181,26 +183,19 @@ def beta_closed(spec: NoiseSpec, tau):
     return out if out.ndim else float(out)
 
 
-def beta_quadrature(spec: NoiseSpec, tau: float, panels: int = 1024) -> float:
+def beta_quadrature(spec: NoiseSpec, tau: float) -> float:
     """Independent oracle for ``beta_closed``: 2-D composite trapezoid over
-    [0, tau]^2, Richardson-extrapolated from panel counts (panels/2, panels).
+    [0, tau]^2 at 512 and 1024 panels, Richardson-extrapolated.
 
     The extrapolation cancels the leading h^2 error term, which plain
     trapezoid needs to resolve the |s - s'| kink of the ou/pl kernels; on the
     smooth gn kernel it is simply more accurate.  The fgn kernel is evaluated
     in its two-argument nonstationary form.
     """
-    if tau < 0.0:
-        raise ValueError("tau must be nonnegative")
-    if panels < 8:
-        raise ValueError("panels must be at least 8")
-    if panels % 2:
-        raise ValueError("panels must be even (Richardson halving)")
-    if tau == 0.0:
-        return 0.0
+    if not 0.0 <= tau < math.inf:  # nan fails too
+        raise ValueError(f"tau must be nonnegative and finite, got {tau}")
     coarse, fine = (
-        phase_covariance(spec, np.linspace(0.0, tau, p + 1), [-1])[0, 0]
-        for p in (panels // 2, panels)
+        phase_covariance(spec, np.linspace(0.0, tau, p + 1), [-1])[0, 0] for p in (512, 1024)
     )
     return float((4.0 * fine - coarse) / 3.0)
 

@@ -82,7 +82,7 @@ def test_criterion_03_beta_quadrature():
     assert len(combos) >= 20
     for spec, tau in combos:
         closed = beta_closed(spec, tau)
-        quad = beta_quadrature(spec, tau, panels=1024)
+        quad = beta_quadrature(spec, tau)
         assert abs(quad - closed) / max(closed, 1e-12) <= 1e-6, spec.label()
 
 

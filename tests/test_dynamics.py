@@ -292,3 +292,8 @@ class TestFluctuationSeries:
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             fluctuation_series([])
+
+    @pytest.mark.parametrize("grid", [[1.0, 0.5], [-1.0, 0.0], [0.0, np.nan]])
+    def test_unsorted_negative_or_nan_grid_rejected(self, grid):
+        with pytest.raises(ValueError, match="time grid must be sorted and nonnegative, not nan"):
+            fluctuation_series(grid)

@@ -1,0 +1,32 @@
+"""Input rejections of the experiment drivers: grids, preservation times, figures."""
+
+import math
+
+import pytest
+
+from qutrit_dephasing import NoiseSpec
+from qutrit_dephasing.experiments import figure, preservation_time, tau_grid
+
+
+@pytest.mark.parametrize("tau_max", [0.0, -1.0, math.nan, math.inf])
+def test_tau_max_positive_and_finite(tau_max):
+    # at inf numpy's linspace would warn and return [nan, inf, inf]
+    with pytest.raises(ValueError, match=f"tau_max must be positive and finite, got {tau_max}"):
+        tau_grid(tau_max, 3)
+
+
+@pytest.mark.parametrize("delta", [0.0, -1e-3, math.nan])
+def test_preservation_delta_positive(delta):
+    with pytest.raises(ValueError, match=f"delta must be positive, got {delta}"):
+        preservation_time(NoiseSpec("ou", g=1.0), delta=delta)
+
+
+def test_preservation_unknown_measure():
+    with pytest.raises(ValueError, match="unknown measure 'coherence'"):
+        preservation_time(NoiseSpec("ou", g=1.0), measure="coherence")
+
+
+def test_unknown_figure(tmp_path):
+    with pytest.raises(ValueError, match="unknown figure 'nope'; expected one of"):
+        figure("nope", str(tmp_path))
+    assert list(tmp_path.iterdir()) == []

@@ -50,6 +50,8 @@ class TestSampleTrajectories:
             sample_trajectories(spec, [0.0], 10, 0)
         with pytest.raises(ValueError):
             sample_trajectories(spec, [0.0, 0.0, 1.0], 10, 0)
+        with pytest.raises(ValueError, match="time grid must be strictly increasing, not nan"):
+            sample_trajectories(spec, [0.0, np.nan, 1.0], 10, 0)
         # beta starts at 0; the fgn kernel is not stationary, so on [1, 1.5]
         # the phase has variance 0.2917, not beta(0.5) = 0.0417
         with pytest.raises(ValueError, match="must start at 0"):
@@ -240,7 +242,7 @@ class TestPhaseCovariance:
         assert peak < 32 * 2**20
 
 
-class TestPhaseOf:
+class TestTrapezoidWeights:
     """The trapezoid phase of a path, which the weights of C encode."""
 
     @pytest.mark.parametrize("at_index", [1, 37, -1])
@@ -283,6 +285,14 @@ class TestMcAverageState:
         rho0 = initial_state(0.8)
         (report,) = mc_average_state(rho0, ensemble, 1.0)
         assert np.max(np.abs(report.empirical - rho0)) < 1e-14
+
+    def test_report_figures_are_python_scalars(self):
+        grid = np.linspace(0.0, 1.0, 11)
+        ensemble = self._manual_ensemble(np.zeros((1, 1)), 9, grid, NoiseSpec("ou", g=1.0))
+        (report,) = mc_average_state(initial_state(0.8), ensemble, 1.0)
+        assert type(report.max_abs_deviation) is float
+        assert type(report.stderr_bound) is float and report.stderr_bound == 1.0
+        assert report.within_bound is True
 
     def test_matches_per_path_matrix_exponential(self):
         # four drawn paths; the same four with each column scaled so that its

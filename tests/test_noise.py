@@ -146,8 +146,10 @@ class TestAutocorrelation:
         assert autocorrelation(NoiseSpec("gn", g=1e160), 1.0, 1.0) == 1e160 / math.sqrt(math.pi)
 
     def test_negative_times_rejected(self):
-        with pytest.raises(ValueError):
-            autocorrelation(NoiseSpec("ou", g=1.0), -0.1, 0.5)
+        message = "autocorrelation times must be nonnegative, not nan"
+        for s, s_prime in [(-0.1, 0.5), (math.nan, 1.0), (1.0, [0.0, math.nan])]:
+            with pytest.raises(ValueError, match=message):
+                autocorrelation(NoiseSpec("ou", g=1.0), s, s_prime)
 
     def test_stationary_kernels_symmetric(self):
         for spec in ALL_SPECS:
@@ -179,10 +181,15 @@ class TestBetaClosed:
         assert beta_closed(NoiseSpec("pl", g=1.0, alpha=3.0), 1.0) == pytest.approx(0.5, rel=1e-12)
 
     def test_negative_tau_rejected(self):
-        with pytest.raises(ValueError):
+        message = "tau must be nonnegative, not nan"
+        with pytest.raises(ValueError, match=message):
             beta_closed(NoiseSpec("ou", g=1.0), -0.5)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=message):
             beta_closed(NoiseSpec("gn", g=1.0), np.array([0.0, 1.0, -1e-3]))
+        with pytest.raises(ValueError, match=message):
+            beta_closed(NoiseSpec("ou", g=1.0), math.nan)
+        with pytest.raises(ValueError, match=message):
+            beta_closed(NoiseSpec("pl", g=1.0), np.array([0.0, math.nan]))
 
     def test_fgn_crossover_in_hurst(self):
         early = [beta_closed(NoiseSpec("fgn", hurst=h), 0.5) for h in (0.1, 0.5, 0.9)]
@@ -263,23 +270,27 @@ class TestBetaClosed:
 
 class TestBetaQuadrature:
     def test_zero_at_zero(self):
-        assert beta_quadrature(NoiseSpec("gn", g=1.0), 0.0) == 0.0
+        # the degenerate [0, 0] grid has zero weights, so the pair is exactly 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert all(beta_quadrature(spec, 0.0) == 0.0 for spec in ALL_SPECS)
 
-    def test_panel_floor(self):
-        with pytest.raises(ValueError):
-            beta_quadrature(NoiseSpec("gn", g=1.0), 1.0, panels=4)
+    @pytest.mark.parametrize("tau", [-1.0, math.nan, math.inf])
+    def test_negative_or_non_finite_tau_rejected(self, tau):
+        with pytest.raises(ValueError, match=f"tau must be nonnegative and finite, got {tau}"):
+            beta_quadrature(NoiseSpec("gn", g=1.0), tau)
 
     def test_gn_agreement(self):
         spec = NoiseSpec("gn", g=1.0)
         closed = beta_closed(spec, 2.0)
-        quad = beta_quadrature(spec, 2.0, panels=512)
+        quad = beta_quadrature(spec, 2.0)
         assert abs(quad - closed) / closed <= 1e-6
 
     @pytest.mark.parametrize("spec", ALL_SPECS)
     @pytest.mark.parametrize("tau", [0.25, 1.0, 2.0])
     def test_oracle_agreement_grid(self, spec, tau):
         closed = beta_closed(spec, tau)
-        quad = beta_quadrature(spec, tau, panels=1024)
+        quad = beta_quadrature(spec, tau)
         assert abs(quad - closed) / max(closed, 1e-12) <= 1e-6
 
 
