@@ -123,7 +123,7 @@ def fluctuation_series(t_grid, omega: float = 1.0, r: float = 1.0) -> np.ndarray
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.size == 0:
         raise ValueError("time grid must be nonempty")
-    if not (np.all(np.diff(t_grid) >= 0.0) and np.all(t_grid >= 0.0)):  # nan fails too
-        raise ValueError("time grid must be sorted and nonnegative, not nan")
+    if not (np.all(np.diff(t_grid) >= 0.0) and 0.0 <= t_grid.min() <= t_grid.max() < math.inf):
+        raise ValueError("time grid must be sorted, nonnegative and finite, not nan")
     phase = omega * t_grid
     return evolve_averaged(initial_state(r), np.exp(1j * phase), np.exp(2j * phase))

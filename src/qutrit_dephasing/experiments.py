@@ -18,7 +18,7 @@ import numpy as np
 from .dynamics import evolve_averaged, fluctuation_series, initial_state
 from .metrics import purity_closed, vn_entropy_closed
 from .montecarlo import RNG_ALGORITHM, OracleReport, mc_average_state, sample_trajectories
-from .noise import NoiseSpec, beta_closed, coherence_loss, dephasing_factor
+from .noise import NoiseSpec, phase_law
 
 CSV_HEADER = ["tau", "beta", "purity", "entropy"]
 
@@ -82,14 +82,13 @@ def sweep_rows(
     with_matrix: bool = False,
 ) -> np.ndarray:
     """CSV rows (tau, beta, purity, entropy[, matrix]) for one spec, as one
-    (T, ncols) array."""
+    (T, ncols) array: the metrics read the coherence loss of its ``phase_law``
+    and the matrix alone reads the factors chi_1, chi_2."""
     tau = np.asarray(taus, dtype=float)
-    beta = beta_closed(spec, tau)
-    loss = coherence_loss(2, beta, omega)
+    beta, loss, chi = phase_law(spec, tau, omega)
     columns = [tau, beta, purity_closed(loss, r), vn_entropy_closed(loss, r)]
     if with_matrix:
-        chi1, chi2 = (dephasing_factor(n, beta, omega) for n in (1, 2))
-        columns.append(_matrix_columns(evolve_averaged(initial_state(r), chi1, chi2)))
+        columns.append(_matrix_columns(evolve_averaged(initial_state(r), chi(1), chi(2))))
     return np.column_stack(columns)
 
 
@@ -148,6 +147,8 @@ def run_sweep(
 ) -> list[str]:
     """Write one CSV per spec plus a combined plot script named after the
     family of the first spec."""
+    if not specs:
+        raise ValueError("the spec list is empty")
     header = CSV_HEADER + (_MATRIX_COLUMNS if with_matrix else [])
     curves = (
         (f"sweep_{s.label()}.csv", header, sweep_rows(s, taus, omega, r, with_matrix))
@@ -188,7 +189,7 @@ def preservation_time(
         )
 
     def satisfied(tau: float) -> bool:
-        loss = coherence_loss(2, beta_closed(spec, tau), omega)
+        _, loss, _ = phase_law(spec, tau, omega)
         return abs(metric(loss, r) - saturation) <= delta
 
     if satisfied(0.0):
@@ -301,8 +302,9 @@ def figure(name: str, outputs: str = ".") -> list[str]:
         header = CSV_HEADER + ["dephasing_n2"]
 
         def phase_rows(spec: NoiseSpec) -> np.ndarray:
-            swept = sweep_rows(spec, t)
-            return np.column_stack([swept, dephasing_factor(2, swept[:, 1])])  # the beta column
+            beta, loss, chi = phase_law(spec, t)
+            metrics = purity_closed(loss), vn_entropy_closed(loss)
+            return np.column_stack([t, beta, *metrics, chi(2)])
 
         curves = ((f"noisephase_{s.label()}.csv", header, phase_rows(s)) for s in specs)
         return _write_curves(outputs, "plot_noisephase.py", ["dephasing_n2"], curves)

@@ -3,8 +3,8 @@
 The paper's initial state populates only the lambda = +-1 eigenstates of Sx,
 so its averaged state depends on the noise only through chi2, the dephasing
 factor of the gap-2 coherence, and its purity and entropy only through the
-coherence loss s = 1 - |chi2|^2 (``noise.coherence_loss(2, beta, omega)``
-for the Gaussian phase).  For r=1 that state has rank <= 2 with nonzero
+coherence loss s = 1 - |chi2|^2 (the s of ``noise.phase_law``, which knows
+each family's law).  For r=1 that state has rank <= 2 with nonzero
 eigenvalues (3 +- sqrt(9 - s)) / 6, which gives the closed forms implemented
 here; a partly mixed initial state (r < 1) shifts and scales that spectrum.
 Entropy uses the natural logarithm throughout; the saturation values (s = 1)

@@ -2,11 +2,11 @@
 chosen grid times and average the evolved qutrit states over the ensemble.
 
 The sampling never touches the analytic dephasing factors; only the
-reference state does, through ``noise.dephasing_factor`` at the closed-form
-beta.  The phases at the K chosen grid indices are jointly Gaussian with
-covariance C = W^T K W (``noise.phase_covariance``): exactly the law of the
-trapezoid phases of paths drawn from the kernel on the grid, so the oracle
-needs no paths.  The phases are drawn as ``Z F^T`` with F the Cholesky factor
+reference state does, through the factors chi_n of ``noise.phase_law``.  The
+phases at the K chosen grid indices are jointly Gaussian with covariance
+C = W^T K W (``noise.phase_covariance``): exactly the law of the trapezoid
+phases of paths drawn from the kernel on the grid, so the oracle needs no
+paths.  The phases are drawn as ``Z F^T`` with F the Cholesky factor
 of C.  The state U(phi) rho0 U(phi)+ is a degree-2 trigonometric polynomial
 in phi, so its ensemble mean depends on the paths only through the two
 moments m_n = mean exp(i n omega phi), n = 1, 2.  It is the sum of the states
@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import evolve_averaged, propagator
-from .noise import NoiseSpec, beta_closed, dephasing_factor, phase_covariance
+from .noise import NoiseSpec, phase_covariance, phase_law
 
 BLOCK = 4096
 RNG_ALGORITHM = (
@@ -161,21 +161,20 @@ def mc_average_state(
     """Ensemble-averaged evolved states at every drawn grid time, vs the
     analytic states: one report per entry of ``ensemble.indices``, in order.
 
-    The analytic references, evolve_averaged with the Gaussian dephasing
-    factors at each tau, are computed first, so a bad rho0 or omega fails
-    before the state sum.  One pass over the blocks sums exp(i omega phi) and
-    exp(2i omega phi) for every drawn column, in block order.  Their means
-    m1, m2 weight the states U(theta_j) rho0 U(theta_j)+ at
-    theta_j = 2 pi j / 5, j = 0..4, and each weighted sum is exactly the mean
-    of the per-path states U(omega phi) rho0 U(omega phi)+ at its time.
+    The analytic references, evolve_averaged with the factors chi_1, chi_2 of
+    the spec's phase law at each tau, are computed first, so a bad rho0 or
+    omega fails before the state sum.  One pass over the blocks sums
+    exp(i omega phi) and exp(2i omega phi) for every drawn column, in block
+    order.  Their means m1, m2 weight the states U(theta_j) rho0 U(theta_j)+
+    at theta_j = 2 pi j / 5, j = 0..4, and each weighted sum is exactly the
+    mean of the per-path states U(omega phi) rho0 U(omega phi)+ at its time.
     """
     if ensemble.n_paths == 0:
         raise ValueError("ensemble is empty")
     rho0 = np.asarray(rho0, dtype=complex)
     taus = ensemble.t_grid[ensemble.indices]
-    beta = beta_closed(ensemble.spec, taus)
-    chi1, chi2 = (dephasing_factor(n, beta, omega) for n in (1, 2))
-    analytic = evolve_averaged(rho0, chi1, chi2)
+    _, _, chi = phase_law(ensemble.spec, taus, omega)
+    analytic = evolve_averaged(rho0, chi(1), chi(2))
     sums = np.zeros((2, taus.size), dtype=complex)
     for phases in ensemble.phases():
         phasor = np.exp(1j * (omega * phases))

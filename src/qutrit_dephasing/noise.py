@@ -17,9 +17,9 @@ gives W^T K W, the covariance of the trapezoid phases at chosen times of a
 grid (the law the Monte-Carlo oracle samples), and ``beta_quadrature`` its
 1 x 1 case at 512 and 1024 panels, Richardson-extrapolated: an independent
 numerical beta at any finite tau.  Every time read here must be nonnegative,
-and nan is rejected.  The Gaussian law, ``dephasing_factor`` and
-``coherence_loss``, reads beta itself, so a caller evaluates beta once per
-grid and may pass any other beta.
+and nan is rejected.  ``phase_law`` is the one place that pairs a family with
+its law: beta, then the Gaussian law at that beta (``coherence_loss`` and
+``dephasing_factor``, which read beta itself and so take any other beta too).
 """
 
 from __future__ import annotations
@@ -294,3 +294,12 @@ def coherence_loss(n: int, beta, omega: float = 1.0):
     with np.errstate(over="ignore"):  # past the float range s is 1
         out = -np.expm1(-2.0 * _half_exponent(n, beta, omega))
     return out if out.ndim else float(out)
+
+
+def phase_law(spec: NoiseSpec, tau, omega: float = 1.0):
+    """(beta, s, chi) of ``spec`` at tau: beta = ``beta_closed(spec, tau)``,
+    s = ``coherence_loss(2, beta, omega)``, and ``chi(n)`` evaluates
+    ``dephasing_factor(n, beta, omega)`` only when called, so a factor no
+    caller reads cannot raise."""
+    beta = beta_closed(spec, tau)
+    return beta, coherence_loss(2, beta, omega), lambda n: dephasing_factor(n, beta, omega)

@@ -420,6 +420,27 @@ class TestPreservation:
             f"exp(-n^2 omega^2 beta / 2) reaches 0 at n=2, omega={omega}\n"
         )
 
+    def test_unread_harmonic_does_not_fail(self, tmp_path):
+        # at omega = 2e-153 fgn's beta overflows while s is already 1, but
+        # chi_1 is not resolved: beta's columns need only s and succeed, and
+        # the matrix, which reads chi_1, fails naming n=1.  In a subprocess,
+        # so a RuntimeWarning would reach stderr.
+        flags = ["--noise", "fgn", "--omega", "2e-153", "--tau-max", "1e110", "--tau-steps", "3"]
+        src = os.path.dirname(os.path.dirname(qutrit_dephasing.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        cli_argv = [sys.executable, "-m", "qutrit_dephasing.cli"]
+        out = subprocess.run(cli_argv + ["beta", *flags], env=env, capture_output=True, text=True)
+        assert out.returncode == 0 and out.stderr == "", out.stderr
+        saturated = "inf,0.94444444444444442,0.12982549552077366"
+        assert [row.split(",", 1)[1] for row in out.stdout.splitlines()[-2:]] == [saturated] * 2
+        argv = cli_argv + ["sweep", *flags, "--with-matrix", "--out", str(tmp_path)]
+        out = subprocess.run(argv, env=env, capture_output=True, text=True)
+        assert out.returncode == 2 and out.stdout == ""
+        assert out.stderr == (
+            "error: beta overflows the float range before "
+            "exp(-n^2 omega^2 beta / 2) reaches 0 at n=1, omega=2e-153\n"
+        )
+
     def test_tiny_omega_inside_float_range(self, capsys):
         # at omega = 1e-150 the crossing, ~1.44e100, keeps beta finite
         assert run(["preservation", "--noise", "fgn", "--omega", "1e-150"]) == 0

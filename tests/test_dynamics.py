@@ -293,7 +293,9 @@ class TestFluctuationSeries:
         with pytest.raises(ValueError):
             fluctuation_series([])
 
-    @pytest.mark.parametrize("grid", [[1.0, 0.5], [-1.0, 0.0], [0.0, np.nan]])
+    @pytest.mark.parametrize("grid", [[1.0, 0.5], [-1.0, 0.0], [0.0, np.nan], [0.0, np.inf]])
     def test_unsorted_negative_or_nan_grid_rejected(self, grid):
-        with pytest.raises(ValueError, match="time grid must be sorted and nonnegative, not nan"):
+        # at inf the phases were nan, and evolve_averaged's factor check failed
+        message = "time grid must be sorted, nonnegative and finite, not nan"
+        with pytest.raises(ValueError, match=message):
             fluctuation_series(grid)

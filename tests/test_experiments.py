@@ -1,11 +1,11 @@
-"""Input rejections of the experiment drivers: grids, preservation times, figures."""
+"""Input rejections in experiments: grids, sweeps, preservation times, figures."""
 
 import math
 
 import pytest
 
 from qutrit_dephasing import NoiseSpec
-from qutrit_dephasing.experiments import figure, preservation_time, tau_grid
+from qutrit_dephasing.experiments import figure, preservation_time, run_sweep, tau_grid
 
 
 @pytest.mark.parametrize("tau_max", [0.0, -1.0, math.nan, math.inf])
@@ -13,6 +13,13 @@ def test_tau_max_positive_and_finite(tau_max):
     # at inf numpy's linspace would warn and return [nan, inf, inf]
     with pytest.raises(ValueError, match=f"tau_max must be positive and finite, got {tau_max}"):
         tau_grid(tau_max, 3)
+
+
+def test_empty_spec_list_rejected(tmp_path):
+    # it once failed with an IndexError naming the plot script's family
+    with pytest.raises(ValueError, match="the spec list is empty"):
+        run_sweep([], tau_grid(1.0, 3), outputs=str(tmp_path))
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("delta", [0.0, -1e-3, math.nan])

@@ -24,7 +24,7 @@ from qutrit_dephasing import (
     sample_trajectories,
     vn_entropy_closed,
 )
-from qutrit_dephasing import experiments, montecarlo, noise
+from qutrit_dephasing import experiments, noise
 from qutrit_dephasing.noise import KINDS
 
 ALL_SPECS = [
@@ -380,8 +380,8 @@ class TestDephasingFactor:
             calls.append(spec)
             return beta_closed(spec, tau)
 
-        for module in (noise, experiments, montecarlo):
-            monkeypatch.setattr(module, "beta_closed", counted)
+        # every caller outside noise reaches beta_closed through phase_law
+        monkeypatch.setattr(noise, "beta_closed", counted)
         spec = NoiseSpec("pl", g=3.0, alpha=3.0)
         grid = np.linspace(0.0, 2.0, 21)
         experiments.sweep_rows(spec, grid, with_matrix=True)
@@ -390,6 +390,22 @@ class TestDephasingFactor:
         ensemble = sample_trajectories(spec, grid, 10, 0, range(1, 21))
         mc_average_state(initial_state(1.0), ensemble, 1.0)
         assert calls == [spec, spec]
+
+    def test_phase_law_is_the_gaussian_law_at_beta_closed(self):
+        spec, tau = NoiseSpec("pl", g=3.0, alpha=3.0), np.linspace(0.0, 2.0, 21)
+        beta, s, chi = noise.phase_law(spec, tau, 0.7)
+        assert np.array_equal(beta, beta_closed(spec, tau))
+        assert np.array_equal(s, coherence_loss(2, beta, 0.7))
+        for n in (1, 2):
+            assert np.array_equal(chi(n), dephasing_factor(n, beta, 0.7))
+
+    def test_phase_law_harmonics_are_lazy(self):
+        # at this tiny omega the overflowed beta leaves s saturated, but chi_1
+        # is not resolved: it raises only when read
+        beta, s, chi = noise.phase_law(NoiseSpec("fgn"), 1e110, 2e-153)
+        assert beta == math.inf and s == 1.0
+        with pytest.raises(ValueError, match="at n=1, omega=2e-153"):
+            chi(1)
 
     @pytest.mark.parametrize("omega", [0.0, -1.0, math.nan, math.inf, -math.inf])
     def test_nonpositive_omega_rejected(self, omega):
