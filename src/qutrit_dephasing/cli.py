@@ -13,7 +13,8 @@ Each subcommand declares only the flags it reads.  A config file (--config,
 same types and choices, and explicit flags win.  Flags and keys are spelt in
 full, and every float must be finite.  Exit codes: 0 ok, 1 usage error
 (including an unreadable config file or an output path that cannot be
-written), 2 numerical failure or invalid parameters, 3 oracle bound violation.
+written), 2 numerical failure, invalid parameters or a grid too large to
+allocate, 3 oracle bound violation.
 
 ``run()`` is the process entry point (the ``sim`` script and ``python -m
 qutrit_dephasing.cli``): it calls ``gc.freeze()`` and exits with ``main()``'s
@@ -288,7 +289,7 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"usage error: cannot write outputs: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -17,8 +17,6 @@ import numpy as np
 
 from .dynamics import check_density_matrix, check_weight
 
-_CLAMP_TOL = 1e-10
-
 
 def purity(rho: np.ndarray) -> float:
     """Tr(rho^2); for Hermitian rho this is the squared Frobenius norm."""
@@ -40,7 +38,7 @@ def vn_entropy(rho: np.ndarray) -> float:
     """-Sum lambda ln lambda over the eigenvalues, with 0 ln 0 := 0."""
     check_density_matrix(rho)
     eigs = np.clip(np.linalg.eigvalsh(rho), 0.0, 1.0)
-    nonzero = eigs[eigs > _CLAMP_TOL]
+    nonzero = eigs[eigs > 0.0]
     return max(float(-np.sum(nonzero * np.log(nonzero))), 0.0)
 
 

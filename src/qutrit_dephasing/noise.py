@@ -200,7 +200,10 @@ def beta_quadrature(spec: NoiseSpec, tau: float) -> float:
     return float((4.0 * fine - coarse) / 3.0)
 
 
-_KERNEL_BLOCK = 2**18  # kernel entries phase_covariance evaluates at once
+# Kernel entries phase_covariance evaluates at once: 128 KiB of float64 per
+# temporary, so the few temporaries of a kernel formula (fgn holds several)
+# and each block of K W rows stay within a core's L2 cache.
+_KERNEL_BLOCK = 2**14
 
 
 def _trapezoid_weights(t_grid: np.ndarray, indices) -> np.ndarray:
@@ -216,9 +219,12 @@ def phase_covariance(spec: NoiseSpec, t_grid, indices) -> np.ndarray:
     """C = W^T K W, the covariance of the trapezoid phases (before omega) at
     the grid ``indices``; K is the kernel on ``t_grid``, W its trapezoid weights.
 
-    K W is built _KERNEL_BLOCK kernel entries at a time, so memory is
-    O(grid points * indices).  Both products are plain ``np.einsum`` calls,
-    which sum in one fixed order and never call the BLAS.
+    K W is built _KERNEL_BLOCK kernel entries (128 KiB) at a time, or one
+    row where a row is longer, so memory is O(grid points * indices) plus
+    one kernel block, whose temporaries stay in cache.  Both products are
+    plain ``np.einsum`` calls, which sum in one fixed order and never call
+    the BLAS; each row of K W is its own sum, so the result does not depend
+    on how rows are grouped into blocks.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     weights = _trapezoid_weights(t_grid, indices)

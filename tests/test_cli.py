@@ -925,6 +925,8 @@ class TestEntryPoint:
             (["beta", "--noise", "ou", "--tau-steps", "3"], 0),
             (["beta", "--noise", "ou", "--tau-steps", "x"], 1),
             (["beta", "--noise", "pl", "--alpha", "2"], 2),
+            # a 7 PiB grid exceeds any x86-64 user address space
+            (["beta", "--noise", "ou", "--tau-steps", "1000000000000000"], 2),
         ],
     )
     def test_exit_code_reaches_the_shell(self, argv, code):

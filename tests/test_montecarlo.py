@@ -211,7 +211,7 @@ class TestPhaseCovariance:
         ],
         ids=NoiseSpec.label,
     )
-    def test_row_blocks_match_full_kernel(self, spec, indices):
+    def test_row_blocks_match_full_kernel(self, spec, indices, monkeypatch):
         rng = np.random.default_rng(5)
         grid = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 2.0, size=1000))])
         rows = noise._KERNEL_BLOCK // grid.size
@@ -219,6 +219,10 @@ class TestPhaseCovariance:
         cov = phase_covariance(spec, grid, indices)
         reference = grid_covariance(spec, grid, indices)
         assert np.max(np.abs(cov - reference)) <= 1e-14 * np.max(reference)
+        # each row of K W is its own sum, so the block size moves no bits
+        for block in (2**18, 2**10):
+            monkeypatch.setattr(noise, "_KERNEL_BLOCK", block)
+            assert np.array_equal(phase_covariance(spec, grid, indices), cov)
 
     @pytest.mark.parametrize(
         "spec",
@@ -231,7 +235,8 @@ class TestPhaseCovariance:
         ids=NoiseSpec.label,
     )
     def test_memory_independent_of_kernel_size(self, spec):
-        # the 4001-point kernel alone would take 122 MiB
+        # the 4001-point kernel alone would take 122 MiB; one 128 KiB kernel
+        # block and the (4001, 20) weights and K W take about 1.7 MiB
         grid = np.linspace(0.0, 2.0, 4001)
         tracemalloc.start()
         try:
@@ -239,7 +244,7 @@ class TestPhaseCovariance:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 32 * 2**20
+        assert peak < 3 * 2**20
 
 
 class TestTrapezoidWeights:
