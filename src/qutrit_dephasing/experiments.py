@@ -175,6 +175,8 @@ def preservation_time(
     roughly as 1e-16 / delta, relative.  That gap is 0 or at least one float
     spacing of the saturation level, so a delta below that spacing is
     rejected: it would return where the metric first rounds to saturation.
+    Where the gap is at most that spacing already at tau = 0 (r near 0), no
+    delta can resolve the crossing, and that is rejected too.
     """
     if not delta > 0.0:  # nan fails too
         raise ValueError(f"delta must be positive, got {delta}")
@@ -182,9 +184,15 @@ def preservation_time(
         raise ValueError(f"unknown measure {measure!r}")
     metric = purity_closed if measure == "purity" else vn_entropy_closed
     saturation = metric(1.0, r)
-    if delta < np.spacing(saturation):
+    spacing = np.spacing(saturation)
+    if abs(metric(0.0, r) - saturation) <= spacing:  # the gap at tau = 0
         raise ValueError(
-            f"delta={delta:g} is below the float spacing {np.spacing(saturation):g} "
+            f"at r={r:g} the {measure} starts within the float spacing {spacing:g} "
+            "of its saturation level, so no delta can resolve the crossing"
+        )
+    if delta < spacing:
+        raise ValueError(
+            f"delta={delta:g} is below the float spacing {spacing:g} "
             f"of the {measure} saturation level, so the crossing cannot be resolved"
         )
 

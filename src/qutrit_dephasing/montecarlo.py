@@ -121,7 +121,7 @@ def _cholesky_with_jitter(cov: np.ndarray, spec: NoiseSpec) -> tuple[np.ndarray,
 def sample_trajectories(
     spec: NoiseSpec, t_grid, n: int, seed: int, at_indices: Sequence[int] = (-1,)
 ) -> TrajectoryEnsemble:
-    """n draws of the zero-mean Gaussian phases at the grid indices
+    """n draws of the zero-mean Gaussian phases at the integer grid indices
     ``at_indices`` (by default the last only), for a field with covariance
     K(s_i, s_j) on ``t_grid``.  The grid starts at 0, where the phases and
     beta start: the fgn kernel is not stationary, so a phase accumulated
@@ -139,7 +139,10 @@ def sample_trajectories(
         raise ValueError(f"time grid must start at 0, got {t_grid[0]}")
     if n < 1:
         raise ValueError("need at least one path")
-    indices = np.arange(t_grid.size)[np.asarray(at_indices, dtype=int)]
+    at_indices = np.asarray(at_indices)
+    if at_indices.size and at_indices.dtype.kind not in "iu":
+        raise ValueError(f"phase indices must be integers, got dtype {at_indices.dtype}")
+    indices = np.arange(t_grid.size)[at_indices.astype(int)]
     if indices.ndim != 1 or not indices.size or indices[0] < 1 or np.any(np.diff(indices) < 1):
         raise ValueError("phase indices must be increasing grid indices past the first")
     cov = phase_covariance(spec, t_grid, indices)
@@ -168,6 +171,7 @@ def mc_average_state(
     order.  Their means m1, m2 weight the states U(theta_j) rho0 U(theta_j)+
     at theta_j = 2 pi j / 5, j = 0..4, and each weighted sum is exactly the
     mean of the per-path states U(omega phi) rho0 U(omega phi)+ at its time.
+    Where omega * phi overflows, the sums are not finite: a ValueError.
     """
     if ensemble.n_paths == 0:
         raise ValueError("ensemble is empty")
@@ -177,8 +181,12 @@ def mc_average_state(
     analytic = evolve_averaged(rho0, chi(1), chi(2))
     sums = np.zeros((2, taus.size), dtype=complex)
     for phases in ensemble.phases():
-        phasor = np.exp(1j * (omega * phases))
+        # omega * phi may overflow to inf, and its phasor is then nan
+        with np.errstate(over="ignore", invalid="ignore"):
+            phasor = np.exp(1j * (omega * phases))
         sums += phasor.sum(axis=0), (phasor * phasor).sum(axis=0)
+    if not np.all(np.isfinite(sums)):
+        raise ValueError(f"the phases omega * phi overflow the float range at omega={omega:g}")
     m1, m2 = sums[..., None] / ensemble.n_paths
     weights = (1.0 + 2.0 * (m1 * np.exp(-1j * _NODES) + m2 * np.exp(-2j * _NODES)).real) / 5.0
     u = propagator(_NODES)

@@ -1,6 +1,7 @@
 """CLI surface: subcommands, config layering, CSV schema, exit codes."""
 
 import argparse
+import ast
 import csv
 import gc
 import math
@@ -14,12 +15,12 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
-from scipy.linalg import expm
 
 import qutrit_dephasing
 from qutrit_dephasing import cli, metrics
 from qutrit_dephasing.experiments import FIGURES
 from qutrit_dephasing.noise import PARAMETERS, NoiseSpec, beta_closed
+from references import beta_exact, entropy_exact, unitary
 
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
@@ -150,9 +151,7 @@ class TestBeta:
         rows = [row.split(",") for row in out.splitlines()[1:]]
         assert rows[0] == ["0", "0", "1", "0"]
         for row in rows[1:]:  # y = (alpha - 1) g tau is 0.05 and 0.1
-            with mpmath.workdps(200):
-                x, a = mpmath.mpf(float(row[0])), mpmath.mpf(1e23)
-                exact = (x * (a - 2) - 1 + (1 + x) ** (2 - a)) / (a - 2)
+            exact = beta_exact(NoiseSpec("pl", alpha=1e23), float(row[0]))
             assert abs(float(row[1]) / exact - 1) <= 1e-14
 
     def test_huge_omega_at_zero_beta(self, capsys):
@@ -194,13 +193,10 @@ class TestSweep:
 
     def test_fgn_beta_past_float_max(self, tmp_path):
         # in a subprocess, so a RuntimeWarning would reach stderr
-        argv = [
-            sys.executable, "-m", "qutrit_dephasing.cli", "sweep", "--noise", "fgn",
-            "--hurst", "0.5", "--tau-max", "1e200", "--tau-steps", "3", "--out", str(tmp_path),
-        ]
-        src = os.path.dirname(os.path.dirname(qutrit_dephasing.__file__))
-        env = dict(os.environ, PYTHONPATH=src)
-        out = subprocess.run(argv, env=env, capture_output=True, text=True)
+        out = python(
+            ["-m", "qutrit_dephasing.cli", "sweep", "--noise", "fgn", "--hurst", "0.5",
+             "--tau-max", "1e200", "--tau-steps", "3", "--out", str(tmp_path)]
+        )
         assert out.returncode == 0 and out.stderr == "", out.stderr
         rows = read_csv(tmp_path / "sweep_fgn_H0.5.csv")
         assert float(rows[-1]["beta"]) == math.inf
@@ -333,28 +329,11 @@ class TestPreservation:
         with mpmath.workdps(50):
             r, omega, delta = mpmath.mpf(r), mpmath.mpf(omega), mpmath.mpf(delta)
 
-            def beta(tau):
-                h2 = 2 * mpmath.mpf(spec.hurst) + 2
-                g, a = mpmath.mpf(spec.g), mpmath.mpf(spec.alpha)
-                x = g * tau
-                if spec.kind == "fgn":
-                    return tau**h2 / h2
-                if spec.kind == "gn":
-                    return (mpmath.expm1(-x * x) / mpmath.sqrt(mpmath.pi) + x * mpmath.erf(x)) / g
-                if spec.kind == "ou":
-                    return (x + mpmath.expm1(-x)) / g
-                return (x * (a - 2) - 1 + (1 + x) ** (2 - a)) / (a - 2) / g
-
-            def entropy(chi2):
-                root = mpmath.sqrt(chi2 * chi2 + 8)
-                lams = [(1 - r) / 3 + r * lam / 6 for lam in (3 + root, 3 - root, 0)]
-                return -sum(lam * mpmath.log(lam) for lam in lams if lam > 0)
-
             def gap(tau):
-                chi2 = mpmath.exp(-2 * omega**2 * beta(tau))
+                x = 4 * omega**2 * beta_exact(spec, tau)  # chi2^2 = exp(-x)
                 if measure == "purity":
-                    return r * r * chi2 * chi2 / 18
-                return entropy(0) - entropy(chi2)
+                    return r * r * mpmath.exp(-x) / 18
+                return entropy_exact(1, r) - entropy_exact(-mpmath.expm1(-x), r)
 
             lo, hi = mpmath.mpf(0), mpmath.mpf(1)
             while gap(hi) > delta:
@@ -407,13 +386,9 @@ class TestPreservation:
         # dephases (the exact crossing at 1e-160 is ~6.7e106); at 1e-200
         # omega^2 is 0, and 0 * inf must not become a nan.  In a subprocess,
         # so a RuntimeWarning would reach stderr.
-        argv = [
-            sys.executable, "-m", "qutrit_dephasing.cli", "preservation", "--noise", "fgn",
-            "--omega", omega,
-        ]
-        src = os.path.dirname(os.path.dirname(qutrit_dephasing.__file__))
-        env = dict(os.environ, PYTHONPATH=src)
-        out = subprocess.run(argv, env=env, capture_output=True, text=True)
+        out = python(
+            ["-m", "qutrit_dephasing.cli", "preservation", "--noise", "fgn", "--omega", omega]
+        )
         assert out.returncode == 2 and out.stdout == ""
         assert out.stderr == (
             "error: beta overflows the float range before "
@@ -426,15 +401,12 @@ class TestPreservation:
         # the matrix, which reads chi_1, fails naming n=1.  In a subprocess,
         # so a RuntimeWarning would reach stderr.
         flags = ["--noise", "fgn", "--omega", "2e-153", "--tau-max", "1e110", "--tau-steps", "3"]
-        src = os.path.dirname(os.path.dirname(qutrit_dephasing.__file__))
-        env = dict(os.environ, PYTHONPATH=src)
-        cli_argv = [sys.executable, "-m", "qutrit_dephasing.cli"]
-        out = subprocess.run(cli_argv + ["beta", *flags], env=env, capture_output=True, text=True)
+        cli_argv = ["-m", "qutrit_dephasing.cli"]
+        out = python(cli_argv + ["beta", *flags])
         assert out.returncode == 0 and out.stderr == "", out.stderr
         saturated = "inf,0.94444444444444442,0.12982549552077366"
         assert [row.split(",", 1)[1] for row in out.stdout.splitlines()[-2:]] == [saturated] * 2
-        argv = cli_argv + ["sweep", *flags, "--with-matrix", "--out", str(tmp_path)]
-        out = subprocess.run(argv, env=env, capture_output=True, text=True)
+        out = python(cli_argv + ["sweep", *flags, "--with-matrix", "--out", str(tmp_path)])
         assert out.returncode == 2 and out.stdout == ""
         assert out.stderr == (
             "error: beta overflows the float range before "
@@ -454,6 +426,19 @@ class TestPreservation:
              "--measure", "entropy"]
         ) == 0
         assert "measure=entropy" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("r", ["0", "1e-10"])
+    def test_no_delta_resolves_a_tiny_r(self, r, capsys):
+        # the purity's gap to saturation at tau = 0, r^2 / 18, is 0.0 in floats:
+        # a delta from the saturation level's spacing up is met at tau = 0,
+        # and a smaller one cannot be resolved
+        assert run(["preservation", "--noise", "ou", "--r", r]) == 2
+        assert "so no delta can resolve the crossing" in capsys.readouterr().err
+
+    def test_small_r_resolves_above_the_spacing(self, capsys):
+        assert run(["preservation", "--noise", "ou", "--r", "1e-7", "--delta", "1e-16"]) == 0
+        out = capsys.readouterr().out
+        assert out == "noise=ou_g1 measure=purity delta=1e-16 tau_star=1.1957660443143423\n"
 
 
 class TestOracle:
@@ -522,15 +507,25 @@ class TestOracle:
     )
     def test_non_finite_covariance_is_numerical_error(self, flags, label, tmp_path):
         # in a subprocess, so a RuntimeWarning would reach stderr
-        argv = [
-            sys.executable, "-m", "qutrit_dephasing.cli", "oracle", *flags,
-            "--samples", "10", "--out", str(tmp_path),
-        ]
-        src = os.path.dirname(os.path.dirname(qutrit_dephasing.__file__))
-        env = dict(os.environ, PYTHONPATH=src)
-        out = subprocess.run(argv, env=env, capture_output=True, text=True)
+        out = python(
+            ["-m", "qutrit_dephasing.cli", "oracle", *flags, "--samples", "10",
+             "--out", str(tmp_path)]
+        )
         assert out.returncode == 2
         assert out.stderr == f"error: covariance for {label} is not finite\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_phase_overflow_is_numerical_error(self, tmp_path):
+        # omega * phi overflows to inf, whose phasor is nan: not a bound
+        # violation.  In a subprocess, so a RuntimeWarning would reach stderr.
+        out = python(
+            ["-m", "qutrit_dephasing.cli", "oracle", "--noise", "ou", "--omega", "1e308",
+             "--tau-max", "2", "--samples", "1000", "--out", str(tmp_path)]
+        )
+        assert out.returncode == 2 and "RuntimeWarning" not in out.stderr
+        assert out.stderr == (
+            "error: the phases omega * phi overflow the float range at omega=1e+308\n"
+        )
         assert list(tmp_path.iterdir()) == []
 
     def test_bound_violation_exits_3(self, monkeypatch, capsys):
@@ -597,13 +592,12 @@ class TestFigure:
 
     def test_noiseless_is_exact_unitary_evolution(self, tmp_path):
         run(["figure", "noiseless", "--out", str(tmp_path)])
-        sx = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=complex) / np.sqrt(2.0)
         rho0 = np.full((3, 3), 1.0 / 3.0)
         for omega in (0.5, 1.0):
             rows = read_csv(tmp_path / f"noiseless_omega{omega:g}.csv")
             assert {(r["beta"], r["purity"], r["entropy"]) for r in rows} == {("0", "1", "0")}
             for row in rows:
-                u = expm(-1j * omega * float(row["tau"]) * sx)
+                u = unitary(omega * float(row["tau"]))
                 exact = (u @ rho0 @ u.conj().T).ravel()
                 rho = [complex(float(row[f"rho_re_{c}"]), float(row[f"rho_im_{c}"])) for c in CELLS]
                 assert np.max(np.abs(np.array(rho) - exact)) <= 4e-15
@@ -886,6 +880,29 @@ def test_import_loads_numpy_only():
     )
     out = python(["-c", code])
     assert out.returncode == 0 and out.stdout.strip() == "[]", out.stderr
+
+
+def test_test_extra_is_what_the_suite_imports():
+    # beyond numpy and the package, the third-party modules that the tests
+    # and the benchmark import are exactly the test extra: none undeclared,
+    # and none declared but unused
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    with open(ROOT / "pyproject.toml", "rb") as handle:
+        extra = tomllib.load(handle)["project"]["optional-dependencies"]["test"]
+    declared = {re.match(r"[\w.-]+", requirement)[0] for requirement in extra}
+    imported = set()
+    for directory in (ROOT / "tests", ROOT / "perfbench"):
+        paths = list(directory.glob("*.py"))
+        modules = set()
+        for path in paths:
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Import):
+                    modules |= {alias.name.split(".")[0] for alias in node.names}
+                elif isinstance(node, ast.ImportFrom) and not node.level:
+                    modules.add(node.module.split(".")[0])
+        imported |= modules - {path.stem for path in paths}  # less same-directory modules
+    imported -= set(sys.stdlib_module_names) | {"numpy", "qutrit_dephasing"}
+    assert imported == declared
 
 
 class TestEntryPoint:

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 from numpy.polynomial.hermite_e import hermegauss
-from scipy.linalg import expm
 
 from qutrit_dephasing import (
     dephasing_factor,
@@ -14,9 +13,9 @@ from qutrit_dephasing import (
 )
 from qutrit_dephasing.dynamics import SX_EIGENVALUES, SX_EIGENVECTORS
 from qutrit_dephasing.metrics import purity, purity_closed
+from references import SX, unitary
 
 RNG = np.random.default_rng(20240817)
-SX = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=complex) / np.sqrt(2.0)
 
 
 def gaussian(var):
@@ -35,11 +34,11 @@ class TestSpinOperators:
     def test_exponential_matches_propagator(self):
         phis = (0.0, 0.3, np.pi, 2.4)
         for phi, stacked in zip(phis, propagator(np.array(phis))):
-            assert np.allclose(expm(-1j * phi * SX), propagator(phi), atol=1e-12)
+            assert np.allclose(unitary(phi), propagator(phi), atol=1e-12)
             assert np.max(np.abs(stacked - propagator(phi))) < 1e-15
 
     def test_center_entry_at_pi(self):
-        assert expm(-1j * np.pi * SX)[1, 1] == pytest.approx(-1.0, abs=1e-12)
+        assert unitary(np.pi)[1, 1] == pytest.approx(-1.0, abs=1e-12)
 
     def test_sx_eigenbasis(self):
         v = SX_EIGENVECTORS
@@ -284,9 +283,8 @@ class TestFluctuationSeries:
         series = fluctuation_series(t, omega, r)
         assert series.shape == (t.size, 3, 3)
         rho0 = initial_state(r)
-        direct = np.array(
-            [expm(-1j * omega * s * SX) @ rho0 @ expm(1j * omega * s * SX) for s in t]
-        )
+        u = unitary(omega * t)
+        direct = u @ rho0 @ u.conj().transpose(0, 2, 1)
         assert np.max(np.abs(series - direct)) <= 1e-13
 
     def test_empty_grid_rejected(self):

@@ -2,7 +2,6 @@
 
 import math
 
-import mpmath
 import numpy as np
 import pytest
 
@@ -21,6 +20,7 @@ from qutrit_dephasing import (
     vn_entropy,
     vn_entropy_closed,
 )
+from references import entropy_exact
 
 BETAS = [0.0, 0.1, 0.5, 1.0, 2.0, 5.0, 20.0]
 
@@ -112,11 +112,7 @@ class TestVnEntropyClosed:
         rng = np.random.default_rng(11)
         losses = np.concatenate([np.logspace(-16.0, 0.0, 161), rng.uniform(0.0, 1.0, 200)])
         for s, value in zip(losses, vn_entropy_closed(losses, r)):
-            with mpmath.workdps(50):
-                root = mpmath.sqrt(9 - mpmath.mpf(s))
-                mixed = (1 - mpmath.mpf(r)) / 3
-                lams = [mixed + mpmath.mpf(r) * lam / 6 for lam in (3 + root, 3 - root, 0)]
-                exact = float(-sum(lam * mpmath.log(lam) for lam in lams if lam > 0))
+            exact = float(entropy_exact(s, r))
             assert abs(value - exact) <= 1e-15 * exact, s
 
 

@@ -7,8 +7,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.integrate import cumulative_trapezoid
-from scipy.linalg import expm
 
 import qutrit_dephasing
 from qutrit_dephasing import (
@@ -25,6 +23,7 @@ from qutrit_dephasing import (
 from qutrit_dephasing import cli, montecarlo, noise
 from qutrit_dephasing.montecarlo import BLOCK
 from qutrit_dephasing.noise import _trapezoid_weights
+from references import cumulative_trapezoid, unitary
 
 
 def all_phases(ensemble):
@@ -82,6 +81,7 @@ class TestSampleTrajectories:
             ([5, 3], ValueError),
             ([4, 4], ValueError),
             ([11], IndexError),
+            ([2.5], ValueError),
         ],
     )
     def test_phase_indices_increase_past_the_first(self, indices, error):
@@ -256,7 +256,7 @@ class TestTrapezoidWeights:
         grid = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 2.0, size=63))])
         paths = rng.normal(size=(50, 64))
         (weighted,) = (paths @ _trapezoid_weights(grid, [at_index])).T
-        cumulative = cumulative_trapezoid(paths, grid, initial=0.0)[:, at_index]
+        cumulative = cumulative_trapezoid(paths, grid)[:, at_index]
         assert np.max(np.abs(weighted - cumulative)) < 1e-13
 
 
@@ -280,8 +280,7 @@ class TestMcAverageState:
 
     @staticmethod
     def _per_phase_average(rho0, phases, omega):
-        sx = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=complex) / np.sqrt(2.0)
-        u = expm(-1j * omega * phases[:, None, None] * sx)
+        u = unitary(omega * phases)
         return (u @ rho0 @ u.conj().transpose(0, 2, 1)).mean(axis=0)
 
     def test_single_zero_path_is_noiseless(self):
@@ -298,6 +297,13 @@ class TestMcAverageState:
         assert type(report.max_abs_deviation) is float
         assert type(report.stderr_bound) is float and report.stderr_bound == 1.0
         assert report.within_bound is True
+
+    def test_phase_overflow_rejected(self):
+        # omega * phi overflows to inf and its phasor is nan; a warning fails
+        # the test
+        ensemble = sample_trajectories(NoiseSpec("ou", g=1.0), np.linspace(0.0, 2.0, 11), 100, 0)
+        with pytest.raises(ValueError, match=r"overflow the float range at omega=1e\+308"):
+            mc_average_state(initial_state(1.0), ensemble, 1e308)
 
     def test_matches_per_path_matrix_exponential(self):
         # four drawn paths; the same four with each column scaled so that its

@@ -26,6 +26,7 @@ from qutrit_dephasing import (
 )
 from qutrit_dephasing import experiments, noise
 from qutrit_dephasing.noise import KINDS
+from references import beta_exact, entropy_exact
 
 ALL_SPECS = [
     NoiseSpec("fgn", hurst=0.1),
@@ -41,35 +42,6 @@ ALL_SPECS = [
 
 # x = g*tau from deep in the cancellation region to far past the kernel scale.
 SMALL_TO_LARGE_X = np.logspace(-12.0, 4.0, 161)
-
-
-def digits_below_one(value) -> int:
-    """Decimal digits between a positive value and 1 (0 from 1 up, and for 0)."""
-    return max(0, -int(mpmath.log10(value))) if value else 0
-
-
-def beta_reference(kind: str, x, alpha: float) -> mpmath.mpf:
-    """g * beta at x = g*tau (a float or an mpf) to 50 digits.  Each form
-    cancels about twice the digits of x below 1 (pl's also those of alpha - 2),
-    and pl's 1 + x needs them once more, so the working precision adds them."""
-    lost = 3 * digits_below_one(x) + digits_below_one(alpha - 2)
-    with mpmath.workdps(50 + lost):
-        x, a = mpmath.mpf(x), mpmath.mpf(alpha)
-        if kind == "gn":
-            return (mpmath.exp(-x * x) - 1) / mpmath.sqrt(mpmath.pi) + x * mpmath.erf(x)
-        if kind == "ou":
-            return x + mpmath.exp(-x) - 1
-        return (x * (a - 2) - 1 + (1 + x) ** (2 - a)) / (a - 2)
-
-
-def beta_exact(spec: NoiseSpec, tau: float) -> mpmath.mpf:
-    """beta_closed(spec, tau) to 50 digits, from the exact float inputs."""
-    with mpmath.workdps(50):
-        if spec.kind == "fgn":
-            c = 2 * mpmath.mpf(spec.hurst) + 2
-            return mpmath.mpf(tau) ** c / c
-        g = mpmath.mpf(spec.g)
-        return beta_reference(spec.kind, g * mpmath.mpf(tau), spec.alpha) / g
 
 
 def relative_error(got: float, exact) -> float:
@@ -211,7 +183,7 @@ class TestBetaClosed:
     )
     def test_relative_accuracy_small_to_large_x(self, spec):
         got = beta_closed(spec, SMALL_TO_LARGE_X)
-        want = np.array([float(beta_reference(spec.kind, x, spec.alpha)) for x in SMALL_TO_LARGE_X])
+        want = np.array([float(beta_exact(spec, x)) for x in SMALL_TO_LARGE_X])
         assert np.max(np.abs(got - want) / want) <= 1e-13
 
     @pytest.mark.parametrize("kind", ["gn", "ou"])
@@ -444,13 +416,9 @@ class TestCoherenceLoss:
         spec = NoiseSpec("ou", g=g)
         values = vn_entropy_closed(coherence_loss(2, beta_closed(spec, taus)), r)
         for tau, value in zip(taus, values):
-            beta = beta_exact(spec, tau)
             with mpmath.workdps(50):
-                r_mp = mpmath.mpf(r)
-                root = mpmath.sqrt(9 + mpmath.expm1(-4 * beta))
-                mixed = (1 - r_mp) / 3
-                lams = [mixed + r_mp * lam / 6 for lam in (3 + root, 3 - root, 0)]
-                exact = float(-sum(lam * mpmath.log(lam) for lam in lams if lam > 0))
+                s = -mpmath.expm1(-4 * beta_exact(spec, tau))
+            exact = float(entropy_exact(s, r))
             assert abs(value - exact) <= 4e-15 * exact, tau
 
 
@@ -508,9 +476,7 @@ def domain_errors(spec: NoiseSpec, tau: float, omega: float) -> list[tuple[float
     loss = coherence_loss(2, beta, omega)
     errors.append((relative_error(loss, s), "s"))
     errors.append((relative_error(purity_closed(loss), purity), "purity"))
-    with mpmath.workdps(50 + digits_below_one(s)):  # 3 - sqrt(9 - s) cancels
-        root = mpmath.sqrt(9 - s)
-        entropy = -sum(lam * mpmath.log(lam) for lam in ((3 + root) / 6, (3 - root) / 6))
+    entropy = entropy_exact(s)
     if is_normal(entropy):
         errors.append((relative_error(vn_entropy_closed(loss), entropy), "entropy"))
     return errors
