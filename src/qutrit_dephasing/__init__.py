@@ -35,6 +35,7 @@ from .noise import (
     coherence_loss,
     dephasing_factor,
     phase_covariance,
+    phase_law,
 )
 
 __all__ = [
@@ -45,6 +46,7 @@ __all__ = [
     "coherence_loss",
     "dephasing_factor",
     "phase_covariance",
+    "phase_law",
     "propagator",
     "initial_state",
     "evolve_averaged",

@@ -103,8 +103,8 @@ def _positive_int(text: str) -> int:
 
 
 def _seed(text: str) -> int:
-    """An oracle seed: an integer in [0, 2**128), the entropy of the
-    SeedSequence that spawns each block's stream."""
+    """An oracle seed: an integer in [0, 2**128), the key (low 64 bits) and
+    the high counter words (high 64 bits) of the Philox stream of normals."""
     value = _integer(text)
     if not 0 <= value < 2**128:
         raise argparse.ArgumentTypeError(f"must lie in [0, 2**128), got {value}")

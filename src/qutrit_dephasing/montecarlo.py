@@ -19,10 +19,13 @@ blocks keeps the two moment sums of every drawn column, so
 check of the analytic averaging rule, whose eigenbasis the empirical side
 never uses.
 
-Sampling and averaging stream over blocks of BLOCK = 4096 paths: block b
-draws its (rows, K) standard normals from SFC64 seeded by SeedSequence(seed,
-spawn_key=(b,)), NumPy's scheme for spawning independent parallel streams,
-so path i depends only on (seed, i) and the ensemble is bit-reproducible.
+Path p's K standard normals are the flat indices pK .. pK + K - 1 of one
+counter-based stream (``_normals``): normals 2j and 2j + 1 are the Box-Muller
+pair of Philox4x32-10 call j (Salmon, Moraes, Dror & Shaw, SC11), keyed by
+the seed's low 64 bits, with its high 64 bits in the counter.  So path p
+depends only on (seed, p), and the ensemble is bit-reproducible.  Sampling
+and averaging stream over blocks of BLOCK = 4096 paths, which bounds the
+memory and is no part of the stream.
 C, the phases, the moment sums and the node sums are plain ``np.einsum``
 and ``sum`` calls, which sum in one fixed order and never call the BLAS, and
 the K x K factor is too small for the BLAS to thread; that a report is the
@@ -33,6 +36,7 @@ memory at a time, so memory is O((BLOCK + M) * K) for M grid points.
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
@@ -43,9 +47,14 @@ from .noise import NoiseSpec, phase_covariance, phase_law
 
 BLOCK = 4096
 RNG_ALGORITHM = (
-    f"numpy.random.SFC64, block b of {BLOCK} paths from "
-    "SFC64(SeedSequence(seed, spawn_key=(b,))), K normals per path at K phase times"
+    "Philox4x32-10 + Box-Muller, call j keyed by seed bits 0-63 with counter "
+    "(j mod 2**32, j >> 32, seed bits 64-95, seed bits 96-127) gives normals 2j, 2j+1; "
+    "path p takes normals pK .. pK+K-1 at K phase times"
 )
+
+_WORD = 0xFFFFFFFF
+_PHILOX_M = (0xD2511F53, 0xCD9E8D57)
+_PHILOX_W = (0x9E3779B9, 0xBB67AE85)
 
 _JITTERS = (0.0, 1e-12, 1e-10, 1e-8)
 # theta_j = 2 pi j / 5, the phases at which mc_average_state evaluates states.
@@ -67,13 +76,51 @@ class TrajectoryEnsemble:
     jitter: float = 0.0
 
     def phases(self) -> Iterator[np.ndarray]:
-        """Each block's (rows, K) phases ``Z_b F^T``: block b of BLOCK paths
-        draws Z_b from SFC64 seeded by SeedSequence(seed, spawn_key=(b,))."""
-        for b, start in enumerate(range(0, self.n_paths, BLOCK)):
-            bits = np.random.SFC64(np.random.SeedSequence(self.seed, spawn_key=(b,)))
+        """Each block's (rows, K) phases ``Z_b F^T``: the block of paths
+        start .. start + rows - 1 takes normals start K .. (start + rows) K - 1."""
+        k = self.indices.size
+        for start in range(0, self.n_paths, BLOCK):
             rows = min(BLOCK, self.n_paths - start)
-            z = np.random.Generator(bits).standard_normal((rows, self.indices.size))
+            z = _normals(self.seed, start * k, rows * k).reshape(rows, k)
             yield np.einsum("ij,kj->ik", z, self.factor)
+
+
+def _philox(x0, x1, x2, x3, k0, k1):
+    """Philox4x32-10 of the counter (x0, x1, x2, x3) under the key (k0, k1):
+    uint64 arrays (the key may be ints) that hold 32-bit words, so each
+    32 x 32-bit product is exact."""
+    for _ in range(10):
+        p0, p1 = x0 * _PHILOX_M[0], x2 * _PHILOX_M[1]
+        x0, x1, x2, x3 = (p1 >> 32) ^ x1 ^ k0, p1 & _WORD, (p0 >> 32) ^ x3 ^ k1, p0 & _WORD
+        k0, k1 = (k0 + _PHILOX_W[0]) & _WORD, (k1 + _PHILOX_W[1]) & _WORD
+    return x0, x1, x2, x3
+
+
+def _normals(seed: int, first: int, count: int) -> np.ndarray:
+    """Standard normals first .. first + count - 1 of the seed's stream.
+
+    Philox call j takes the key (seed bits 0-31, 32-63) and the counter
+    (j mod 2**32, j >> 32, seed bits 64-95, 96-127).  Its words (x0, x1) and
+    (x2, x3) form the 64-bit words x0 + 2**32 x1 and x2 + 2**32 x3, each made
+    a uniform u = ((w >> 11) + 0.5) 2**-53, never 0.  Box-Muller turns
+    (u1, u2) into normals 2j = r cos(2 pi u2) and 2j + 1 = r sin(2 pi u2),
+    with r = sqrt(-2 ln u1).
+    """
+    j = np.arange(first // 2, (first + count + 1) // 2, dtype=np.uint64)
+    x0, x1, x2, x3 = _philox(
+        j & _WORD,
+        j >> 32,
+        np.full_like(j, (seed >> 64) & _WORD),
+        np.full_like(j, (seed >> 96) & _WORD),
+        seed & _WORD,
+        (seed >> 32) & _WORD,
+    )
+    u1 = (((x0 | x1 << 32) >> 11) + 0.5) * 2.0**-53
+    u2 = (((x2 | x3 << 32) >> 11) + 0.5) * 2.0**-53
+    r = np.sqrt(-2.0 * np.log(u1))
+    angle = 2.0 * np.pi * u2
+    z = np.stack([r * np.cos(angle), r * np.sin(angle)], axis=-1).ravel()
+    return z[first % 2 : first % 2 + count]
 
 
 @dataclass(frozen=True)
@@ -125,7 +172,8 @@ def sample_trajectories(
     ``at_indices`` (by default the last only), for a field with covariance
     K(s_i, s_j) on ``t_grid``.  The grid starts at 0, where the phases and
     beta start: the fgn kernel is not stationary, so a phase accumulated
-    over [t0, t] does not have the variance beta(t - t0).
+    over [t0, t] does not have the variance beta(t - t0).  The seed is an
+    integer in [0, 2**128), all of whose bits the stream of normals reads.
 
     Factors the phases' covariance once; the phases themselves are drawn
     block by block when the ensemble is read (``phases``).
@@ -139,6 +187,9 @@ def sample_trajectories(
         raise ValueError(f"time grid must start at 0, got {t_grid[0]}")
     if n < 1:
         raise ValueError("need at least one path")
+    seed = operator.index(seed)
+    if not 0 <= seed < 2**128:
+        raise ValueError(f"seed must lie in [0, 2**128), got {seed}")
     at_indices = np.asarray(at_indices)
     if at_indices.size and at_indices.dtype.kind not in "iu":
         raise ValueError(f"phase indices must be integers, got dtype {at_indices.dtype}")

@@ -2,9 +2,13 @@
 written once, on numpy and mpmath alone.
 
 The propagator comes from LAPACK's eigensolver applied to Sx, the trapezoid
-phase from a running sum of panels, and beta and the averaged-state entropy
-from 50-digit mpmath.  None of them calls the library or shares its code.
+phase from a running sum of panels, beta and the averaged-state entropy
+from 50-digit mpmath, and the oracle's normals from a scalar Philox4x32-10
+and Box-Muller on Python integers and ``math``.  None of them calls the
+library or shares its code.
 """
+
+import math
 
 import mpmath
 import numpy as np
@@ -72,3 +76,28 @@ def entropy_exact(s, r=1.0) -> mpmath.mpf:
         mixed = (1 - r) / 3
         lams = [mixed + r * (3 + root) / 6, mixed + r * (3 - root) / 6, mixed]
         return -sum(lam * mpmath.log(lam) for lam in lams if lam > 0)
+
+
+def philox4x32(counter, key) -> tuple[int, ...]:
+    """Philox4x32-10 (Salmon, Moraes, Dror & Shaw, SC11) of four 32-bit
+    counter words under two key words, as Python ints."""
+    x0, x1, x2, x3 = counter
+    k0, k1 = key
+    for _ in range(10):
+        hi0, lo0 = divmod(0xD2511F53 * x0, 2**32)
+        hi1, lo1 = divmod(0xCD9E8D57 * x2, 2**32)
+        x0, x1, x2, x3 = hi1 ^ x1 ^ k0, lo1, hi0 ^ x3 ^ k1, lo0
+        k0, k1 = (k0 + 0x9E3779B9) % 2**32, (k1 + 0xBB67AE85) % 2**32
+    return x0, x1, x2, x3
+
+
+def normal_pair(seed: int, j: int) -> tuple[float, float]:
+    """Normals 2j and 2j + 1 of the oracle's stream for seed: Box-Muller of
+    the two uniforms ((w >> 11) + 0.5) / 2**53 from the 64-bit halves w of
+    Philox call j, keyed by the seed's low 64 bits, with its high 64 bits
+    as the counter's last two words."""
+    words = [(seed >> shift) % 2**32 for shift in (0, 32, 64, 96)]
+    x = philox4x32((j % 2**32, j >> 32, words[2], words[3]), words[:2])
+    u1, u2 = (((lo + 2**32 * hi) // 2**11 + 0.5) / 2**53 for lo, hi in (x[:2], x[2:]))
+    r = math.sqrt(-2.0 * math.log(u1))
+    return r * math.cos(2.0 * math.pi * u2), r * math.sin(2.0 * math.pi * u2)

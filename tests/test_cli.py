@@ -882,6 +882,24 @@ def test_import_loads_numpy_only():
     assert out.returncode == 0 and out.stdout.strip() == "[]", out.stderr
 
 
+def test_runs_never_load_numpy_random(tmp_path):
+    # the oracle draws its normals with the package's own Philox, so no run
+    # loads numpy.random, nor the secrets and OpenSSL hashing it imports
+    code = (
+        "import sys\n"
+        "from qutrit_dephasing import cli\n"
+        "for argv in (\n"
+        "    ['oracle', '--noise', 'fgn', '--tau-max', '2', '--samples', '5000'],\n"
+        "    ['sweep', '--noise', 'pl', '--g', '1,3', '--tau-max', '2', '--with-matrix'],\n"
+        "    ['figure', 'pl'],\n"
+        "):\n"
+        f"    assert cli.main([*argv, '--out', {str(tmp_path)!r}]) == 0, argv\n"
+        "print(sorted({'numpy.random', 'secrets', '_hashlib'} & set(sys.modules)))\n"
+    )
+    out = python(["-c", code])
+    assert out.returncode == 0 and out.stdout.splitlines()[-1] == "[]", out.stderr
+
+
 def test_test_extra_is_what_the_suite_imports():
     # beyond numpy and the package, the third-party modules that the tests
     # and the benchmark import are exactly the test extra: none undeclared,

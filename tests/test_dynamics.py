@@ -39,6 +39,7 @@ class TestSpinOperators:
 
     def test_center_entry_at_pi(self):
         assert unitary(np.pi)[1, 1] == pytest.approx(-1.0, abs=1e-12)
+        assert propagator(np.pi)[1, 1] == -1.0
 
     def test_sx_eigenbasis(self):
         v = SX_EIGENVECTORS

@@ -23,7 +23,7 @@ from qutrit_dephasing import (
 from qutrit_dephasing import cli, montecarlo, noise
 from qutrit_dephasing.montecarlo import BLOCK
 from qutrit_dephasing.noise import _trapezoid_weights
-from references import cumulative_trapezoid, unitary
+from references import cumulative_trapezoid, normal_pair, philox4x32, unitary
 
 
 def all_phases(ensemble):
@@ -65,6 +65,14 @@ class TestSampleTrajectories:
     def test_needs_a_path(self):
         with pytest.raises(ValueError, match="need at least one path"):
             sample_trajectories(NoiseSpec("ou", g=1.0), np.linspace(0.0, 1.0, 11), 0, 0)
+
+    @pytest.mark.parametrize(
+        "seed, error", [(-1, ValueError), (2**128, ValueError), (1.0, TypeError)]
+    )
+    def test_seed_is_an_integer_below_2_128(self, seed, error):
+        # the stream reads the seed's 128 bits: a wider one would alias
+        with pytest.raises(error):
+            sample_trajectories(NoiseSpec("ou", g=1.0), np.linspace(0.0, 1.0, 11), 1, seed)
 
     def test_indefinite_covariance_is_covariance_error(self):
         cov = np.array([[1.0, 2.0], [2.0, 1.0]])
@@ -112,18 +120,18 @@ class TestSampleTrajectories:
         large = sample_trajectories(spec, grid, BLOCK + 5, 7, [2, 5])
         assert np.array_equal(all_phases(small), all_phases(large)[: BLOCK + 2])
 
-    def test_block_streams_are_spawned_sfc64(self, tmp_path):
-        # block b draws from SFC64(SeedSequence(seed, spawn_key=(b,))), the
-        # stream the report names
+    def test_blocks_read_one_philox_stream(self, tmp_path):
+        # path p takes normals pK .. pK + K - 1 of the seed's one stream, the
+        # stream the report names; the block size is no part of it
         spec = NoiseSpec("ou", g=1.0)
         grid = np.linspace(0.0, 1.0, 7)
         ensemble = sample_trajectories(spec, grid, 2 * BLOCK + 5, 11, [2, 4, 6])
         blocks = list(ensemble.phases())
         assert [phi.shape for phi in blocks] == [(BLOCK, 3), (BLOCK, 3), (5, 3)]
+        z = montecarlo._normals(11, 0, 3 * (2 * BLOCK + 5)).reshape(-1, 3)
         for b, phi in enumerate(blocks):
-            bits = np.random.SFC64(np.random.SeedSequence(11, spawn_key=(b,)))
-            z = np.random.Generator(bits).standard_normal(phi.shape)
-            assert np.array_equal(phi, np.einsum("ij,kj->ik", z, ensemble.factor))
+            rows = z[b * BLOCK : b * BLOCK + len(phi)]
+            assert np.array_equal(phi, np.einsum("ij,kj->ik", rows, ensemble.factor))
         # a seed + b scheme would draw block 1 of seed 11 as block 0 of seed 12
         (first,) = sample_trajectories(spec, grid, BLOCK, 12, [2, 4, 6]).phases()
         assert not np.array_equal(blocks[1], first)
@@ -197,6 +205,57 @@ class TestSampleTrajectories:
         # at 20 times on [0, 2] the smooth gn g=1 covariance is singular to rounding
         needs_jitter = spec == NoiseSpec("gn", g=1.0) and len(indices) == 20
         assert (ensemble.jitter > 0.0) == needs_jitter
+
+
+class TestNormals:
+    # Random123's known-answer vectors for philox4x32-10
+    @pytest.mark.parametrize(
+        "counter, key, words",
+        [
+            ((0, 0, 0, 0), (0, 0), (0x6627E8D5, 0xE169C58D, 0xBC57AC4C, 0x9B00DBD8)),
+            (
+                (0xFFFFFFFF,) * 4,
+                (0xFFFFFFFF,) * 2,
+                (0x408F276D, 0x41C83B0E, 0xA20BC7C6, 0x6D5451FD),
+            ),
+            (
+                (0x243F6A88, 0x85A308D3, 0x13198A2E, 0x03707344),
+                (0xA4093822, 0x299F31D0),
+                (0xD16CFE09, 0x94FDCCEB, 0x5001E420, 0x24126EA1),
+            ),
+        ],
+    )
+    def test_philox_known_answers(self, counter, key, words):
+        assert philox4x32(counter, key) == words
+        columns = [np.array([word], dtype=np.uint64) for word in counter]
+        assert [int(x[0]) for x in montecarlo._philox(*columns, *key)] == list(words)
+
+    def test_vectorised_words_match_reference(self):
+        rng = np.random.default_rng(31)
+        counters = rng.integers(0, 2**32, size=(4, 1000), dtype=np.uint64)
+        key = [int(word) for word in rng.integers(0, 2**32, size=2)]
+        words = np.stack(montecarlo._philox(*counters, *key), axis=-1)
+        expected = [philox4x32([int(word) for word in counter], key) for counter in counters.T]
+        assert np.array_equal(words, np.array(expected, dtype=np.uint64))
+
+    @pytest.mark.parametrize("seed", [0, 11, 2**64 + 5, 2**96 + 3, 2**128 - 1])
+    @pytest.mark.parametrize("first, count", [(0, 2000), (4097, 2001), (2**33 + 1, 6)])
+    def test_normals_match_reference(self, seed, first, count):
+        # an odd first starts at the sin half of a call; past 2**33 the
+        # counter's second word is set.  numpy's SIMD log, cos and sin may
+        # differ from libm's by a few ulp, so the normals agree to 4 ulp.
+        z = montecarlo._normals(seed, first, count)
+        pairs = [normal_pair(seed, j) for j in range(first // 2, (first + count + 1) // 2)]
+        expected = np.array(pairs).ravel()[first % 2 :][:count]
+        assert z.shape == (count,)
+        assert np.all(np.abs(z - expected) <= 4 * np.spacing(np.abs(expected)))
+
+    def test_a_path_depends_on_its_index_only(self):
+        # any window of the stream is the same slice of a longer draw
+        seed = 2**100 + 7
+        whole = montecarlo._normals(seed, 0, 10001)
+        for first, count in ((0, 1), (1, 1), (3, 9998), (5000, 5001)):
+            assert np.array_equal(montecarlo._normals(seed, first, count), whole[first:][:count])
 
 
 class TestPhaseCovariance:
@@ -355,16 +414,16 @@ class TestMcAverageState:
     @pytest.mark.parametrize("rows", [1, 2, 1023, 1024, 1025, 1297, 1298, 2049, BLOCK])
     def test_chunked_draw_matches_one_block_product(self, rows):
         # the average streams BLOCK + rows paths in two chunks; each chunk's
-        # phases are its block's one SFC64 draw times F^T
+        # phases are its paths' rows of the one stream's normals times F^T
         grid = np.linspace(0.0, 2.0, 201)
         spec = NoiseSpec("pl", g=1.0, alpha=3.0)
         ensemble = sample_trajectories(spec, grid, BLOCK + rows, 9, TWENTY)
         chunks = list(ensemble.phases())
         assert [phi.shape for phi in chunks] == [(BLOCK, 20), (rows, 20)]
-        for b, phi in enumerate(chunks):
-            bits = np.random.SFC64(np.random.SeedSequence(9, spawn_key=(b,)))
-            z = np.random.Generator(bits).standard_normal(phi.shape)
-            assert np.array_equal(phi, np.einsum("ij,kj->ik", z, ensemble.factor))
+        z = montecarlo._normals(9, 0, 20 * (BLOCK + rows)).reshape(-1, 20)
+        for phi, start in zip(chunks, (0, BLOCK)):
+            rows_z = z[start : start + len(phi)]
+            assert np.array_equal(phi, np.einsum("ij,kj->ik", rows_z, ensemble.factor))
 
     def test_report_bits_do_not_depend_on_blas_threads(self, tmp_path):
         # the gn kernel is numerically rank-deficient, so an M x M factor of it
@@ -397,7 +456,7 @@ class TestMcAverageState:
                 tracemalloc.stop()
             assert peak < bound, points
             # the state sum itself keeps a few BLOCK-long vectors, no per-path
-            # matrices; the warm-up call imports numpy.random first
+            # matrices; the untraced warm-up call keeps first-call costs out
             mc_average_state(initial_state(1.0), ensemble, 1.0)
             tracemalloc.start()
             try:
@@ -475,20 +534,20 @@ class TestMcAverageState:
             assert (variance[201] - beta) / (variance[401] - beta) == pytest.approx(4.0, rel=1e-3)
 
     def test_one_pass_over_the_blocks(self, monkeypatch):
-        # twenty drawn times, three blocks: each block's stream is seeded once
-        # per call, not once per time
+        # twenty drawn times, three blocks: each block's normals are drawn
+        # once per call, not once per time
         grid = np.linspace(0.0, 2.0, 201)
         ensemble = sample_trajectories(NoiseSpec("ou", g=1.0), grid, 2 * BLOCK + 1, 6, TWENTY)
-        seed_sequence = np.random.SeedSequence
-        seeded = []
+        normals = montecarlo._normals
+        drawn = []
 
-        def counting(*args, **kwargs):
-            seeded.append(kwargs["spawn_key"])
-            return seed_sequence(*args, **kwargs)
+        def counting(seed, first, count):
+            drawn.append((seed, first, count))
+            return normals(seed, first, count)
 
-        monkeypatch.setattr(np.random, "SeedSequence", counting)
+        monkeypatch.setattr(montecarlo, "_normals", counting)
         assert len(mc_average_state(initial_state(1.0), ensemble, 1.0)) == 20
-        assert seeded == [(0,), (1,), (2,)]
+        assert drawn == [(6, 0, 20 * BLOCK), (6, 20 * BLOCK, 20 * BLOCK), (6, 40 * BLOCK, 20)]
 
     def test_empty_ensemble(self):
         grid = np.linspace(0.0, 1.0, 11)

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, seed, settings, target
 from hypothesis import strategies as st
 
+import qutrit_dephasing
 from qutrit_dephasing import (
     NoiseSpec,
     autocorrelation,
@@ -20,6 +21,7 @@ from qutrit_dephasing import (
     fluctuation_series,
     initial_state,
     mc_average_state,
+    phase_law,
     purity_closed,
     sample_trajectories,
     vn_entropy_closed,
@@ -362,6 +364,10 @@ class TestDephasingFactor:
         ensemble = sample_trajectories(spec, grid, 10, 0, range(1, 21))
         mc_average_state(initial_state(1.0), ensemble, 1.0)
         assert calls == [spec, spec]
+
+    def test_phase_law_is_exported(self):
+        assert phase_law is noise.phase_law
+        assert "phase_law" in qutrit_dephasing.__all__
 
     def test_phase_law_is_the_gaussian_law_at_beta_closed(self):
         spec, tau = NoiseSpec("pl", g=3.0, alpha=3.0), np.linspace(0.0, 2.0, 21)
