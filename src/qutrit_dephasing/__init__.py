@@ -12,14 +12,7 @@ from .dynamics import (
     initial_state,
     propagator,
 )
-from .metrics import (
-    ENTROPY_SATURATION,
-    PURITY_SATURATION,
-    purity,
-    purity_closed,
-    vn_entropy,
-    vn_entropy_closed,
-)
+from .metrics import purity_closed, vn_entropy_closed
 from .montecarlo import (
     CovarianceError,
     OracleReport,
@@ -31,7 +24,6 @@ from .noise import (
     NoiseSpec,
     autocorrelation,
     beta_closed,
-    beta_quadrature,
     coherence_loss,
     dephasing_factor,
     phase_covariance,
@@ -42,7 +34,6 @@ __all__ = [
     "NoiseSpec",
     "autocorrelation",
     "beta_closed",
-    "beta_quadrature",
     "coherence_loss",
     "dephasing_factor",
     "phase_covariance",
@@ -51,12 +42,8 @@ __all__ = [
     "initial_state",
     "evolve_averaged",
     "fluctuation_series",
-    "purity",
     "purity_closed",
-    "vn_entropy",
     "vn_entropy_closed",
-    "PURITY_SATURATION",
-    "ENTROPY_SATURATION",
     "TrajectoryEnsemble",
     "OracleReport",
     "CovarianceError",

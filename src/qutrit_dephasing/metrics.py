@@ -1,4 +1,4 @@
-"""Purity and von Neumann entropy, as matrix functionals and closed forms.
+"""Purity and von Neumann entropy in closed form.
 
 The paper's initial state populates only the lambda = +-1 eigenstates of Sx,
 so its averaged state depends on the noise only through chi2, the dephasing
@@ -15,13 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dynamics import check_density_matrix, check_weight
-
-
-def purity(rho: np.ndarray) -> float:
-    """Tr(rho^2); for Hermitian rho this is the squared Frobenius norm."""
-    check_density_matrix(rho)
-    return float(np.sum(np.abs(rho) ** 2))
+from .dynamics import check_weight
 
 
 def purity_closed(s, r: float = 1.0):
@@ -32,14 +26,6 @@ def purity_closed(s, r: float = 1.0):
     s = _checked(s, r)
     out = (1.0 - r * r) / 3.0 + r * r * (1.0 - s / 18.0)
     return out if out.ndim else float(out)
-
-
-def vn_entropy(rho: np.ndarray) -> float:
-    """-Sum lambda ln lambda over the eigenvalues, with 0 ln 0 := 0."""
-    check_density_matrix(rho)
-    eigs = np.clip(np.linalg.eigvalsh(rho), 0.0, 1.0)
-    nonzero = eigs[eigs > 0.0]
-    return max(float(-np.sum(nonzero * np.log(nonzero))), 0.0)
 
 
 def vn_entropy_closed(s, r: float = 1.0):
@@ -69,8 +55,3 @@ def _checked(s, r: float) -> np.ndarray:
     if not np.all((s >= 0.0) & (s <= 1.0)):  # nan fails both
         raise ValueError("coherence loss s must lie in [0, 1]")
     return s
-
-
-# The fully dephased levels, s = 1, of the r=1 state.
-PURITY_SATURATION = purity_closed(1.0)
-ENTROPY_SATURATION = vn_entropy_closed(1.0)

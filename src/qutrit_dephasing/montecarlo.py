@@ -185,6 +185,7 @@ def sample_trajectories(
         raise ValueError("time grid must be strictly increasing, not nan")
     if t_grid[0] != 0.0:
         raise ValueError(f"time grid must start at 0, got {t_grid[0]}")
+    n = operator.index(n)
     if n < 1:
         raise ValueError("need at least one path")
     seed = operator.index(seed)

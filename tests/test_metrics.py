@@ -6,8 +6,6 @@ import numpy as np
 import pytest
 
 from qutrit_dephasing import (
-    ENTROPY_SATURATION,
-    PURITY_SATURATION,
     NoiseSpec,
     beta_closed,
     coherence_loss,
@@ -15,12 +13,10 @@ from qutrit_dephasing import (
     evolve_averaged,
     initial_state,
     propagator,
-    purity,
     purity_closed,
-    vn_entropy,
     vn_entropy_closed,
 )
-from references import entropy_exact
+from references import entropy_exact, purity, vn_entropy
 
 BETAS = [0.0, 0.1, 0.5, 1.0, 2.0, 5.0, 20.0]
 
@@ -53,7 +49,7 @@ class TestPurityClosed:
 
     def test_saturation(self):
         assert purity_closed(loss(1e3)) == pytest.approx(17.0 / 18.0, abs=1e-15)
-        assert PURITY_SATURATION == pytest.approx(0.9444444444444444)
+        assert purity_closed(1.0) == pytest.approx(0.9444444444444444)
         # -4 omega^2 beta would overflow near the float maximum
         dephased = coherence_loss(2, beta_closed(NoiseSpec("ou", g=1.0), 1.7e308))
         assert purity_closed(dephased) == purity_closed(loss(math.inf))
@@ -79,7 +75,7 @@ class TestVnEntropy:
     def test_saturation_value(self):
         rho = evolve_averaged(initial_state(1.0), *gaussian(1e4))
         assert vn_entropy(rho) == pytest.approx(0.130, abs=1e-3)
-        assert ENTROPY_SATURATION == pytest.approx(0.1298, abs=5e-4)
+        assert vn_entropy_closed(1.0) == pytest.approx(0.1298, abs=5e-4)
 
 
 class TestVnEntropyClosed:
@@ -87,7 +83,7 @@ class TestVnEntropyClosed:
         assert vn_entropy_closed(loss(0.0)) == 0.0
 
     def test_saturation(self):
-        assert vn_entropy_closed(loss(1e3)) == pytest.approx(ENTROPY_SATURATION, abs=1e-14)
+        assert vn_entropy_closed(loss(1e3)) == pytest.approx(vn_entropy_closed(1.0), abs=1e-14)
         # -4 omega^2 beta would overflow near the float maximum
         dephased = coherence_loss(2, beta_closed(NoiseSpec("ou", g=1.0), 1.7e308))
         assert vn_entropy_closed(dephased) == vn_entropy_closed(loss(math.inf))
@@ -150,8 +146,8 @@ class TestConsistency:
         # driver: the 1e-3 purity threshold maps to an ~1.874e-3 entropy gap
         # (slope 0.1039 per unit of exp(-4 beta) vs purity's 1/18), so the two
         # proximity conditions flip at the same beta.
-        near_purity = purities - PURITY_SATURATION <= 1e-3
-        near_entropy = ENTROPY_SATURATION - entropies <= 18.0 * 0.10387 * 1e-3
+        near_purity = purities - purity_closed(1.0) <= 1e-3
+        near_entropy = vn_entropy_closed(1.0) - entropies <= 18.0 * 0.10387 * 1e-3
         assert np.array_equal(near_purity, near_entropy)
 
     def test_rank_deficiency_harmless(self):

@@ -12,7 +12,6 @@ import qutrit_dephasing
 from qutrit_dephasing import (
     NoiseSpec,
     TrajectoryEnsemble,
-    autocorrelation,
     beta_closed,
     initial_state,
     mc_average_state,
@@ -23,20 +22,18 @@ from qutrit_dephasing import (
 from qutrit_dephasing import cli, montecarlo, noise
 from qutrit_dephasing.montecarlo import BLOCK
 from qutrit_dephasing.noise import _trapezoid_weights
-from references import cumulative_trapezoid, normal_pair, philox4x32, unitary
+from references import (
+    cumulative_trapezoid,
+    grid_covariance,
+    normal_pair,
+    philox4x32,
+    unitary,
+)
 
 
 def all_phases(ensemble):
     """The ensemble's (n_paths, K) phases, all blocks at once."""
     return np.concatenate(list(ensemble.phases()))
-
-
-def grid_covariance(spec, grid, indices):
-    """W^T K W from the full kernel with the BLAS, a reference for the
-    row-blocked einsum of ``phase_covariance``."""
-    kernel = autocorrelation(spec, grid[:, None], grid[None, :])
-    weights = _trapezoid_weights(grid, indices)
-    return weights.T @ kernel @ weights
 
 
 TWENTY = list(range(10, 201, 10))
@@ -73,6 +70,11 @@ class TestSampleTrajectories:
         # the stream reads the seed's 128 bits: a wider one would alias
         with pytest.raises(error):
             sample_trajectories(NoiseSpec("ou", g=1.0), np.linspace(0.0, 1.0, 11), 1, seed)
+
+    def test_path_count_is_an_integer(self):
+        # a float count would only fail later, when the blocks are drawn
+        with pytest.raises(TypeError):
+            sample_trajectories(NoiseSpec("ou", g=1.0), np.linspace(0.0, 1.0, 11), 2.0, 0)
 
     def test_indefinite_covariance_is_covariance_error(self):
         cov = np.array([[1.0, 2.0], [2.0, 1.0]])
