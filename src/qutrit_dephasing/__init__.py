@@ -14,7 +14,6 @@ from .dynamics import (
 )
 from .metrics import purity_closed, vn_entropy_closed
 from .montecarlo import (
-    CovarianceError,
     OracleReport,
     TrajectoryEnsemble,
     mc_average_state,
@@ -46,7 +45,6 @@ __all__ = [
     "vn_entropy_closed",
     "TrajectoryEnsemble",
     "OracleReport",
-    "CovarianceError",
     "sample_trajectories",
     "mc_average_state",
 ]

@@ -47,6 +47,7 @@ from .experiments import (
     tau_grid,
     write_rows,
 )
+from .montecarlo import SEED_BITS
 from .noise import KINDS, PARAMETERS, NoiseSpec
 
 EXIT_OK = 0
@@ -106,8 +107,8 @@ def _seed(text: str) -> int:
     """An oracle seed: an integer in [0, 2**128), the key (low 64 bits) and
     the high counter words (high 64 bits) of the Philox stream of normals."""
     value = _integer(text)
-    if not 0 <= value < 2**128:
-        raise argparse.ArgumentTypeError(f"must lie in [0, 2**128), got {value}")
+    if not 0 <= value < 2**SEED_BITS:
+        raise argparse.ArgumentTypeError(f"must lie in [0, 2**{SEED_BITS}), got {value}")
     return value
 
 

@@ -23,9 +23,11 @@ Path p's K standard normals are the flat indices pK .. pK + K - 1 of one
 counter-based stream (``_normals``): normals 2j and 2j + 1 are the Box-Muller
 pair of Philox4x32-10 call j (Salmon, Moraes, Dror & Shaw, SC11), keyed by
 the seed's low 64 bits, with its high 64 bits in the counter.  So path p
-depends only on (seed, p), and the ensemble is bit-reproducible.  Sampling
-and averaging stream over blocks of BLOCK = 4096 paths, which bounds the
-memory and is no part of the stream.
+depends only on (seed, p), and the ensemble is bit-reproducible.  Key and
+counter read exactly SEED_BITS = 128 bits of seed, so an ensemble takes a
+seed in [0, 2**128) only: any other would draw the paths of one of those.
+Sampling and averaging stream over blocks of BLOCK = 4096 paths, which
+bounds the memory and is no part of the stream.
 C, the phases, the moment sums and the node sums are plain ``np.einsum``
 and ``sum`` calls, which sum in one fixed order and never call the BLAS, and
 the K x K factor is too small for the BLAS to thread; that a report is the
@@ -46,6 +48,7 @@ from .dynamics import evolve_averaged, propagator
 from .noise import NoiseSpec, phase_covariance, phase_law
 
 BLOCK = 4096
+SEED_BITS = 128
 RNG_ALGORITHM = (
     "Philox4x32-10 + Box-Muller, call j keyed by seed bits 0-63 with counter "
     "(j mod 2**32, j >> 32, seed bits 64-95, seed bits 96-127) gives normals 2j, 2j+1; "
@@ -63,9 +66,10 @@ _NODES = 2.0 * np.pi / 5.0 * np.arange(5)
 
 @dataclass(frozen=True)
 class TrajectoryEnsemble:
-    """n_paths draws of the Gaussian phases (the integrals of eta, before
+    """n_paths >= 1 draws of the Gaussian phases (the integrals of eta, before
     omega) at the grid indices ``indices``, kept as the Cholesky factor of
-    their covariance and the seed of the normals."""
+    their covariance and the seed of the normals, in [0, 2**128).  Every
+    construction, ``dataclasses.replace`` too, checks both and stores ``int``s."""
 
     t_grid: np.ndarray
     indices: np.ndarray
@@ -74,6 +78,14 @@ class TrajectoryEnsemble:
     seed: int
     spec: NoiseSpec
     jitter: float = 0.0
+
+    def __post_init__(self):
+        object.__setattr__(self, "n_paths", operator.index(self.n_paths))
+        object.__setattr__(self, "seed", operator.index(self.seed))
+        if self.n_paths < 1:
+            raise ValueError("need at least one path")
+        if not 0 <= self.seed < 2**SEED_BITS:
+            raise ValueError(f"seed must lie in [0, 2**{SEED_BITS}), got {self.seed}")
 
     def phases(self) -> Iterator[np.ndarray]:
         """Each block's (rows, K) phases ``Z_b F^T``: the block of paths
@@ -145,13 +157,9 @@ class OracleReport:
         return self.max_abs_deviation <= self.stderr_bound
 
 
-class CovarianceError(ValueError):
-    """Covariance matrix not finite, or not factorable even with jitter."""
-
-
 def _cholesky_with_jitter(cov: np.ndarray, spec: NoiseSpec) -> tuple[np.ndarray, float]:
     if not np.all(np.isfinite(cov)):
-        raise CovarianceError(f"covariance for {spec.label()} is not finite")
+        raise ValueError(f"covariance for {spec.label()} is not finite")
     scale = max(np.max(np.abs(np.diag(cov))), 1.0)
     for jitter in _JITTERS:
         try:
@@ -159,7 +167,7 @@ def _cholesky_with_jitter(cov: np.ndarray, spec: NoiseSpec) -> tuple[np.ndarray,
             return factor, jitter
         except np.linalg.LinAlgError:
             continue
-    raise CovarianceError(
+    raise ValueError(
         f"covariance for {spec.label()} is not positive semidefinite "
         f"even with diagonal jitter up to {_JITTERS[-1]:g}"
     )
@@ -172,8 +180,8 @@ def sample_trajectories(
     ``at_indices`` (by default the last only), for a field with covariance
     K(s_i, s_j) on ``t_grid``.  The grid starts at 0, where the phases and
     beta start: the fgn kernel is not stationary, so a phase accumulated
-    over [t0, t] does not have the variance beta(t - t0).  The seed is an
-    integer in [0, 2**128), all of whose bits the stream of normals reads.
+    over [t0, t] does not have the variance beta(t - t0).  The ensemble
+    checks n and the seed (``TrajectoryEnsemble``).
 
     Factors the phases' covariance once; the phases themselves are drawn
     block by block when the ensemble is read (``phases``).
@@ -185,12 +193,6 @@ def sample_trajectories(
         raise ValueError("time grid must be strictly increasing, not nan")
     if t_grid[0] != 0.0:
         raise ValueError(f"time grid must start at 0, got {t_grid[0]}")
-    n = operator.index(n)
-    if n < 1:
-        raise ValueError("need at least one path")
-    seed = operator.index(seed)
-    if not 0 <= seed < 2**128:
-        raise ValueError(f"seed must lie in [0, 2**128), got {seed}")
     at_indices = np.asarray(at_indices)
     if at_indices.size and at_indices.dtype.kind not in "iu":
         raise ValueError(f"phase indices must be integers, got dtype {at_indices.dtype}")
@@ -225,8 +227,6 @@ def mc_average_state(
     mean of the per-path states U(omega phi) rho0 U(omega phi)+ at its time.
     Where omega * phi overflows, the sums are not finite: a ValueError.
     """
-    if ensemble.n_paths == 0:
-        raise ValueError("ensemble is empty")
     rho0 = np.asarray(rho0, dtype=complex)
     taus = ensemble.t_grid[ensemble.indices]
     _, _, chi = phase_law(ensemble.spec, taus, omega)

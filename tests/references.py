@@ -42,10 +42,15 @@ def cumulative_trapezoid(y, x) -> np.ndarray:
 def grid_covariance(spec, grid, indices) -> np.ndarray:
     """W^T K W with the BLAS: K is the kernel of the NoiseSpec ``spec`` on
     the whole grid, and W's column k the trapezoid weights of the integral
-    from grid[0] to grid[indices[k]], the running integrals of the unit
-    vectors."""
+    from grid[0] to grid[indices[k]]: each panel below that stop adds its
+    half-width at both of its ends."""
     kernel = autocorrelation(spec, grid[:, None], grid[None, :])
-    weights = cumulative_trapezoid(np.eye(grid.size), grid)[:, indices]
+    stops = np.arange(grid.size)[indices]
+    below = np.arange(grid.size - 1)[:, None] < stops
+    halves = np.where(below, np.diff(grid)[:, None] / 2.0, 0.0)
+    weights = np.zeros((grid.size, stops.size))
+    weights[:-1] += halves
+    weights[1:] += halves
     return weights.T @ kernel @ weights
 
 

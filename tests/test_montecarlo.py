@@ -1,5 +1,6 @@
 """Trajectory sampling, phase accumulation, and the ensemble-average oracle."""
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -76,10 +77,38 @@ class TestSampleTrajectories:
         with pytest.raises(TypeError):
             sample_trajectories(NoiseSpec("ou", g=1.0), np.linspace(0.0, 1.0, 11), 2.0, 0)
 
+    @pytest.mark.parametrize(
+        "field, value, error",
+        [
+            ("seed", -1, ValueError),
+            ("seed", 2**128, ValueError),
+            ("seed", 2**130 + 5, ValueError),
+            ("seed", 1.0, TypeError),
+            ("n_paths", 0, ValueError),
+            ("n_paths", -5, ValueError),
+            ("n_paths", 2.5, TypeError),
+        ],
+    )
+    def test_every_ensemble_checks_count_and_seed(self, field, value, error):
+        # replace re-runs the checks: no ensemble aliases a seed's paths or
+        # reports a nan bound
+        ensemble = sample_trajectories(NoiseSpec("ou", g=1.0), np.linspace(0.0, 1.0, 11), 1, 0)
+        with pytest.raises(error):
+            dataclasses.replace(ensemble, **{field: value})
+
+    def test_ensemble_stores_int_count_and_seed(self):
+        grid = np.linspace(0.0, 1.0, 11)
+        ensemble = TrajectoryEnsemble(
+            t_grid=grid, indices=np.array([10]), factor=np.ones((1, 1)),
+            n_paths=np.int64(3), seed=True, spec=NoiseSpec("ou", g=1.0),
+        )
+        assert (ensemble.n_paths, ensemble.seed) == (3, 1)
+        assert type(ensemble.n_paths) is int and type(ensemble.seed) is int
+
     def test_indefinite_covariance_is_covariance_error(self):
         cov = np.array([[1.0, 2.0], [2.0, 1.0]])
         message = "not positive semidefinite even with diagonal jitter up to 1e-08"
-        with pytest.raises(montecarlo.CovarianceError, match=message):
+        with pytest.raises(ValueError, match=message):
             montecarlo._cholesky_with_jitter(cov, NoiseSpec("ou", g=1.0))
 
     @pytest.mark.parametrize(
@@ -553,6 +582,5 @@ class TestMcAverageState:
 
     def test_empty_ensemble(self):
         grid = np.linspace(0.0, 1.0, 11)
-        ensemble = self._manual_ensemble(np.ones((1, 1)), 0, grid, NoiseSpec("ou", g=1.0))
-        with pytest.raises(ValueError, match="ensemble is empty"):
-            mc_average_state(initial_state(1.0), ensemble, 1.0)
+        with pytest.raises(ValueError, match="need at least one path"):
+            self._manual_ensemble(np.ones((1, 1)), 0, grid, NoiseSpec("ou", g=1.0))
