@@ -251,7 +251,7 @@ def _write_report(path: str, report: OracleReport) -> None:
         f"seed = {ensemble.seed}",
         f"rng_algorithm = {RNG_ALGORITHM}",
         f"grid_step = {fmt(np.diff(ensemble.t_grid).max())}",
-        f"cholesky_jitter = {fmt(ensemble.jitter)}",
+        f"cholesky_jitter = {fmt(ensemble.cholesky[1])}",
         f"max_abs_deviation = {fmt(report.max_abs_deviation)}",
         f"stderr_bound = {fmt(report.stderr_bound)}",
         f"within_bound = {report.within_bound}",
@@ -310,9 +310,8 @@ def figure(name: str, outputs: str = ".") -> list[str]:
         header = CSV_HEADER + ["dephasing_n2"]
 
         def phase_rows(spec: NoiseSpec) -> np.ndarray:
-            beta, loss, chi = phase_law(spec, t)
-            metrics = purity_closed(loss), vn_entropy_closed(loss)
-            return np.column_stack([t, beta, *metrics, chi(2)])
+            _, _, chi = phase_law(spec, t)
+            return np.column_stack([sweep_rows(spec, t), chi(2)])
 
         curves = ((f"noisephase_{s.label()}.csv", header, phase_rows(s)) for s in specs)
         return _write_curves(outputs, "plot_noisephase.py", ["dephasing_n2"], curves)

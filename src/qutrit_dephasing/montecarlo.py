@@ -6,18 +6,19 @@ reference state does, through the factors chi_n of ``noise.phase_law``.  The
 phases at the K chosen grid indices are jointly Gaussian with covariance
 C = W^T K W (``noise.phase_covariance``): exactly the law of the trapezoid
 phases of paths drawn from the kernel on the grid, so the oracle needs no
-paths.  The phases are drawn as ``Z F^T`` with F the Cholesky factor
-of C.  The state U(phi) rho0 U(phi)+ is a degree-2 trigonometric polynomial
-in phi, so its ensemble mean depends on the paths only through the two
-moments m_n = mean exp(i n omega phi), n = 1, 2.  It is the sum of the states
-at five equispaced phases theta_j, built with the closed-form ``propagator``,
+paths.  A ``TrajectoryEnsemble`` stores five inputs (grid, indices, count,
+seed, spec), holds every rule on them, and derives from them, once, the
+Cholesky factor F of C; its phases are drawn as ``Z F^T``.  The state
+U(phi) rho0 U(phi)+ is a degree-2 trigonometric polynomial in phi, so its
+ensemble mean depends on the paths only through the two moments
+m_n = mean exp(i n omega phi), n = 1, 2.  It is the sum of the states at
+five equispaced phases theta_j, built with the closed-form ``propagator``,
 with weights (1 + 2 Re(m1 exp(-i theta_j) + m2 exp(-2i theta_j))) / 5: the
 mean of the polynomial's interpolant on those nodes.  One pass over the
 blocks keeps the two moment sums of every drawn column, so
 ``mc_average_state`` reports all K times at once.  Agreement with
-``evolve_averaged`` within the 3/sqrt(N) statistical bound is the independent
-check of the analytic averaging rule, whose eigenbasis the empirical side
-never uses.
+``evolve_averaged`` within the 3/sqrt(N) bound is the independent check of
+the analytic averaging rule, whose eigenbasis the empirical side never uses.
 
 Path p's K standard normals are the flat indices pK .. pK + K - 1 of one
 counter-based stream (``_normals``): normals 2j and 2j + 1 are the Box-Muller
@@ -41,6 +42,7 @@ from __future__ import annotations
 import operator
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -67,19 +69,32 @@ _NODES = 2.0 * np.pi / 5.0 * np.arange(5)
 @dataclass(frozen=True)
 class TrajectoryEnsemble:
     """n_paths >= 1 draws of the Gaussian phases (the integrals of eta, before
-    omega) at the grid indices ``indices``, kept as the Cholesky factor of
-    their covariance and the seed of the normals, in [0, 2**128).  Every
-    construction, ``dataclasses.replace`` too, checks both and stores ``int``s."""
+    omega) of ``spec`` at grid ``indices`` > 0 of ``t_grid``, with a seed in
+    [0, 2**128).  Only these five inputs are stored, checked by every
+    construction (``replace`` too); ``cholesky`` derives their factor."""
 
     t_grid: np.ndarray
     indices: np.ndarray
-    factor: np.ndarray
     n_paths: int
     seed: int
     spec: NoiseSpec
-    jitter: float = 0.0
 
     def __post_init__(self):
+        t_grid = np.asarray(self.t_grid, dtype=float)
+        if t_grid.ndim != 1 or t_grid.size < 2:
+            raise ValueError("time grid must be one-dimensional with at least 2 points")
+        if not np.all(np.diff(t_grid) > 0.0):  # nan fails too
+            raise ValueError("time grid must be strictly increasing, not nan")
+        if t_grid[0] != 0.0:
+            raise ValueError(f"time grid must start at 0, got {t_grid[0]}")
+        indices = np.asarray(self.indices)
+        if indices.size and indices.dtype.kind not in "iu":
+            raise ValueError(f"phase indices must be integers, got dtype {indices.dtype}")
+        indices = np.arange(t_grid.size)[indices.astype(int)]
+        if indices.ndim != 1 or not indices.size or indices[0] < 1 or np.any(np.diff(indices) < 1):
+            raise ValueError("phase indices must be increasing grid indices past the first")
+        object.__setattr__(self, "t_grid", t_grid)
+        object.__setattr__(self, "indices", indices)
         object.__setattr__(self, "n_paths", operator.index(self.n_paths))
         object.__setattr__(self, "seed", operator.index(self.seed))
         if self.n_paths < 1:
@@ -87,14 +102,21 @@ class TrajectoryEnsemble:
         if not 0 <= self.seed < 2**SEED_BITS:
             raise ValueError(f"seed must lie in [0, 2**{SEED_BITS}), got {self.seed}")
 
+    @cached_property
+    def cholesky(self) -> tuple[np.ndarray, float]:
+        """(F, jitter) with F F^T = C + jitter scale I, C the phases' covariance."""
+        cov = phase_covariance(self.spec, self.t_grid, self.indices)
+        return _cholesky_with_jitter(cov, self.spec)
+
     def phases(self) -> Iterator[np.ndarray]:
         """Each block's (rows, K) phases ``Z_b F^T``: the block of paths
         start .. start + rows - 1 takes normals start K .. (start + rows) K - 1."""
+        factor, _ = self.cholesky
         k = self.indices.size
         for start in range(0, self.n_paths, BLOCK):
             rows = min(BLOCK, self.n_paths - start)
             z = _normals(self.seed, start * k, rows * k).reshape(rows, k)
-            yield np.einsum("ij,kj->ik", z, self.factor)
+            yield np.einsum("ij,kj->ik", z, factor)
 
 
 def _philox(x0, x1, x2, x3, k0, k1):
@@ -181,35 +203,14 @@ def sample_trajectories(
     K(s_i, s_j) on ``t_grid``.  The grid starts at 0, where the phases and
     beta start: the fgn kernel is not stationary, so a phase accumulated
     over [t0, t] does not have the variance beta(t - t0).  The ensemble
-    checks n and the seed (``TrajectoryEnsemble``).
+    checks every input (``TrajectoryEnsemble``).
 
-    Factors the phases' covariance once; the phases themselves are drawn
-    block by block when the ensemble is read (``phases``).
+    Factors the phases' covariance once, so a bad one fails here; the phases
+    themselves are drawn block by block when the ensemble is read (``phases``).
     """
-    t_grid = np.asarray(t_grid, dtype=float)
-    if t_grid.ndim != 1 or t_grid.size < 2:
-        raise ValueError("time grid must be one-dimensional with at least 2 points")
-    if not np.all(np.diff(t_grid) > 0.0):  # nan fails too
-        raise ValueError("time grid must be strictly increasing, not nan")
-    if t_grid[0] != 0.0:
-        raise ValueError(f"time grid must start at 0, got {t_grid[0]}")
-    at_indices = np.asarray(at_indices)
-    if at_indices.size and at_indices.dtype.kind not in "iu":
-        raise ValueError(f"phase indices must be integers, got dtype {at_indices.dtype}")
-    indices = np.arange(t_grid.size)[at_indices.astype(int)]
-    if indices.ndim != 1 or not indices.size or indices[0] < 1 or np.any(np.diff(indices) < 1):
-        raise ValueError("phase indices must be increasing grid indices past the first")
-    cov = phase_covariance(spec, t_grid, indices)
-    factor, jitter = _cholesky_with_jitter(cov, spec)
-    return TrajectoryEnsemble(
-        t_grid=t_grid,
-        indices=indices,
-        factor=factor,
-        n_paths=n,
-        seed=seed,
-        spec=spec,
-        jitter=jitter,
-    )
+    ensemble = TrajectoryEnsemble(t_grid, at_indices, n, seed, spec)
+    ensemble.cholesky
+    return ensemble
 
 
 def mc_average_state(

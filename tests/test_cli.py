@@ -534,9 +534,9 @@ class TestOracle:
         # the initial one while the analytic state dephases
         grid = np.linspace(0.0, 1.0, 11)
         ensemble = TrajectoryEnsemble(
-            t_grid=grid, indices=np.array([10]), factor=np.zeros((1, 1)),
-            n_paths=10000, seed=0, spec=NoiseSpec("ou", g=1.0),
+            t_grid=grid, indices=np.array([10]), n_paths=10000, seed=0, spec=NoiseSpec("ou", g=1.0)
         )
+        ensemble.__dict__["cholesky"] = (np.zeros((1, 1)), 0.0)
         (report,) = mc_average_state(initial_state(1.0), ensemble, 1.0)
         assert report.max_abs_deviation > report.stderr_bound == 0.03
         monkeypatch.setattr(cli, "run_oracle", lambda *a, **k: (report, None))

@@ -99,11 +99,50 @@ class TestSampleTrajectories:
     def test_ensemble_stores_int_count_and_seed(self):
         grid = np.linspace(0.0, 1.0, 11)
         ensemble = TrajectoryEnsemble(
-            t_grid=grid, indices=np.array([10]), factor=np.ones((1, 1)),
+            t_grid=grid, indices=np.array([10]),
             n_paths=np.int64(3), seed=True, spec=NoiseSpec("ou", g=1.0),
         )
         assert (ensemble.n_paths, ensemble.seed) == (3, 1)
         assert type(ensemble.n_paths) is int and type(ensemble.seed) is int
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("spec", NoiseSpec("ou", g=50.0)),
+            ("indices", np.array([3, 5])),
+            ("t_grid", np.linspace(0.0, 2.0, 21)),
+        ],
+        ids=["spec", "indices", "t_grid"],
+    )
+    def test_replaced_ensemble_draws_like_a_fresh_one(self, field, value):
+        # the factor is derived from the replaced inputs, never carried over
+        inputs = {"spec": NoiseSpec("ou", g=1.0), "t_grid": np.linspace(0.0, 1.0, 21)}
+        ensemble = sample_trajectories(inputs["spec"], inputs["t_grid"], 500, 7)
+        inputs.update({"indices": ensemble.indices, field: value})
+        fresh = sample_trajectories(inputs["spec"], inputs["t_grid"], 500, 7, inputs["indices"])
+        replaced = dataclasses.replace(ensemble, **{field: value})
+        got, expected = (
+            [(r.tau, r.analytic.tobytes(), r.empirical.tobytes()) for r in reports]
+            for reports in (
+                mc_average_state(initial_state(1.0), replaced, 1.0),
+                mc_average_state(initial_state(1.0), fresh, 1.0),
+            )
+        )
+        assert got == expected
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("indices", np.array([5, 3]), "phase indices must be increasing grid indices"),
+            ("indices", np.array([0]), "phase indices must be increasing grid indices"),
+            ("t_grid", np.array([0.0, np.nan, 1.0]), "strictly increasing, not nan"),
+        ],
+        ids=["indices-decreasing", "indices-first", "t_grid-nan"],
+    )
+    def test_replace_checks_grid_and_indices(self, field, value, message):
+        ensemble = sample_trajectories(NoiseSpec("ou", g=1.0), np.linspace(0.0, 1.0, 11), 1, 0)
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(ensemble, **{field: value})
 
     def test_indefinite_covariance_is_covariance_error(self):
         cov = np.array([[1.0, 2.0], [2.0, 1.0]])
@@ -162,7 +201,7 @@ class TestSampleTrajectories:
         z = montecarlo._normals(11, 0, 3 * (2 * BLOCK + 5)).reshape(-1, 3)
         for b, phi in enumerate(blocks):
             rows = z[b * BLOCK : b * BLOCK + len(phi)]
-            assert np.array_equal(phi, np.einsum("ij,kj->ik", rows, ensemble.factor))
+            assert np.array_equal(phi, np.einsum("ij,kj->ik", rows, ensemble.cholesky[0]))
         # a seed + b scheme would draw block 1 of seed 11 as block 0 of seed 12
         (first,) = sample_trajectories(spec, grid, BLOCK, 12, [2, 4, 6]).phases()
         assert not np.array_equal(blocks[1], first)
@@ -209,7 +248,7 @@ class TestSampleTrajectories:
         grid = np.linspace(0, 1, 11)
         for indices in ([-1], range(1, 11)):
             ensemble = sample_trajectories(NoiseSpec("fgn", hurst=hurst), grid, 5, 0, indices)
-            assert ensemble.jitter == 0.0
+            assert ensemble.cholesky[1] == 0.0
 
     @pytest.mark.parametrize("indices", [[-1], TWENTY], ids=["K1", "K20"])
     @pytest.mark.parametrize(
@@ -230,12 +269,12 @@ class TestSampleTrajectories:
         ensemble = sample_trajectories(spec, grid, 5, 0, indices)
         cov = grid_covariance(spec, grid, ensemble.indices)
         scale = max(np.max(np.diag(cov)), 1.0)
-        shifted = cov + ensemble.jitter * scale * np.eye(len(indices))
-        factor = ensemble.factor
+        factor, jitter = ensemble.cholesky
+        shifted = cov + jitter * scale * np.eye(len(indices))
         assert np.max(np.abs(factor @ factor.T - shifted)) <= 1e-14 * np.max(cov)
         # at 20 times on [0, 2] the smooth gn g=1 covariance is singular to rounding
         needs_jitter = spec == NoiseSpec("gn", g=1.0) and len(indices) == 20
-        assert (ensemble.jitter > 0.0) == needs_jitter
+        assert (jitter > 0.0) == needs_jitter
 
 
 class TestNormals:
@@ -352,15 +391,10 @@ class TestTrapezoidWeights:
 
 class TestMcAverageState:
     def _manual_ensemble(self, factor, n, grid, spec, indices=(-1,), seed=0):
-        grid = np.asarray(grid, float)
-        return TrajectoryEnsemble(
-            t_grid=grid,
-            indices=np.arange(grid.size)[list(indices)],
-            factor=np.asarray(factor, float),
-            n_paths=n,
-            seed=seed,
-            spec=spec,
-        )
+        ensemble = TrajectoryEnsemble(grid, np.array(indices), n, seed, spec)
+        # the given factor stands in for the one the spec would give
+        ensemble.__dict__["cholesky"] = (np.asarray(factor, float), 0.0)
+        return ensemble
 
     @staticmethod
     def _random_state(rng):
@@ -454,7 +488,7 @@ class TestMcAverageState:
         z = montecarlo._normals(9, 0, 20 * (BLOCK + rows)).reshape(-1, 20)
         for phi, start in zip(chunks, (0, BLOCK)):
             rows_z = z[start : start + len(phi)]
-            assert np.array_equal(phi, np.einsum("ij,kj->ik", rows_z, ensemble.factor))
+            assert np.array_equal(phi, np.einsum("ij,kj->ik", rows_z, ensemble.cholesky[0]))
 
     def test_report_bits_do_not_depend_on_blas_threads(self, tmp_path):
         # the gn kernel is numerically rank-deficient, so an M x M factor of it
@@ -509,7 +543,7 @@ class TestMcAverageState:
     def test_every_drawn_time_within_bound(self):
         grid = np.linspace(0.0, 2.0, 201)
         ensemble = sample_trajectories(NoiseSpec("gn", g=1.0), grid, 20000, 13, TWENTY)
-        assert ensemble.jitter > 0.0
+        assert ensemble.cholesky[1] > 0.0
         reports = mc_average_state(initial_state(1.0), ensemble, 1.0)
         assert [report.tau for report in reports] == list(grid[TWENTY])
         for at_index, report in zip(TWENTY, reports):
@@ -559,7 +593,7 @@ class TestMcAverageState:
                 grid = np.linspace(0.0, 1.0, points)
                 variance[points] = grid_covariance(spec, grid, [-1])[0, 0]
                 ensemble = sample_trajectories(spec, grid, 1, 17)
-                assert ensemble.factor[0, 0] ** 2 == pytest.approx(variance[points], rel=1e-15)
+                assert ensemble.cholesky[0][0, 0] ** 2 == pytest.approx(variance[points], rel=1e-15)
             assert abs(variance[201] - variance[401]) / variance[401] < 0.01
             beta = beta_closed(spec, 1.0)
             assert (variance[201] - beta) / (variance[401] - beta) == pytest.approx(4.0, rel=1e-3)
