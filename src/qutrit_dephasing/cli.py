@@ -11,10 +11,12 @@ Each subcommand declares only the flags it reads.  A config file (--config,
 ``key = value`` lines keyed by that subcommand's long flags) is read as
 ``--key=value`` flags placed before the command line: its values pass the
 same types and choices, and explicit flags win.  Flags and keys are spelt in
-full, and every float must be finite.  Exit codes: 0 ok, 1 usage error
-(including an unreadable config file or an output path that cannot be
-written), 2 numerical failure, invalid parameters or a grid too large to
-allocate, 3 oracle bound violation.
+full, every float must be finite and every integer must parse.  An integer
+out of range (``--tau-steps 1``, ``--samples 0``, ``--seed -1``) reaches the
+library, which rejects it as an invalid parameter.  Exit codes: 0 ok, 1
+usage error (including an unreadable config file or an output path that
+cannot be written), 2 numerical failure, invalid parameters or a grid too
+large to allocate, 3 oracle bound violation.
 
 ``run()`` is the process entry point (the ``sim`` script and ``python -m
 qutrit_dephasing.cli``): it calls ``gc.freeze()`` and exits with ``main()``'s
@@ -47,7 +49,6 @@ from .experiments import (
     tau_grid,
     write_rows,
 )
-from .montecarlo import SEED_BITS
 from .noise import KINDS, PARAMETERS, NoiseSpec
 
 EXIT_OK = 0
@@ -96,22 +97,6 @@ def _integer(text: str) -> int:
         raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
 
 
-def _positive_int(text: str) -> int:
-    value = _integer(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
-
-
-def _seed(text: str) -> int:
-    """An oracle seed: an integer in [0, 2**128), the key (low 64 bits) and
-    the high counter words (high 64 bits) of the Philox stream of normals."""
-    value = _integer(text)
-    if not 0 <= value < 2**SEED_BITS:
-        raise argparse.ArgumentTypeError(f"must lie in [0, 2**{SEED_BITS}), got {value}")
-    return value
-
-
 def _boolean(text: str) -> bool:
     """An on/off switch: bare on the command line, or true/false in a config."""
     word = text.lower()
@@ -156,8 +141,8 @@ def build_parser() -> _Parser:
     p.add_argument("--measure", choices=("purity", "entropy"), default="purity")
     p.set_defaults(run=_cmd_preservation)
     p = grid(sub.add_parser("oracle", help="Monte-Carlo check of the averaged state"))
-    p.add_argument("--samples", type=_positive_int, default=50000)
-    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--samples", type=_integer, default=50000)
+    p.add_argument("--seed", type=_integer, default=0)
     p.set_defaults(run=_cmd_oracle)
     p = sub.add_parser("figure", help="reproduce a canned figure recipe")
     p.add_argument("name", choices=FIGURES)

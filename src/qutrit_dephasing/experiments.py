@@ -146,9 +146,11 @@ def run_sweep(
     outputs: str = ".",
 ) -> list[str]:
     """Write one CSV per spec plus a combined plot script named after the
-    family of the first spec."""
+    family of the first spec; equal specs would share a file, so none repeats."""
     if not specs:
         raise ValueError("the spec list is empty")
+    if len(set(specs)) < len(specs):
+        raise ValueError("the spec list repeats a spec")
     header = CSV_HEADER + (_MATRIX_COLUMNS if with_matrix else [])
     curves = (
         (f"sweep_{s.label()}.csv", header, sweep_rows(s, taus, omega, r, with_matrix))
@@ -238,15 +240,17 @@ def run_oracle(
     path = None
     if outputs is not None:
         path = os.path.join(outputs, f"oracle_{spec.label()}.txt")
-        _write_report(path, report)
+        _write_report(path, report, omega, r)
     return report, path
 
 
-def _write_report(path: str, report: OracleReport) -> None:
+def _write_report(path: str, report: OracleReport, omega: float, r: float) -> None:
     ensemble = report.ensemble
     lines = [
         f"noise = {ensemble.spec.label()}",
         f"tau = {fmt(report.tau)}",
+        f"omega = {fmt(omega)}",
+        f"r = {fmt(r)}",
         f"n_samples = {ensemble.n_paths}",
         f"seed = {ensemble.seed}",
         f"rng_algorithm = {RNG_ALGORITHM}",

@@ -98,7 +98,7 @@ class TrajectoryEnsemble:
         object.__setattr__(self, "n_paths", operator.index(self.n_paths))
         object.__setattr__(self, "seed", operator.index(self.seed))
         if self.n_paths < 1:
-            raise ValueError("need at least one path")
+            raise ValueError(f"need at least one path, got {self.n_paths}")
         if not 0 <= self.seed < 2**SEED_BITS:
             raise ValueError(f"seed must lie in [0, 2**{SEED_BITS}), got {self.seed}")
 

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import qutrit_dephasing
-from qutrit_dephasing import cli
+from qutrit_dephasing import cli, montecarlo
 from qutrit_dephasing.experiments import FIGURES
 from qutrit_dephasing.noise import PARAMETERS, NoiseSpec, beta_closed
 from references import beta_exact, entropy_exact, purity, unitary, vn_entropy
@@ -468,15 +468,45 @@ class TestOracle:
         report = (tmp_path / "oracle_ou_g1.0000001.txt").read_text()
         assert report.startswith("noise = ou_g1.0000001\n")
 
-    def test_zero_samples_usage_error(self):
-        assert run(["oracle", "--noise", "ou", "--samples", "0", "--tau-max", "1"]) == 1
+    def test_report_names_omega_and_r(self, tmp_path):
+        # 17 significant digits, so each value reads back as the same float
+        omega, r = 0.1 + 0.2, 1.0 / 3.0
+        argv = ["oracle", "--noise", "ou", "--samples", "10", "--omega", repr(omega)]
+        assert run(argv + ["--r", repr(r), "--out", str(tmp_path)]) == 0
+        report = (tmp_path / "oracle_ou_g1.txt").read_text().split("\n\n")[0]
+        header = dict(line.split(" = ", 1) for line in report.splitlines())
+        assert list(header)[:4] == ["noise", "tau", "omega", "r"]
+        assert float(header["omega"]) == omega and float(header["r"]) == r
+
+    @pytest.fixture
+    def rejected(self, tmp_path, monkeypatch, capsys):
+        """The ensemble rejects an integer out of its domain: exit 2 with its
+        message, before any covariance is formed or any file written."""
+
+        def no_covariance(*args):
+            raise AssertionError("a covariance was formed")
+
+        monkeypatch.setattr(montecarlo, "phase_covariance", no_covariance)
+
+        def check(flags, message):
+            argv = ["oracle", "--noise", "ou", "--tau-max", "1", *flags, "--out", str(tmp_path)]
+            assert run(argv) == 2
+            captured = capsys.readouterr()
+            assert (captured.out, captured.err) == ("", f"error: {message}\n")
+            assert list(tmp_path.iterdir()) == []
+
+        return check
+
+    def test_zero_samples_is_invalid_parameter(self, rejected):
+        rejected(["--samples", "0"], "need at least one path, got 0")
+
+    def test_negative_samples_is_invalid_parameter(self, rejected):
+        rejected(["--samples", "-3"], "need at least one path, got -3")
 
     @pytest.mark.parametrize("seed", ["-1", str(2**128)])
-    def test_seed_outside_philox_keys_is_usage_error(self, seed, tmp_path, capsys):
-        argv = ["oracle", "--noise", "ou", "--samples", "10", "--seed", seed]
-        assert run(argv + ["--out", str(tmp_path)]) == 1
-        assert "--seed: must lie in [0, 2**128)" in capsys.readouterr().err
-        assert list(tmp_path.iterdir()) == []
+    def test_seed_outside_philox_keys_is_invalid_parameter(self, seed, rejected):
+        flags = ["--samples", "10", "--seed", seed]
+        rejected(flags, f"seed must lie in [0, 2**128), got {seed}")
 
     def test_largest_seed_runs(self, tmp_path):
         argv = ["oracle", "--noise", "ou", "--samples", "10", "--seed", str(2**128 - 1)]
@@ -643,6 +673,7 @@ class TestSystemParameters:
             ["preservation", "--noise", "ou", "--delta", "inf"],
             # integers that do not parse
             ["oracle", "--noise", "ou", "--samples", "1e3"],
+            ["oracle", "--noise", "ou", "--samples", "1.5"],
             ["oracle", "--noise", "ou", "--samples", "10", "--seed", "x"],
         ],
     )

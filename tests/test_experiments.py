@@ -22,6 +22,21 @@ def test_empty_spec_list_rejected(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "specs",
+    [
+        [NoiseSpec("ou"), NoiseSpec("ou")],
+        # equal specs built two ways, not adjacent
+        [NoiseSpec("ou", g=1.0), NoiseSpec("ou", g=3.0), NoiseSpec("ou")],
+    ],
+)
+def test_repeated_spec_rejected_before_any_write(specs, tmp_path):
+    # it once wrote sweep_ou_g1.csv twice and returned that path twice
+    with pytest.raises(ValueError, match="the spec list repeats a spec"):
+        run_sweep(specs, tau_grid(1.0, 3), outputs=str(tmp_path))
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("delta", [0.0, -1e-3, math.nan])
 def test_preservation_delta_positive(delta):
     with pytest.raises(ValueError, match=f"delta must be positive, got {delta}"):
