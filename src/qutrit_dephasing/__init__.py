@@ -21,7 +21,6 @@ from .montecarlo import (
 )
 from .noise import (
     NoiseSpec,
-    autocorrelation,
     beta_closed,
     coherence_loss,
     dephasing_factor,
@@ -31,7 +30,6 @@ from .noise import (
 
 __all__ = [
     "NoiseSpec",
-    "autocorrelation",
     "beta_closed",
     "coherence_loss",
     "dephasing_factor",

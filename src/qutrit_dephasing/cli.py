@@ -13,7 +13,8 @@ Each subcommand declares only the flags it reads.  A config file (--config,
 same types and choices, and explicit flags win.  Flags and keys are spelt in
 full, every float must be finite and every integer must parse.  An integer
 out of range (``--tau-steps 1``, ``--samples 0``, ``--seed -1``) reaches the
-library, which rejects it as an invalid parameter.  Exit codes: 0 ok, 1
+library, which rejects it as an invalid parameter, as it does the oracle's
+``--tau-max 0``.  Exit codes: 0 ok, 1
 usage error (including an unreadable config file or an output path that
 cannot be written), 2 numerical failure, invalid parameters or a grid too
 large to allocate, 3 oracle bound violation.
@@ -140,7 +141,9 @@ def build_parser() -> _Parser:
     p.add_argument("--delta", type=_finite, default=1e-3)
     p.add_argument("--measure", choices=("purity", "entropy"), default="purity")
     p.set_defaults(run=_cmd_preservation)
-    p = grid(sub.add_parser("oracle", help="Monte-Carlo check of the averaged state"))
+    p = system(sub.add_parser("oracle", help="Monte-Carlo check of the averaged state"))
+    p.add_argument("--tau-max", type=_finite, default=2.0)
+    p.add_argument("--out", help="output directory")
     p.add_argument("--samples", type=_integer, default=50000)
     p.add_argument("--seed", type=_integer, default=0)
     p.set_defaults(run=_cmd_oracle)
@@ -233,7 +236,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     spec = NoiseSpec(args.noise, **_family(args))
     report, path = run_oracle(
         spec,
-        tau_grid(args.tau_max, args.tau_steps),
+        args.tau_max,
         n=args.samples,
         seed=args.seed,
         omega=args.omega,

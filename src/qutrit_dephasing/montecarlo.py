@@ -1,14 +1,13 @@
 """Monte-Carlo oracle: sample the Gaussian phases of field realizations at
-chosen grid times and average the evolved qutrit states over the ensemble.
+chosen times and average the evolved qutrit states over the ensemble.
 
 The sampling never touches the analytic dephasing factors; only the
 reference state does, through the factors chi_n of ``noise.phase_law``.  The
-phases at the K chosen grid indices are jointly Gaussian with covariance
-C = W^T K W (``noise.phase_covariance``): exactly the law of the trapezoid
-phases of paths drawn from the kernel on the grid, so the oracle needs no
-paths.  A ``TrajectoryEnsemble`` stores five inputs (grid, indices, count,
-seed, spec), holds every rule on them, and derives from them, once, the
-Cholesky factor F of C; its phases are drawn as ``Z F^T``.  The state
+phases at the K chosen times are jointly Gaussian with the exact covariance
+C of ``noise.phase_covariance``, so the oracle needs no paths and no time
+grid.  A ``TrajectoryEnsemble`` stores four inputs (times, count, seed,
+spec), holds every rule on them, and derives from them, once, the Cholesky
+factor F of C; its phases are drawn as ``Z F^T``.  The state
 U(phi) rho0 U(phi)+ is a degree-2 trigonometric polynomial in phi, so its
 ensemble mean depends on the paths only through the two moments
 m_n = mean exp(i n omega phi), n = 1, 2.  It is the sum of the states at
@@ -29,18 +28,18 @@ counter read exactly SEED_BITS = 128 bits of seed, so an ensemble takes a
 seed in [0, 2**128) only: any other would draw the paths of one of those.
 Sampling and averaging stream over blocks of BLOCK = 4096 paths, which
 bounds the memory and is no part of the stream.
-C, the phases, the moment sums and the node sums are plain ``np.einsum``
+The phases, the moment sums and the node sums are plain ``np.einsum``
 and ``sum`` calls, which sum in one fixed order and never call the BLAS, and
 the K x K factor is too small for the BLAS to thread; that a report is the
 same bits for any BLAS thread count is pinned by a test
 (``test_report_bits_do_not_depend_on_blas_threads``).  One block is in
-memory at a time, so memory is O((BLOCK + M) * K) for M grid points.
+memory at a time, so memory is O(BLOCK * K).
 """
 
 from __future__ import annotations
 
 import operator
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -68,33 +67,27 @@ _NODES = 2.0 * np.pi / 5.0 * np.arange(5)
 
 @dataclass(frozen=True)
 class TrajectoryEnsemble:
-    """n_paths >= 1 draws of the Gaussian phases (the integrals of eta, before
-    omega) of ``spec`` at grid ``indices`` > 0 of ``t_grid``, with a seed in
-    [0, 2**128).  Only these five inputs are stored, checked by every
-    construction (``replace`` too); ``cholesky`` derives their factor."""
+    """n_paths >= 1 draws of the Gaussian phases (the integrals of eta from 0,
+    before omega) of ``spec`` at positive, strictly increasing, finite times
+    ``taus``, with a seed in [0, 2**128).  Only these four inputs are stored,
+    checked by every construction (``replace`` too); ``cholesky`` derives F."""
 
-    t_grid: np.ndarray
-    indices: np.ndarray
+    taus: np.ndarray
     n_paths: int
     seed: int
     spec: NoiseSpec
 
     def __post_init__(self):
-        t_grid = np.asarray(self.t_grid, dtype=float)
-        if t_grid.ndim != 1 or t_grid.size < 2:
-            raise ValueError("time grid must be one-dimensional with at least 2 points")
-        if not np.all(np.diff(t_grid) > 0.0):  # nan fails too
-            raise ValueError("time grid must be strictly increasing, not nan")
-        if t_grid[0] != 0.0:
-            raise ValueError(f"time grid must start at 0, got {t_grid[0]}")
-        indices = np.asarray(self.indices)
-        if indices.size and indices.dtype.kind not in "iu":
-            raise ValueError(f"phase indices must be integers, got dtype {indices.dtype}")
-        indices = np.arange(t_grid.size)[indices.astype(int)]
-        if indices.ndim != 1 or not indices.size or indices[0] < 1 or np.any(np.diff(indices) < 1):
-            raise ValueError("phase indices must be increasing grid indices past the first")
-        object.__setattr__(self, "t_grid", t_grid)
-        object.__setattr__(self, "indices", indices)
+        taus = np.asarray(self.taus, dtype=float)
+        if taus.ndim != 1 or not taus.size:
+            raise ValueError(f"phase times must be a non-empty 1-D array, got shape {taus.shape}")
+        (bad,) = np.nonzero(~((np.diff(taus, prepend=0.0) > 0.0) & np.isfinite(taus)))
+        if bad.size:
+            raise ValueError(
+                "phase times must be positive, strictly increasing and finite, "
+                f"got {taus[bad[0]]} at index {bad[0]}"
+            )
+        object.__setattr__(self, "taus", taus)
         object.__setattr__(self, "n_paths", operator.index(self.n_paths))
         object.__setattr__(self, "seed", operator.index(self.seed))
         if self.n_paths < 1:
@@ -105,14 +98,14 @@ class TrajectoryEnsemble:
     @cached_property
     def cholesky(self) -> tuple[np.ndarray, float]:
         """(F, jitter) with F F^T = C + jitter scale I, C the phases' covariance."""
-        cov = phase_covariance(self.spec, self.t_grid, self.indices)
+        cov = phase_covariance(self.spec, self.taus)
         return _cholesky_with_jitter(cov, self.spec)
 
     def phases(self) -> Iterator[np.ndarray]:
         """Each block's (rows, K) phases ``Z_b F^T``: the block of paths
         start .. start + rows - 1 takes normals start K .. (start + rows) K - 1."""
         factor, _ = self.cholesky
-        k = self.indices.size
+        k = self.taus.size
         for start in range(0, self.n_paths, BLOCK):
             rows = min(BLOCK, self.n_paths - start)
             z = _normals(self.seed, start * k, rows * k).reshape(rows, k)
@@ -195,20 +188,12 @@ def _cholesky_with_jitter(cov: np.ndarray, spec: NoiseSpec) -> tuple[np.ndarray,
     )
 
 
-def sample_trajectories(
-    spec: NoiseSpec, t_grid, n: int, seed: int, at_indices: Sequence[int] = (-1,)
-) -> TrajectoryEnsemble:
-    """n draws of the zero-mean Gaussian phases at the integer grid indices
-    ``at_indices`` (by default the last only), for a field with covariance
-    K(s_i, s_j) on ``t_grid``.  The grid starts at 0, where the phases and
-    beta start: the fgn kernel is not stationary, so a phase accumulated
-    over [t0, t] does not have the variance beta(t - t0).  The ensemble
-    checks every input (``TrajectoryEnsemble``).
-
-    Factors the phases' covariance once, so a bad one fails here; the phases
-    themselves are drawn block by block when the ensemble is read (``phases``).
-    """
-    ensemble = TrajectoryEnsemble(t_grid, at_indices, n, seed, spec)
+def sample_trajectories(spec: NoiseSpec, taus, n: int, seed: int) -> TrajectoryEnsemble:
+    """n draws of the zero-mean Gaussian phases of ``spec`` at ``taus``, each
+    accumulated from 0; the ensemble checks every input.  Factors their
+    covariance once, so a bad one fails here; the phases themselves are drawn
+    block by block when the ensemble is read (``phases``)."""
+    ensemble = TrajectoryEnsemble(taus, n, seed, spec)
     ensemble.cholesky
     return ensemble
 
@@ -216,8 +201,8 @@ def sample_trajectories(
 def mc_average_state(
     rho0: np.ndarray, ensemble: TrajectoryEnsemble, omega: float
 ) -> list[OracleReport]:
-    """Ensemble-averaged evolved states at every drawn grid time, vs the
-    analytic states: one report per entry of ``ensemble.indices``, in order.
+    """Ensemble-averaged evolved states at every drawn time, vs the analytic
+    states: one report per entry of ``ensemble.taus``, in order.
 
     The analytic references, evolve_averaged with the factors chi_1, chi_2 of
     the spec's phase law at each tau, are computed first, so a bad rho0 or
@@ -229,7 +214,7 @@ def mc_average_state(
     Where omega * phi overflows, the sums are not finite: a ValueError.
     """
     rho0 = np.asarray(rho0, dtype=complex)
-    taus = ensemble.t_grid[ensemble.indices]
+    taus = ensemble.taus
     _, _, chi = phase_law(ensemble.spec, taus, omega)
     analytic = evolve_averaged(rho0, chi(1), chi(2))
     sums = np.zeros((2, taus.size), dtype=complex)

@@ -1,4 +1,4 @@
-"""Gaussian noise families: autocorrelation kernels and phase-variance budgets.
+"""Gaussian noise families: phase-variance budgets and the phases' joint law.
 
 Four zero-mean Gaussian processes are supported, each identified by a short
 kind tag and reading the parameters ``PARAMETERS`` lists for it:
@@ -12,13 +12,13 @@ All quantities are dimensionless: the physical rates have been absorbed into
 the single parameter g and the scaled time tau.  The accumulated random phase
 phi(tau) = omega * Integral eta(s) ds is Gaussian with variance
 omega^2 * beta(tau), where beta is the double integral of the kernel over
-[0, tau]^2.  ``beta_closed`` gives the analytic value.  ``phase_covariance``
-gives W^T K W, the covariance of the trapezoid phases at chosen times of a
-grid (the law the Monte-Carlo oracle samples).  Every time read here must be
-nonnegative, and nan is rejected.  ``phase_law`` is the one place that pairs
-a family with its law: beta, then the Gaussian law at that beta
-(``coherence_loss`` and ``dephasing_factor``, which read beta itself and so
-take any other beta too).
+[0, tau]^2.  ``beta_closed`` gives the analytic value, and
+``phase_covariance`` the exact joint law of the phases at chosen times,
+worked out from beta alone (the law the Monte-Carlo oracle samples).  Every
+time read here must be nonnegative, and nan is rejected.  ``phase_law`` is
+the one place that pairs a family with the law of one phase: beta, then the
+Gaussian law at that beta (``coherence_loss`` and ``dephasing_factor``, which
+read beta itself and so take any other beta too).
 """
 
 from __future__ import annotations
@@ -75,32 +75,6 @@ def _exact(value: float) -> str:
     so that specs with different parameters get different labels."""
     text = f"{value:g}"
     return text if float(text) == value else repr(float(value))
-
-
-def autocorrelation(spec: NoiseSpec, s, s_prime):
-    """Covariance K(s, s') of the noise process at two nonnegative times.
-
-    The fgn kernel is genuinely two-argument (nonstationary); the other three
-    depend only on u = s - s'.  Accepts scalars or broadcastable arrays.
-    """
-    s = np.asarray(s, dtype=float)
-    sp = np.asarray(s_prime, dtype=float)
-    if not (np.all(s >= 0.0) and np.all(sp >= 0.0)):  # nan fails too
-        raise ValueError("autocorrelation times must be nonnegative, not nan")
-    if spec.kind == "fgn":
-        two_h = 2.0 * spec.hurst
-        out = 0.5 * (np.abs(sp) ** two_h - np.abs(s - sp) ** two_h + np.abs(s) ** two_h)
-    elif spec.kind == "gn":
-        u = s - sp
-        with np.errstate(over="ignore"):  # far apart the kernel is 0
-            out = spec.g * np.exp(-((spec.g * u) ** 2)) / math.sqrt(math.pi)
-    elif spec.kind == "ou":
-        out = 0.5 * spec.g * np.exp(-spec.g * np.abs(s - sp))
-    else:  # pl
-        u = np.abs(s - sp)
-        with np.errstate(over="ignore"):  # far apart the kernel is 0
-            out = (spec.alpha - 1.0) * spec.g / (2.0 * (spec.g * u + 1.0) ** spec.alpha)
-    return out if out.ndim else float(out)
 
 
 # Below this (scaled) x the ou and pl forms lose digits to cancellation and
@@ -182,44 +156,25 @@ def beta_closed(spec: NoiseSpec, tau):
     return out if out.ndim else float(out)
 
 
-# Kernel entries phase_covariance evaluates at once: 128 KiB of float64 per
-# temporary, so the few temporaries of a kernel formula (fgn holds several)
-# and each block of K W rows stay within a core's L2 cache.
-_KERNEL_BLOCK = 2**14
+def phase_covariance(spec: NoiseSpec, taus) -> np.ndarray:
+    """The exact joint covariance C of the phases (before omega) at ``taus``,
+    from one ``beta_closed`` call on the times joined with their differences.
 
-
-def _trapezoid_weights(t_grid: np.ndarray, indices) -> np.ndarray:
-    """(M, K) weights W with path @ W[:, k] the trapezoid integral from
-    t_grid[0] to t_grid[indices[k]]; entries past indices[k] are zero."""
-    stops = np.arange(t_grid.size)[np.asarray(indices)]
-    half = np.pad(0.5 * np.diff(t_grid), 1)  # half[j]: half the panel ending at point j
-    kept = np.where(np.arange(half.size)[:, None] <= stops, half[:, None], 0.0)
-    return kept[:-1] + kept[1:]
-
-
-def phase_covariance(spec: NoiseSpec, t_grid, indices) -> np.ndarray:
-    """C = W^T K W, the covariance of the trapezoid phases (before omega) at
-    the grid ``indices``; K is the kernel on ``t_grid``, W its trapezoid weights.
-
-    K W is built _KERNEL_BLOCK kernel entries (128 KiB) at a time, or one
-    row where a row is longer, so memory is O(grid points * indices) plus
-    one kernel block, whose temporaries stay in cache.  Both products are
-    plain ``np.einsum`` calls, which sum in one fixed order and never call
-    the BLAS; each row of K W is its own sum, so the result does not depend
-    on how rows are grouped into blocks.
+    With S = beta(a) + beta(b) - beta(|a - b|), entry (a, b) is S / 2 for the
+    stationary gn, ou and pl.  fgn's kernel, the fBm covariance, is not
+    stationary; with p = 2H its entry is (b a^(p+1) + a b^(p+1) - S) / (2(p+1)),
+    formed with a b (a^p + b^p) so that no rounded exponent is raised.
     """
-    t_grid = np.asarray(t_grid, dtype=float)
-    weights = _trapezoid_weights(t_grid, indices)
-    kernel_weights = np.empty_like(weights)
-    step = max(1, _KERNEL_BLOCK // t_grid.size)
-    # past the float range K is inf or nan; the oracle's factor reports that C
+    taus = np.asarray(taus, dtype=float)
+    a, b = taus[:, None], taus[None, :]
+    beta = beta_closed(spec, np.vstack([taus, np.abs(a - b)]))  # beta(taus), then of the lags
+    # past the float range C is inf or nan; the oracle's factor reports that C
     with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, t_grid.size, step):
-            rows = slice(start, start + step)
-            kernel = autocorrelation(spec, t_grid[rows, None], t_grid)
-            kernel_weights[rows] = np.einsum("jk,kl->jl", kernel, weights)
-        cov = np.einsum("ji,jl->il", weights, kernel_weights)
-        return 0.5 * (cov + cov.T)
+        joint = beta[0, :, None] + beta[0] - beta[1:]
+        if spec.kind == "fgn":
+            p = 2.0 * spec.hurst
+            return (a * b * (a**p + b**p) - joint) / (2.0 * (p + 1.0))
+        return 0.5 * joint
 
 
 def _half_exponent(n: int, beta, omega: float) -> np.ndarray:

@@ -1,24 +1,21 @@
 """The independent references the suite checks the library against, each
 written once, on numpy and mpmath alone.
 
-The propagator comes from LAPACK's eigensolver applied to Sx, the trapezoid
-phase from a running sum of panels, beta and the averaged-state entropy
-from 50-digit mpmath, the matrix purity and entropy from the state's
-entries and eigenvalues, and the oracle's normals from a scalar
-Philox4x32-10 and Box-Muller on Python integers and ``math``.  None of them
-shares the library's code.  Only ``grid_covariance`` and the numerical
-``beta_quadrature`` built on it call the library, for its kernel
-``autocorrelation``, and on purpose: beta_closed is claimed to be the double
-integral of that kernel, so that kernel is what they integrate, and a copy of
-it would only test the copy.
+The propagator comes from LAPACK's eigensolver applied to Sx; the noise
+kernels from their definitions; the phases' covariance and the numerical
+beta from trapezoid quadrature of those kernels; beta and the
+averaged-state entropy from 50-digit mpmath; the matrix purity and entropy
+from the state's entries and eigenvalues; and the oracle's normals from a
+scalar Philox4x32-10 and Box-Muller on Python integers and ``math``.  None
+of them calls the library or shares its code.  The library works from
+``beta_closed`` alone, which is claimed to be the double integral of the
+kernel ``autocorrelation``; only this module evaluates that kernel.
 """
 
 import math
 
 import mpmath
 import numpy as np
-
-from qutrit_dephasing import autocorrelation
 
 # spin-1 Sx, from its definition: <m+1| S+ |m> = sqrt(2) and Sx = (S+ + S-) / 2
 SX = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]]) / np.sqrt(2.0)
@@ -33,10 +30,31 @@ def unitary(phi) -> np.ndarray:
     return (_EIGENVECTORS * phases[..., None, :]) @ _EIGENVECTORS.T
 
 
-def cumulative_trapezoid(y, x) -> np.ndarray:
-    """Running trapezoid integral of y over x along y's last axis, 0 at x[0]."""
-    panels = np.diff(x) * (y[..., 1:] + y[..., :-1]) / 2.0
-    return np.concatenate([np.zeros(y.shape[:-1] + (1,)), np.cumsum(panels, axis=-1)], axis=-1)
+def autocorrelation(spec, s, s_prime):
+    """Covariance K(s, s') of the NoiseSpec ``spec``'s noise at two
+    nonnegative times.
+
+    The fgn kernel is genuinely two-argument (nonstationary); the other three
+    depend only on u = s - s'.  Accepts scalars or broadcastable arrays.
+    """
+    s = np.asarray(s, dtype=float)
+    sp = np.asarray(s_prime, dtype=float)
+    if not (np.all(s >= 0.0) and np.all(sp >= 0.0)):  # nan fails too
+        raise ValueError("autocorrelation times must be nonnegative, not nan")
+    if spec.kind == "fgn":
+        two_h = 2.0 * spec.hurst
+        out = 0.5 * (np.abs(sp) ** two_h - np.abs(s - sp) ** two_h + np.abs(s) ** two_h)
+    elif spec.kind == "gn":
+        u = s - sp
+        with np.errstate(over="ignore"):  # far apart the kernel is 0
+            out = spec.g * np.exp(-((spec.g * u) ** 2)) / math.sqrt(math.pi)
+    elif spec.kind == "ou":
+        out = 0.5 * spec.g * np.exp(-spec.g * np.abs(s - sp))
+    else:  # pl
+        u = np.abs(s - sp)
+        with np.errstate(over="ignore"):  # far apart the kernel is 0
+            out = (spec.alpha - 1.0) * spec.g / (2.0 * (spec.g * u + 1.0) ** spec.alpha)
+    return out if out.ndim else float(out)
 
 
 def grid_covariance(spec, grid, indices) -> np.ndarray:

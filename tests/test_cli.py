@@ -452,15 +452,12 @@ class TestOracle:
         assert b"rng_algorithm" in first
         assert b"within_bound = True" in first
 
-    def test_tau_steps_sets_grid(self, tmp_path):
-        argv = [
-            "oracle", "--noise", "ou", "--tau-max", "1", "--tau-steps", "51",
-            "--samples", "2000", "--out", str(tmp_path),
-        ]
-        assert run(argv) == 0
-        report = (tmp_path / "oracle_ou_g1.txt").read_text().splitlines()
-        (step,) = [line.split(" = ")[1] for line in report if line.startswith("grid_step")]
-        assert float(step) == pytest.approx(0.02, rel=1e-12)
+    def test_tau_steps_is_usage_error(self, tmp_path, capsys):
+        # the oracle draws the exact law at --tau-max alone: it has no grid
+        argv = ["oracle", "--noise", "ou", "--tau-steps", "51", "--samples", "10"]
+        assert run(argv + ["--out", str(tmp_path)]) == 1
+        assert "unrecognized arguments: --tau-steps 51" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_report_names_the_exact_value(self, tmp_path):
         argv = ["oracle", "--noise", "ou", "--g", "1.0000001", "--samples", "10"]
@@ -480,7 +477,7 @@ class TestOracle:
 
     @pytest.fixture
     def rejected(self, tmp_path, monkeypatch, capsys):
-        """The ensemble rejects an integer out of its domain: exit 2 with its
+        """The ensemble rejects an input out of its domain: exit 2 with its
         message, before any covariance is formed or any file written."""
 
         def no_covariance(*args):
@@ -508,6 +505,12 @@ class TestOracle:
         flags = ["--samples", "10", "--seed", seed]
         rejected(flags, f"seed must lie in [0, 2**128), got {seed}")
 
+    @pytest.mark.parametrize("tau", ["0", "-1"])
+    def test_nonpositive_tau_max_is_invalid_parameter(self, tau, rejected):
+        flags = ["--samples", "10", "--tau-max", tau]
+        message = f"got {float(tau)} at index 0"
+        rejected(flags, f"phase times must be positive, strictly increasing and finite, {message}")
+
     def test_largest_seed_runs(self, tmp_path):
         argv = ["oracle", "--noise", "ou", "--samples", "10", "--seed", str(2**128 - 1)]
         assert run(argv + ["--out", str(tmp_path)]) == 0
@@ -529,7 +532,6 @@ class TestOracle:
         "flags, label",
         [
             (["--noise", "fgn", "--tau-max", "1e200"], "fgn_H0.5"),
-            (["--noise", "ou", "--tau-max", "1e200", "--tau-steps", "3"], "ou_g1"),
             (["--noise", "fgn", "--hurst", "0.9", "--tau-max", "1e200"], "fgn_H0.9"),
         ],
     )
@@ -542,6 +544,24 @@ class TestOracle:
         assert out.returncode == 2
         assert out.stderr == f"error: covariance for {label} is not finite\n"
         assert list(tmp_path.iterdir()) == []
+
+    def test_ou_at_huge_tau_is_dephased(self, tmp_path):
+        # ou's beta at 1e200, about 1e200, is finite, so its phases are drawn;
+        # chi is 0, and ten phasors average to the dephased state within
+        # 3/sqrt(10).  In a subprocess, so a RuntimeWarning would reach stderr.
+        out = python(
+            ["-m", "qutrit_dephasing.cli", "oracle", "--noise", "ou", "--tau-max", "1e200",
+             "--samples", "10", "--out", str(tmp_path)]
+        )
+        assert out.returncode == 0 and out.stderr == ""
+        report = (tmp_path / "oracle_ou_g1.txt").read_text()
+        assert "within_bound = True\n" in report
+        analytic = report.split("analytic:\n", 1)[1].split("empirical:", 1)[0]
+        dephased = np.full((3, 3), 1.0 / 3.0)
+        dephased[[0, 0, 2, 2], [0, 2, 0, 2]] = 0.25
+        dephased[1, 1] = 0.5
+        rows = [[complex(cell) for cell in line.split()] for line in analytic.splitlines()]
+        assert np.max(np.abs(np.array(rows) - dephased)) <= 1e-15
 
     def test_phase_overflow_is_numerical_error(self, tmp_path):
         # omega * phi overflows to inf, whose phasor is nan: not a bound
@@ -562,9 +582,8 @@ class TestOracle:
 
         # a zero factor draws every phase as 0, so the empirical state stays
         # the initial one while the analytic state dephases
-        grid = np.linspace(0.0, 1.0, 11)
         ensemble = TrajectoryEnsemble(
-            t_grid=grid, indices=np.array([10]), n_paths=10000, seed=0, spec=NoiseSpec("ou", g=1.0)
+            taus=[1.0], n_paths=10000, seed=0, spec=NoiseSpec("ou", g=1.0)
         )
         ensemble.__dict__["cholesky"] = (np.zeros((1, 1)), 0.0)
         (report,) = mc_average_state(initial_state(1.0), ensemble, 1.0)

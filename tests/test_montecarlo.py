@@ -2,6 +2,7 @@
 
 import dataclasses
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -20,16 +21,9 @@ from qutrit_dephasing import (
     propagator,
     sample_trajectories,
 )
-from qutrit_dephasing import cli, montecarlo, noise
+from qutrit_dephasing import cli, montecarlo
 from qutrit_dephasing.montecarlo import BLOCK
-from qutrit_dephasing.noise import _trapezoid_weights
-from references import (
-    cumulative_trapezoid,
-    grid_covariance,
-    normal_pair,
-    philox4x32,
-    unitary,
-)
+from references import normal_pair, philox4x32, unitary
 
 
 def all_phases(ensemble):
@@ -37,32 +31,41 @@ def all_phases(ensemble):
     return np.concatenate(list(ensemble.phases()))
 
 
-TWENTY = list(range(10, 201, 10))
+TWENTY = np.linspace(0.1, 2.0, 20)
 
 
 class TestSampleTrajectories:
-    def test_grid_validation(self):
+    @pytest.mark.parametrize(
+        "taus, message",
+        [
+            ([[0.5, 1.0]], "a non-empty 1-D array, got shape (1, 2)"),
+            ([], "a non-empty 1-D array, got shape (0,)"),
+            ([0.0, 1.0], "positive, strictly increasing and finite, got 0.0 at index 0"),
+            ([0.5, -1.0], "positive, strictly increasing and finite, got -1.0 at index 1"),
+            ([0.5, np.nan], "positive, strictly increasing and finite, got nan at index 1"),
+            ([0.5, np.inf], "positive, strictly increasing and finite, got inf at index 1"),
+            ([0.5, 1.0, 1.0], "positive, strictly increasing and finite, got 1.0 at index 2"),
+            ([0.5, 2.0, 1.5], "positive, strictly increasing and finite, got 1.5 at index 2"),
+        ],
+        ids=["2-D", "empty", "zero", "negative", "nan", "inf", "repeated", "decreasing"],
+    )
+    def test_bad_time_names_its_value(self, taus, message):
+        # the rule holds however the ensemble is built
         spec = NoiseSpec("ou", g=1.0)
-        with pytest.raises(ValueError):
-            sample_trajectories(spec, [0.0], 10, 0)
-        with pytest.raises(ValueError):
-            sample_trajectories(spec, [0.0, 0.0, 1.0], 10, 0)
-        with pytest.raises(ValueError, match="time grid must be strictly increasing, not nan"):
-            sample_trajectories(spec, [0.0, np.nan, 1.0], 10, 0)
-        # beta starts at 0; the fgn kernel is not stationary, so on [1, 1.5]
-        # the phase has variance 0.2917, not beta(0.5) = 0.0417
-        with pytest.raises(ValueError, match="must start at 0"):
-            sample_trajectories(NoiseSpec("fgn", hurst=0.5), np.linspace(1.0, 1.5, 51), 10, 0)
+        with pytest.raises(ValueError, match="phase times must be " + re.escape(message)):
+            sample_trajectories(spec, taus, 10, 0)
+        ensemble = sample_trajectories(spec, [1.0], 10, 0)
+        with pytest.raises(ValueError, match="phase times must be " + re.escape(message)):
+            dataclasses.replace(ensemble, taus=taus)
 
     def test_non_finite_covariance_is_value_error(self):
-        # fgn's kernel overflows at tau ~ 1e200: an invalid numerical input
-        grid = np.linspace(0.0, 1e200, 3)
+        # fgn's beta overflows at tau ~ 1e200: an invalid numerical input
         with pytest.raises(ValueError, match="covariance for fgn_H0.5 is not finite"):
-            sample_trajectories(NoiseSpec("fgn", hurst=0.5), grid, 10, 0)
+            sample_trajectories(NoiseSpec("fgn", hurst=0.5), [5e199, 1e200], 10, 0)
 
     def test_needs_a_path(self):
         with pytest.raises(ValueError, match="need at least one path"):
-            sample_trajectories(NoiseSpec("ou", g=1.0), np.linspace(0.0, 1.0, 11), 0, 0)
+            sample_trajectories(NoiseSpec("ou", g=1.0), [1.0], 0, 0)
 
     @pytest.mark.parametrize(
         "seed, error", [(-1, ValueError), (2**128, ValueError), (1.0, TypeError)]
@@ -70,12 +73,12 @@ class TestSampleTrajectories:
     def test_seed_is_an_integer_below_2_128(self, seed, error):
         # the stream reads the seed's 128 bits: a wider one would alias
         with pytest.raises(error):
-            sample_trajectories(NoiseSpec("ou", g=1.0), np.linspace(0.0, 1.0, 11), 1, seed)
+            sample_trajectories(NoiseSpec("ou", g=1.0), [1.0], 1, seed)
 
     def test_path_count_is_an_integer(self):
         # a float count would only fail later, when the blocks are drawn
         with pytest.raises(TypeError):
-            sample_trajectories(NoiseSpec("ou", g=1.0), np.linspace(0.0, 1.0, 11), 2.0, 0)
+            sample_trajectories(NoiseSpec("ou", g=1.0), [1.0], 2.0, 0)
 
     @pytest.mark.parametrize(
         "field, value, error",
@@ -92,34 +95,28 @@ class TestSampleTrajectories:
     def test_every_ensemble_checks_count_and_seed(self, field, value, error):
         # replace re-runs the checks: no ensemble aliases a seed's paths or
         # reports a nan bound
-        ensemble = sample_trajectories(NoiseSpec("ou", g=1.0), np.linspace(0.0, 1.0, 11), 1, 0)
+        ensemble = sample_trajectories(NoiseSpec("ou", g=1.0), [1.0], 1, 0)
         with pytest.raises(error):
             dataclasses.replace(ensemble, **{field: value})
 
     def test_ensemble_stores_int_count_and_seed(self):
-        grid = np.linspace(0.0, 1.0, 11)
         ensemble = TrajectoryEnsemble(
-            t_grid=grid, indices=np.array([10]),
-            n_paths=np.int64(3), seed=True, spec=NoiseSpec("ou", g=1.0),
+            taus=[1.0], n_paths=np.int64(3), seed=True, spec=NoiseSpec("ou", g=1.0)
         )
         assert (ensemble.n_paths, ensemble.seed) == (3, 1)
         assert type(ensemble.n_paths) is int and type(ensemble.seed) is int
 
     @pytest.mark.parametrize(
         "field, value",
-        [
-            ("spec", NoiseSpec("ou", g=50.0)),
-            ("indices", np.array([3, 5])),
-            ("t_grid", np.linspace(0.0, 2.0, 21)),
-        ],
-        ids=["spec", "indices", "t_grid"],
+        [("spec", NoiseSpec("ou", g=50.0)), ("taus", np.array([0.15, 0.25]))],
+        ids=["spec", "taus"],
     )
     def test_replaced_ensemble_draws_like_a_fresh_one(self, field, value):
         # the factor is derived from the replaced inputs, never carried over
-        inputs = {"spec": NoiseSpec("ou", g=1.0), "t_grid": np.linspace(0.0, 1.0, 21)}
-        ensemble = sample_trajectories(inputs["spec"], inputs["t_grid"], 500, 7)
-        inputs.update({"indices": ensemble.indices, field: value})
-        fresh = sample_trajectories(inputs["spec"], inputs["t_grid"], 500, 7, inputs["indices"])
+        inputs = {"spec": NoiseSpec("ou", g=1.0), "taus": np.array([0.1, 0.2])}
+        ensemble = sample_trajectories(inputs["spec"], inputs["taus"], 500, 7)
+        inputs[field] = value
+        fresh = sample_trajectories(inputs["spec"], inputs["taus"], 500, 7)
         replaced = dataclasses.replace(ensemble, **{field: value})
         got, expected = (
             [(r.tau, r.analytic.tobytes(), r.empirical.tobytes()) for r in reports]
@@ -130,72 +127,39 @@ class TestSampleTrajectories:
         )
         assert got == expected
 
-    @pytest.mark.parametrize(
-        "field, value, message",
-        [
-            ("indices", np.array([5, 3]), "phase indices must be increasing grid indices"),
-            ("indices", np.array([0]), "phase indices must be increasing grid indices"),
-            ("t_grid", np.array([0.0, np.nan, 1.0]), "strictly increasing, not nan"),
-        ],
-        ids=["indices-decreasing", "indices-first", "t_grid-nan"],
-    )
-    def test_replace_checks_grid_and_indices(self, field, value, message):
-        ensemble = sample_trajectories(NoiseSpec("ou", g=1.0), np.linspace(0.0, 1.0, 11), 1, 0)
-        with pytest.raises(ValueError, match=message):
-            dataclasses.replace(ensemble, **{field: value})
-
     def test_indefinite_covariance_is_covariance_error(self):
         cov = np.array([[1.0, 2.0], [2.0, 1.0]])
         message = "not positive semidefinite even with diagonal jitter up to 1e-08"
         with pytest.raises(ValueError, match=message):
             montecarlo._cholesky_with_jitter(cov, NoiseSpec("ou", g=1.0))
 
-    @pytest.mark.parametrize(
-        "indices, error",
-        [
-            ([0], ValueError),
-            ([-11, 5], ValueError),
-            ([], ValueError),
-            ([5, 3], ValueError),
-            ([4, 4], ValueError),
-            ([11], IndexError),
-            ([2.5], ValueError),
-        ],
-    )
-    def test_phase_indices_increase_past_the_first(self, indices, error):
-        with pytest.raises(error):
-            sample_trajectories(NoiseSpec("ou", g=1.0), np.linspace(0.0, 1.0, 11), 10, 0, indices)
-
     def test_deterministic_for_seed(self):
         spec = NoiseSpec("gn", g=1.0)
-        grid = np.linspace(0.0, 1.0, 21)
-        a = sample_trajectories(spec, grid, 50, 123, [5, 20])
-        b = sample_trajectories(spec, grid, 50, 123, [5, 20])
+        a = sample_trajectories(spec, [0.25, 1.0], 50, 123)
+        b = sample_trajectories(spec, [0.25, 1.0], 50, 123)
         assert np.array_equal(all_phases(a), all_phases(b))
-        c = sample_trajectories(spec, grid, 50, 124, [5, 20])
+        c = sample_trajectories(spec, [0.25, 1.0], 50, 124)
         assert not np.array_equal(all_phases(a), all_phases(c))
 
     def test_batch_invariant_substreams(self):
         # path i depends only on (seed, i), not on how many paths were asked for
         spec = NoiseSpec("ou", g=2.0)
-        grid = np.linspace(0.0, 1.0, 11)
-        small = sample_trajectories(spec, grid, 5, 7, [3, 10])
-        large = sample_trajectories(spec, grid, 20, 7, [3, 10])
+        small = sample_trajectories(spec, [0.3, 1.0], 5, 7)
+        large = sample_trajectories(spec, [0.3, 1.0], 20, 7)
         assert np.array_equal(all_phases(small), all_phases(large)[:5])
 
     def test_batch_invariant_across_a_block_boundary(self):
         spec = NoiseSpec("gn", g=1.0)
-        grid = np.linspace(0.0, 1.0, 6)
-        small = sample_trajectories(spec, grid, BLOCK + 2, 7, [2, 5])
-        large = sample_trajectories(spec, grid, BLOCK + 5, 7, [2, 5])
+        small = sample_trajectories(spec, [0.4, 1.0], BLOCK + 2, 7)
+        large = sample_trajectories(spec, [0.4, 1.0], BLOCK + 5, 7)
         assert np.array_equal(all_phases(small), all_phases(large)[: BLOCK + 2])
 
     def test_blocks_read_one_philox_stream(self, tmp_path):
         # path p takes normals pK .. pK + K - 1 of the seed's one stream, the
         # stream the report names; the block size is no part of it
         spec = NoiseSpec("ou", g=1.0)
-        grid = np.linspace(0.0, 1.0, 7)
-        ensemble = sample_trajectories(spec, grid, 2 * BLOCK + 5, 11, [2, 4, 6])
+        taus = [1.0 / 3.0, 2.0 / 3.0, 1.0]
+        ensemble = sample_trajectories(spec, taus, 2 * BLOCK + 5, 11)
         blocks = list(ensemble.phases())
         assert [phi.shape for phi in blocks] == [(BLOCK, 3), (BLOCK, 3), (5, 3)]
         z = montecarlo._normals(11, 0, 3 * (2 * BLOCK + 5)).reshape(-1, 3)
@@ -203,7 +167,7 @@ class TestSampleTrajectories:
             rows = z[b * BLOCK : b * BLOCK + len(phi)]
             assert np.array_equal(phi, np.einsum("ij,kj->ik", rows, ensemble.cholesky[0]))
         # a seed + b scheme would draw block 1 of seed 11 as block 0 of seed 12
-        (first,) = sample_trajectories(spec, grid, BLOCK, 12, [2, 4, 6]).phases()
+        (first,) = sample_trajectories(spec, taus, BLOCK, 12).phases()
         assert not np.array_equal(blocks[1], first)
         argv = ["oracle", "--noise", "ou", "--samples", "10", "--out", str(tmp_path)]
         assert cli.main(argv) == 0
@@ -212,19 +176,19 @@ class TestSampleTrajectories:
 
     def test_zero_mean(self):
         spec = NoiseSpec("ou", g=1.0)
-        grid = np.linspace(0.0, 2.0, 9)
-        ensemble = sample_trajectories(spec, grid, 1000, 5, range(1, 9))
-        std = np.sqrt(np.diag(grid_covariance(spec, grid, ensemble.indices)))
+        taus = np.linspace(0.25, 2.0, 8)
+        ensemble = sample_trajectories(spec, taus, 1000, 5)
+        std = np.sqrt(beta_closed(spec, taus))
         bound = 4.0 * std / np.sqrt(1000)
         assert np.all(np.abs(all_phases(ensemble).mean(axis=0)) < bound)
 
     def test_ou_empirical_covariance(self):
         spec = NoiseSpec("ou", g=1.0)
-        grid = np.linspace(0.0, 2.0, 9)
+        taus = np.linspace(0.25, 2.0, 8)
         n = 20000
-        ensemble = sample_trajectories(spec, grid, n, 11, range(1, 9))
+        ensemble = sample_trajectories(spec, taus, n, 11)
         emp = np.cov(all_phases(ensemble), rowvar=False, bias=True)
-        cov = grid_covariance(spec, grid, ensemble.indices)
+        cov = phase_covariance(spec, taus)
         for i in range(8):
             for j in range(8):
                 # var of a covariance estimate ~ (C_ii C_jj + C_ij^2)/n
@@ -234,23 +198,21 @@ class TestSampleTrajectories:
     def test_fgn_brownian_variance(self):
         # eta is Brownian motion, so the phase at t has variance t^3 / 3
         spec = NoiseSpec("fgn", hurst=0.5)
-        grid = np.linspace(0.0, 1.0, 101)
         n = 20000
-        ensemble = sample_trajectories(spec, grid, n, 3, [20, 40, 60, 80, 100])
+        ensemble = sample_trajectories(spec, np.linspace(0.2, 1.0, 5), n, 3)
         variances = all_phases(ensemble).var(axis=0)
-        for t, var in zip(grid[ensemble.indices], variances):
+        for t, var in zip(ensemble.taus, variances):
             expected = t**3 / 3.0
             assert abs(var - expected) < 5.0 * expected * np.sqrt(2.0 / n)
 
     @pytest.mark.parametrize("hurst", [0.1, 0.3, 0.9])
     def test_fgn_needs_no_jitter(self, hurst):
         # fBm has zero variance at t=0, but the phases never include t=0
-        grid = np.linspace(0, 1, 11)
-        for indices in ([-1], range(1, 11)):
-            ensemble = sample_trajectories(NoiseSpec("fgn", hurst=hurst), grid, 5, 0, indices)
+        for taus in ([1.0], np.linspace(0.1, 1.0, 10)):
+            ensemble = sample_trajectories(NoiseSpec("fgn", hurst=hurst), taus, 5, 0)
             assert ensemble.cholesky[1] == 0.0
 
-    @pytest.mark.parametrize("indices", [[-1], TWENTY], ids=["K1", "K20"])
+    @pytest.mark.parametrize("taus", [[2.0], TWENTY], ids=["K1", "K20"])
     @pytest.mark.parametrize(
         "spec",
         [
@@ -264,16 +226,16 @@ class TestSampleTrajectories:
         ],
         ids=NoiseSpec.label,
     )
-    def test_factor_reconstructs_covariance(self, spec, indices):
-        grid = np.linspace(0.0, 2.0, 201)
-        ensemble = sample_trajectories(spec, grid, 5, 0, indices)
-        cov = grid_covariance(spec, grid, ensemble.indices)
+    def test_factor_reconstructs_covariance(self, spec, taus):
+        ensemble = sample_trajectories(spec, taus, 5, 0)
+        cov = phase_covariance(spec, taus)
         scale = max(np.max(np.diag(cov)), 1.0)
         factor, jitter = ensemble.cholesky
-        shifted = cov + jitter * scale * np.eye(len(indices))
+        shifted = cov + jitter * scale * np.eye(len(taus))
         assert np.max(np.abs(factor @ factor.T - shifted)) <= 1e-14 * np.max(cov)
-        # at 20 times on [0, 2] the smooth gn g=1 covariance is singular to rounding
-        needs_jitter = spec == NoiseSpec("gn", g=1.0) and len(indices) == 20
+        # at 20 times on (0, 2] the smooth gn g=1 covariance is singular to
+        # rounding: its smallest eigenvalue is -1e-17 of its largest
+        needs_jitter = spec == NoiseSpec("gn", g=1.0) and len(taus) == 20
         assert (jitter > 0.0) == needs_jitter
 
 
@@ -328,70 +290,9 @@ class TestNormals:
             assert np.array_equal(montecarlo._normals(seed, first, count), whole[first:][:count])
 
 
-class TestPhaseCovariance:
-    @pytest.mark.parametrize("indices", [[-1], list(range(50, 1001, 50))], ids=["K1", "K20"])
-    @pytest.mark.parametrize(
-        "spec",
-        [
-            NoiseSpec("fgn", hurst=0.3),
-            NoiseSpec("gn", g=1.0),
-            NoiseSpec("ou", g=1.0),
-            NoiseSpec("pl", g=1.0, alpha=3.0),
-        ],
-        ids=NoiseSpec.label,
-    )
-    def test_row_blocks_match_full_kernel(self, spec, indices, monkeypatch):
-        rng = np.random.default_rng(5)
-        grid = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 2.0, size=1000))])
-        rows = noise._KERNEL_BLOCK // grid.size
-        assert -(-grid.size // rows) >= 3
-        cov = phase_covariance(spec, grid, indices)
-        reference = grid_covariance(spec, grid, indices)
-        assert np.max(np.abs(cov - reference)) <= 1e-14 * np.max(reference)
-        # each row of K W is its own sum, so the block size moves no bits
-        for block in (2**18, 2**10):
-            monkeypatch.setattr(noise, "_KERNEL_BLOCK", block)
-            assert np.array_equal(phase_covariance(spec, grid, indices), cov)
-
-    @pytest.mark.parametrize(
-        "spec",
-        [
-            NoiseSpec("fgn", hurst=0.5),
-            NoiseSpec("gn", g=1.0),
-            NoiseSpec("ou", g=1.0),
-            NoiseSpec("pl", g=1.0, alpha=3.0),
-        ],
-        ids=NoiseSpec.label,
-    )
-    def test_memory_independent_of_kernel_size(self, spec):
-        # the 4001-point kernel alone would take 122 MiB; one 128 KiB kernel
-        # block and the (4001, 20) weights and K W take about 1.7 MiB
-        grid = np.linspace(0.0, 2.0, 4001)
-        tracemalloc.start()
-        try:
-            sample_trajectories(spec, grid, 5, 0, list(range(200, 4001, 200)))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 3 * 2**20
-
-
-class TestTrapezoidWeights:
-    """The trapezoid phase of a path, which the weights of C encode."""
-
-    @pytest.mark.parametrize("at_index", [1, 37, -1])
-    def test_trapezoid_weights_match_cumulative_phase(self, at_index):
-        rng = np.random.default_rng(3)
-        grid = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 2.0, size=63))])
-        paths = rng.normal(size=(50, 64))
-        (weighted,) = (paths @ _trapezoid_weights(grid, [at_index])).T
-        cumulative = cumulative_trapezoid(paths, grid)[:, at_index]
-        assert np.max(np.abs(weighted - cumulative)) < 1e-13
-
-
 class TestMcAverageState:
-    def _manual_ensemble(self, factor, n, grid, spec, indices=(-1,), seed=0):
-        ensemble = TrajectoryEnsemble(grid, np.array(indices), n, seed, spec)
+    def _manual_ensemble(self, factor, n, spec, taus=(1.0,), seed=0):
+        ensemble = TrajectoryEnsemble(taus, n, seed, spec)
         # the given factor stands in for the one the spec would give
         ensemble.__dict__["cholesky"] = (np.asarray(factor, float), 0.0)
         return ensemble
@@ -408,15 +309,13 @@ class TestMcAverageState:
         return (u @ rho0 @ u.conj().transpose(0, 2, 1)).mean(axis=0)
 
     def test_single_zero_path_is_noiseless(self):
-        grid = np.linspace(0.0, 1.0, 11)
-        ensemble = self._manual_ensemble(np.zeros((1, 1)), 1, grid, NoiseSpec("ou", g=1.0))
+        ensemble = self._manual_ensemble(np.zeros((1, 1)), 1, NoiseSpec("ou", g=1.0))
         rho0 = initial_state(0.8)
         (report,) = mc_average_state(rho0, ensemble, 1.0)
         assert np.max(np.abs(report.empirical - rho0)) < 1e-14
 
     def test_report_figures_are_python_scalars(self):
-        grid = np.linspace(0.0, 1.0, 11)
-        ensemble = self._manual_ensemble(np.zeros((1, 1)), 9, grid, NoiseSpec("ou", g=1.0))
+        ensemble = self._manual_ensemble(np.zeros((1, 1)), 9, NoiseSpec("ou", g=1.0))
         (report,) = mc_average_state(initial_state(0.8), ensemble, 1.0)
         assert type(report.max_abs_deviation) is float
         assert type(report.stderr_bound) is float and report.stderr_bound == 1.0
@@ -425,7 +324,7 @@ class TestMcAverageState:
     def test_phase_overflow_rejected(self):
         # omega * phi overflows to inf and its phasor is nan; a warning fails
         # the test
-        ensemble = sample_trajectories(NoiseSpec("ou", g=1.0), np.linspace(0.0, 2.0, 11), 100, 0)
+        ensemble = sample_trajectories(NoiseSpec("ou", g=1.0), [2.0], 100, 0)
         with pytest.raises(ValueError, match=r"overflow the float range at omega=1e\+308"):
             mc_average_state(initial_state(1.0), ensemble, 1e308)
 
@@ -434,17 +333,17 @@ class TestMcAverageState:
         # largest omega * phi is 1e3; one path with omega * phi = pi
         rng = np.random.default_rng(5)
         rho0 = self._random_state(rng)
-        grid = np.linspace(0.0, 1.0, 11)
+        taus = (0.3, 0.7, 1.0)
         factor = np.tril(rng.normal(size=(3, 3)))
         omega = 1.3
         spec = NoiseSpec("ou", g=1.0)
         for n, peak in ((4, None), (4, 1e3), (1, np.pi)):
-            ensemble = self._manual_ensemble(factor, n, grid, spec, (3, 7, 10))
+            ensemble = self._manual_ensemble(factor, n, spec, taus)
             phases = all_phases(ensemble)
             if peak is not None:
                 top = phases[np.argmax(np.abs(phases), axis=0), range(3)]
                 scaled = factor * (peak / (omega * top))[:, None]
-                ensemble = self._manual_ensemble(scaled, n, grid, spec, (3, 7, 10))
+                ensemble = self._manual_ensemble(scaled, n, spec, taus)
                 phases = all_phases(ensemble)
                 assert np.allclose(np.max(omega * phases, axis=0), peak, rtol=1e-14)
             for column, report in enumerate(mc_average_state(rho0, ensemble, omega)):
@@ -455,13 +354,12 @@ class TestMcAverageState:
         # one path: the moments are exp(i n omega phi) themselves, so the
         # empirical state is the five-node interpolant at omega * phi
         rng = np.random.default_rng(12)
-        grid = np.linspace(0.0, 1.0, 11)
         spec = NoiseSpec("ou", g=1.0)
         worst = 0.0
         for seed in range(200):
             rho0 = self._random_state(rng)
             omega = rng.uniform(0.1, 20.0)
-            ensemble = self._manual_ensemble(np.ones((1, 1)), 1, grid, spec, seed=seed)
+            ensemble = self._manual_ensemble(np.ones((1, 1)), 1, spec, seed=seed)
             u = propagator(omega * all_phases(ensemble)[0, 0])
             (report,) = mc_average_state(rho0, ensemble, omega)
             worst = max(worst, np.max(np.abs(report.empirical - u @ rho0 @ u.conj().T)))
@@ -469,9 +367,8 @@ class TestMcAverageState:
 
     def test_streamed_blocks_match_per_path_matrix_exponential(self):
         rho0 = self._random_state(np.random.default_rng(8))
-        grid = np.linspace(0.0, 1.0, 11)
         omega = 1.3
-        ensemble = sample_trajectories(NoiseSpec("ou", g=2.0), grid, BLOCK + 37, 4)
+        ensemble = sample_trajectories(NoiseSpec("ou", g=2.0), [1.0], BLOCK + 37, 4)
         (report,) = mc_average_state(rho0, ensemble, omega)
         expected = self._per_phase_average(rho0, all_phases(ensemble)[:, 0], omega)
         assert np.max(np.abs(report.empirical - expected)) < 1e-13
@@ -480,9 +377,8 @@ class TestMcAverageState:
     def test_chunked_draw_matches_one_block_product(self, rows):
         # the average streams BLOCK + rows paths in two chunks; each chunk's
         # phases are its paths' rows of the one stream's normals times F^T
-        grid = np.linspace(0.0, 2.0, 201)
         spec = NoiseSpec("pl", g=1.0, alpha=3.0)
-        ensemble = sample_trajectories(spec, grid, BLOCK + rows, 9, TWENTY)
+        ensemble = sample_trajectories(spec, TWENTY, BLOCK + rows, 9)
         chunks = list(ensemble.phases())
         assert [phi.shape for phi in chunks] == [(BLOCK, 20), (rows, 20)]
         z = montecarlo._normals(9, 0, 20 * (BLOCK + rows)).reshape(-1, 20)
@@ -509,50 +405,47 @@ class TestMcAverageState:
         assert reports[0] == reports[1]
 
     def test_memory_bounded_by_one_block(self):
-        # eight blocks of paths, but never more than one block in memory
-        for points, bound in ((51, 3 * BLOCK * 51 * 16), (201, BLOCK * 201 * 8)):
-            grid = np.linspace(0.0, 1.0, points)
-            tracemalloc.start()
-            try:
-                ensemble = sample_trajectories(NoiseSpec("ou", g=1.0), grid, 8 * BLOCK, 3)
-                mc_average_state(initial_state(1.0), ensemble, 1.0)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak < bound, points
-            # the state sum itself keeps a few BLOCK-long vectors, no per-path
-            # matrices; the untraced warm-up call keeps first-call costs out
+        # eight blocks of paths, but never more than one block in memory:
+        # sixteen float64 per path and time of one block, O(BLOCK K)
+        bound = BLOCK * TWENTY.size * 16 * 8
+        tracemalloc.start()
+        try:
+            ensemble = sample_trajectories(NoiseSpec("ou", g=1.0), TWENTY, 8 * BLOCK, 3)
             mc_average_state(initial_state(1.0), ensemble, 1.0)
-            tracemalloc.start()
-            try:
-                mc_average_state(initial_state(1.0), ensemble, 1.0)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak < BLOCK * 16 * 8, points
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
+        # the state sum itself builds no per-path matrices; the untraced
+        # warm-up call keeps first-call costs out
+        mc_average_state(initial_state(1.0), ensemble, 1.0)
+        tracemalloc.start()
+        try:
+            mc_average_state(initial_state(1.0), ensemble, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
 
     def test_empirical_state_well_formed(self):
         spec = NoiseSpec("gn", g=1.0)
-        grid = np.linspace(0.0, 1.0, 51)
-        ensemble = sample_trajectories(spec, grid, 500, 9)
+        ensemble = sample_trajectories(spec, [1.0], 500, 9)
         (report,) = mc_average_state(initial_state(1.0), ensemble, 1.0)
         emp = report.empirical
         assert abs(np.trace(emp).real - 1.0) < 1e-12
         assert np.max(np.abs(emp - emp.conj().T)) < 1e-12
 
     def test_every_drawn_time_within_bound(self):
-        grid = np.linspace(0.0, 2.0, 201)
-        ensemble = sample_trajectories(NoiseSpec("gn", g=1.0), grid, 20000, 13, TWENTY)
+        ensemble = sample_trajectories(NoiseSpec("gn", g=1.0), TWENTY, 20000, 13)
         assert ensemble.cholesky[1] > 0.0
         reports = mc_average_state(initial_state(1.0), ensemble, 1.0)
-        assert [report.tau for report in reports] == list(grid[TWENTY])
-        for at_index, report in zip(TWENTY, reports):
-            assert report.within_bound, at_index
+        assert [report.tau for report in reports] == list(TWENTY)
+        for tau, report in zip(TWENTY, reports):
+            assert report.within_bound, tau
 
     def test_dephasing_factor_cross_check(self):
         spec = NoiseSpec("ou", g=1.0)
-        grid = np.linspace(0.0, 1.0, 201)
-        ensemble = sample_trajectories(spec, grid, 20000, 21)
+        ensemble = sample_trajectories(spec, [1.0], 20000, 21)
         phis = all_phases(ensemble)[:, 0]
         sample = np.cos(2.0 * phis)
         se = sample.std(ddof=1) / np.sqrt(sample.size)
@@ -560,8 +453,7 @@ class TestMcAverageState:
 
     def test_odd_moments_vanish(self):
         spec = NoiseSpec("ou", g=1.0)
-        grid = np.linspace(0.0, 1.0, 101)
-        ensemble = sample_trajectories(spec, grid, 20000, 33)
+        ensemble = sample_trajectories(spec, [1.0], 20000, 33)
         phis = all_phases(ensemble)[:, 0]
         for n in (1, 2):
             sample = np.sin(n * phis)
@@ -571,38 +463,22 @@ class TestMcAverageState:
     def test_convergence_scaling(self):
         # quadrupling N should roughly halve the median deviation
         spec = NoiseSpec("ou", g=1.0)
-        grid = np.linspace(0.0, 1.0, 51)
         rho0 = initial_state(1.0)
         medians = {}
         for n in (400, 1600):
             deviations = []
             for seed in range(40):
-                ensemble = sample_trajectories(spec, grid, n, seed)
+                ensemble = sample_trajectories(spec, [1.0], n, seed)
                 (report,) = mc_average_state(rho0, ensemble, 1.0)
                 deviations.append(report.max_abs_deviation)
             medians[n] = np.median(deviations)
         ratio = medians[400] / medians[1600]
         assert 2.0 / 1.5 < ratio < 2.0 * 1.5
 
-    def test_grid_refinement_stability(self):
-        # the phase variance is the trapezoid quadrature of beta: halving the
-        # step moves it by under 1% and quarters its error
-        for spec in (NoiseSpec("ou", g=1.0), NoiseSpec("fgn", hurst=0.5), NoiseSpec("gn", g=1.0)):
-            variance = {}
-            for points in (201, 401):
-                grid = np.linspace(0.0, 1.0, points)
-                variance[points] = grid_covariance(spec, grid, [-1])[0, 0]
-                ensemble = sample_trajectories(spec, grid, 1, 17)
-                assert ensemble.cholesky[0][0, 0] ** 2 == pytest.approx(variance[points], rel=1e-15)
-            assert abs(variance[201] - variance[401]) / variance[401] < 0.01
-            beta = beta_closed(spec, 1.0)
-            assert (variance[201] - beta) / (variance[401] - beta) == pytest.approx(4.0, rel=1e-3)
-
     def test_one_pass_over_the_blocks(self, monkeypatch):
         # twenty drawn times, three blocks: each block's normals are drawn
         # once per call, not once per time
-        grid = np.linspace(0.0, 2.0, 201)
-        ensemble = sample_trajectories(NoiseSpec("ou", g=1.0), grid, 2 * BLOCK + 1, 6, TWENTY)
+        ensemble = sample_trajectories(NoiseSpec("ou", g=1.0), TWENTY, 2 * BLOCK + 1, 6)
         normals = montecarlo._normals
         drawn = []
 
@@ -615,6 +491,5 @@ class TestMcAverageState:
         assert drawn == [(6, 0, 20 * BLOCK), (6, 20 * BLOCK, 20 * BLOCK), (6, 40 * BLOCK, 20)]
 
     def test_empty_ensemble(self):
-        grid = np.linspace(0.0, 1.0, 11)
         with pytest.raises(ValueError, match="need at least one path"):
-            self._manual_ensemble(np.ones((1, 1)), 0, grid, NoiseSpec("ou", g=1.0))
+            self._manual_ensemble(np.ones((1, 1)), 0, NoiseSpec("ou", g=1.0))

@@ -13,13 +13,13 @@ from hypothesis import strategies as st
 import qutrit_dephasing
 from qutrit_dephasing import (
     NoiseSpec,
-    autocorrelation,
     beta_closed,
     coherence_loss,
     dephasing_factor,
     fluctuation_series,
     initial_state,
     mc_average_state,
+    phase_covariance,
     phase_law,
     purity_closed,
     sample_trajectories,
@@ -27,7 +27,13 @@ from qutrit_dephasing import (
 )
 from qutrit_dephasing import experiments, noise
 from qutrit_dephasing.noise import KINDS
-from references import beta_exact, beta_quadrature, entropy_exact
+from references import (
+    autocorrelation,
+    beta_exact,
+    beta_quadrature,
+    entropy_exact,
+    grid_covariance,
+)
 
 ALL_SPECS = [
     NoiseSpec("fgn", hurst=0.1),
@@ -262,6 +268,49 @@ class TestBetaQuadrature:
         assert abs(quad - closed) / max(closed, 1e-12) <= 1e-6
 
 
+class TestPhaseCovariance:
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=NoiseSpec.label)
+    @pytest.mark.parametrize(
+        "taus", [np.linspace(0.1, 2.0, 20), np.geomspace(1e-8, 1e8, 33)], ids=["linear", "log"]
+    )
+    def test_diagonal_is_beta_closed(self, spec, taus):
+        # bit for bit where C = S / 2; fgn's form rounds differently, by a few ulp
+        diagonal, beta = np.diag(phase_covariance(spec, taus)), beta_closed(spec, taus)
+        if spec.kind == "fgn":
+            assert np.all(np.abs(diagonal - beta) <= 4 * np.spacing(beta))
+        else:
+            assert np.array_equal(diagonal, beta)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            NoiseSpec("fgn", hurst=0.1),
+            NoiseSpec("fgn", hurst=0.5),
+            NoiseSpec("fgn", hurst=0.9),
+            NoiseSpec("gn", g=1.0),
+            NoiseSpec("gn", g=10.0),
+            NoiseSpec("ou", g=1.0),
+            NoiseSpec("pl", g=1.0, alpha=3.0),
+        ],
+        ids=NoiseSpec.label,
+    )
+    def test_grid_quadrature_converges_to_it(self, spec):
+        # the trapezoid phases of kernel paths on an M-point grid have the law
+        # W^T K W; at 20 times in (0, 2] it approaches C as O(h^2) when M goes
+        # from 401 to 1601 (a 16-fold fall), and as O(h^1.2) (5.4-fold) for
+        # fgn H = 0.1, whose kernel has the kink of s^0.2 at 0
+        gain = 4.0 if spec == NoiseSpec("fgn", hurst=0.1) else 12.0
+        taus = np.linspace(0.1, 2.0, 20)
+        exact = phase_covariance(spec, taus)
+        errors = []
+        for points in (401, 1601):
+            grid = np.linspace(0.0, 2.0, points)
+            indices = np.rint(taus / grid[1]).astype(int)
+            assert np.allclose(grid[indices], taus, rtol=1e-15, atol=0.0)
+            errors.append(np.max(np.abs(grid_covariance(spec, grid, indices) - exact)))
+        assert errors[0] >= gain * errors[1]
+
+
 class TestDephasingFactor:
     def test_n_zero(self):
         assert dephasing_factor(0, beta_closed(NoiseSpec("ou", g=3.0), 5.0)) == 1.0
@@ -349,16 +398,18 @@ class TestDephasingFactor:
             calls.append(spec)
             return beta_closed(spec, tau)
 
-        # every caller outside noise reaches beta_closed through phase_law
+        # every caller outside noise reaches beta_closed through phase_law or
+        # phase_covariance
         monkeypatch.setattr(noise, "beta_closed", counted)
         spec = NoiseSpec("pl", g=3.0, alpha=3.0)
         grid = np.linspace(0.0, 2.0, 21)
         experiments.sweep_rows(spec, grid, with_matrix=True)
         assert calls == [spec]
-        # one beta for the analytic states at all twenty drawn times
-        ensemble = sample_trajectories(spec, grid, 10, 0, range(1, 21))
+        # at all twenty drawn times, one beta for the factor and one for the
+        # analytic states
+        ensemble = sample_trajectories(spec, grid[1:], 10, 0)
         mc_average_state(initial_state(1.0), ensemble, 1.0)
-        assert calls == [spec, spec]
+        assert calls == [spec, spec, spec]
 
     def test_phase_law_is_exported(self):
         assert phase_law is noise.phase_law
