@@ -50,7 +50,7 @@ from .experiments import (
     tau_grid,
     write_rows,
 )
-from .noise import KINDS, PARAMETERS, NoiseSpec
+from .noise import KINDS, PARAMETERS, NoiseSpec, phase_law
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -193,7 +193,8 @@ def _family(args: argparse.Namespace) -> dict:
 
 def _cmd_beta(args: argparse.Namespace) -> int:
     spec = NoiseSpec(args.noise, **_family(args))
-    rows = sweep_rows(spec, tau_grid(args.tau_max, args.tau_steps), args.omega, args.r)
+    taus = tau_grid(args.tau_max, args.tau_steps)
+    rows = sweep_rows(taus, phase_law(spec, taus, args.omega), args.r)
     if args.out:
         path = os.path.join(args.out, f"beta_{spec.label()}.csv")
         write_rows(path, CSV_HEADER, rows)

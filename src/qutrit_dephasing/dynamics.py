@@ -12,7 +12,7 @@ Averaged over any phase law it is multiplied by chi_n = <exp(i n phi)> at the
 signed gap n = lambda_k - lambda_j, with chi_{-n} = conj(chi_n).
 ``noise.dephasing_factor(n, beta, omega)`` gives the real chi_n of the
 zero-mean Gaussian phase of variance omega^2 beta; a constant field is the
-point mass chi_n = exp(i n phi), which gives the noiseless states.
+point mass chi_n = exp(i n phi), the law ``fluctuation_series`` gives.
 """
 
 from __future__ import annotations
@@ -114,10 +114,10 @@ def evolve_averaged(rho0: np.ndarray, chi1, chi2) -> np.ndarray:
     return 0.5 * (rho + rho.conj().swapaxes(-1, -2))
 
 
-def fluctuation_series(t_grid, omega: float = 1.0, r: float = 1.0) -> np.ndarray:
-    """Noiseless states from initial_state(r) along a time grid, shape
-    (T, 3, 3): the field is eta = 1, so the phase at time t is omega * t, the
-    point-mass law chi_n = exp(i n omega t) of evolve_averaged."""
+def fluctuation_series(t_grid, omega: float = 1.0):
+    """The noiseless field's phase law (beta, s, chi) along a time grid: the
+    field is eta = 1, so the phase at time t is omega * t, beta = s = 0 and
+    chi(n) = exp(i n omega t) is the point mass of evolve_averaged."""
     if not 0.0 < omega < math.inf:  # nan fails too
         raise ValueError(f"omega must be positive and finite, got {omega}")
     t_grid = np.asarray(t_grid, dtype=float)
@@ -126,4 +126,4 @@ def fluctuation_series(t_grid, omega: float = 1.0, r: float = 1.0) -> np.ndarray
     if not (np.all(np.diff(t_grid) >= 0.0) and 0.0 <= t_grid.min() <= t_grid.max() < math.inf):
         raise ValueError("time grid must be sorted, nonnegative and finite, not nan")
     phase = omega * t_grid
-    return evolve_averaged(initial_state(r), np.exp(1j * phase), np.exp(2j * phase))
+    return np.zeros_like(phase), np.zeros_like(phase), lambda n: np.exp(1j * n * phase)

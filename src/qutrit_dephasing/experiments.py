@@ -2,8 +2,10 @@
 
 Sweeps and figures write their curves through one writer: one CSV per curve,
 with the stable header ``tau,beta,purity,entropy`` (plus optional extra
-columns), then one plain-text matplotlib script over those files.  A figure is
-a list of specs per sweep, or one of three short recipes.  Files are written
+columns), then one plain-text matplotlib script over those files.  Every row
+comes from ``sweep_rows`` over one phase law: a spec's ``phase_law``, or the
+noiseless field's ``fluctuation_series``.  A figure is a list of specs per
+sweep, or one of three short recipes over those rows.  Files are written
 atomically (temp file then rename) and floats with 17 significant digits, so
 identical inputs produce byte-identical outputs.
 """
@@ -68,27 +70,17 @@ def write_rows(path: str, header: list[str], rows: np.ndarray) -> None:
     _atomic_write(path, csv_text(header, rows))
 
 
-def _matrix_columns(states: np.ndarray) -> np.ndarray:
-    """(T, 3, 3) states as the (T, 18) real columns named by _MATRIX_COLUMNS."""
-    flat = states.reshape(len(states), 9)
-    return np.stack([flat.real, flat.imag], axis=-1).reshape(len(states), 18)
-
-
-def sweep_rows(
-    spec: NoiseSpec,
-    taus: np.ndarray,
-    omega: float = 1.0,
-    r: float = 1.0,
-    with_matrix: bool = False,
-) -> np.ndarray:
-    """CSV rows (tau, beta, purity, entropy[, matrix]) for one spec, as one
-    (T, ncols) array: the metrics read the coherence loss of its ``phase_law``
-    and the matrix alone reads the factors chi_1, chi_2."""
-    tau = np.asarray(taus, dtype=float)
-    beta, loss, chi = phase_law(spec, tau, omega)
-    columns = [tau, beta, purity_closed(loss, r), vn_entropy_closed(loss, r)]
+def sweep_rows(taus: np.ndarray, law, r: float = 1.0, with_matrix: bool = False) -> np.ndarray:
+    """CSV rows (tau, beta, purity, entropy[, matrix]) of one phase law
+    ``(beta, s, chi)`` at the times ``taus``, as one (T, ncols) array: the
+    metrics read the coherence loss s and the matrix alone reads the factors
+    chi(1), chi(2)."""
+    beta, loss, chi = law
+    columns = [taus, beta, purity_closed(loss, r), vn_entropy_closed(loss, r)]
     if with_matrix:
-        columns.append(_matrix_columns(evolve_averaged(initial_state(r), chi(1), chi(2))))
+        # the (T, 3, 3) states as the (T, 18) real columns named by _MATRIX_COLUMNS
+        flat = evolve_averaged(initial_state(r), chi(1), chi(2)).reshape(-1, 9)
+        columns.append(np.stack([flat.real, flat.imag], axis=-1).reshape(-1, 18))
     return np.column_stack(columns)
 
 
@@ -152,10 +144,8 @@ def run_sweep(
     if len(set(specs)) < len(specs):
         raise ValueError("the spec list repeats a spec")
     header = CSV_HEADER + (_MATRIX_COLUMNS if with_matrix else [])
-    curves = (
-        (f"sweep_{s.label()}.csv", header, sweep_rows(s, taus, omega, r, with_matrix))
-        for s in specs
-    )
+    laws = ((s.label(), phase_law(s, taus, omega)) for s in specs)
+    curves = ((f"sweep_{n}.csv", header, sweep_rows(taus, law, r, with_matrix)) for n, law in laws)
     script = f"plot_sweep_{specs[0].kind}.py"
     return _write_curves(outputs, script, ["purity", "entropy"], curves)
 
@@ -294,14 +284,12 @@ def figure(name: str, outputs: str = ".") -> list[str]:
         return written
     if name == "noiseless":
         t = tau_grid(15.0, 1501)
-        zeros, ones = np.zeros_like(t), np.ones_like(t)
-
-        def rows(omega: float) -> np.ndarray:
-            states = fluctuation_series(t, omega)
-            return np.column_stack([t, zeros, ones, zeros, _matrix_columns(states)])
-
+        laws = {w: fluctuation_series(t, w) for w in (0.5, 1.0)}
         header = CSV_HEADER + _MATRIX_COLUMNS
-        curves = ((f"noiseless_omega{w:g}.csv", header, rows(w)) for w in (0.5, 1.0))
+        curves = (
+            (f"noiseless_omega{w:g}.csv", header, sweep_rows(t, law, with_matrix=True))
+            for w, law in laws.items()
+        )
         ys = ["rho_re_00", "rho_re_02"]
         return _write_curves(outputs, "plot_noiseless.py", ys, curves)
     if name == "noisephase":
@@ -313,13 +301,14 @@ def figure(name: str, outputs: str = ".") -> list[str]:
         header = CSV_HEADER + ["dephasing_n2"]
 
         def phase_rows(spec: NoiseSpec) -> np.ndarray:
-            _, _, chi = phase_law(spec, t)
-            return np.column_stack([sweep_rows(spec, t), chi(2)])
+            law = phase_law(spec, t)
+            _, _, chi = law
+            return np.column_stack([sweep_rows(t, law), chi(2)])
 
         curves = ((f"noisephase_{s.label()}.csv", header, phase_rows(s)) for s in specs)
         return _write_curves(outputs, "plot_noisephase.py", ["dephasing_n2"], curves)
     # joint: gn, ou and pl (alpha=3) at small g on one long grid
     t = tau_grid(50.0, 501)
     specs = [NoiseSpec(kind, g=g) for g in (1e-3, 1e-2) for kind in ("gn", "ou", "pl")]
-    curves = ((f"joint_{s.label()}.csv", CSV_HEADER, sweep_rows(s, t)) for s in specs)
+    curves = ((f"joint_{s.label()}.csv", CSV_HEADER, sweep_rows(t, phase_law(s, t))) for s in specs)
     return _write_curves(outputs, "plot_joint.py", ["purity", "entropy"], curves)

@@ -70,7 +70,8 @@ class TrajectoryEnsemble:
     """n_paths >= 1 draws of the Gaussian phases (the integrals of eta from 0,
     before omega) of ``spec`` at positive, strictly increasing, finite times
     ``taus``, with a seed in [0, 2**128).  Only these four inputs are stored,
-    checked by every construction (``replace`` too); ``cholesky`` derives F."""
+    the times as a read-only copy that no later write can move, checked by
+    every construction (``replace`` too); ``cholesky`` derives F."""
 
     taus: np.ndarray
     n_paths: int
@@ -78,7 +79,8 @@ class TrajectoryEnsemble:
     spec: NoiseSpec
 
     def __post_init__(self):
-        taus = np.asarray(self.taus, dtype=float)
+        taus = np.array(self.taus, dtype=float)
+        taus.flags.writeable = False
         if taus.ndim != 1 or not taus.size:
             raise ValueError(f"phase times must be a non-empty 1-D array, got shape {taus.shape}")
         (bad,) = np.nonzero(~((np.diff(taus, prepend=0.0) > 0.0) & np.isfinite(taus)))

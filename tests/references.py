@@ -5,8 +5,9 @@ The propagator comes from LAPACK's eigensolver applied to Sx; the noise
 kernels from their definitions; the phases' covariance and the numerical
 beta from trapezoid quadrature of those kernels; beta and the
 averaged-state entropy from 50-digit mpmath; the matrix purity and entropy
-from the state's entries and eigenvalues; and the oracle's normals from a
-scalar Philox4x32-10 and Box-Muller on Python integers and ``math``.  None
+from the state's entries and eigenvalues; random test states as normalized
+A A+ of a complex Gaussian A; and the oracle's normals from a scalar
+Philox4x32-10 and Box-Muller on Python integers and ``math``.  None
 of them calls the library or shares its code.  The library works from
 ``beta_closed`` alone, which is claimed to be the double integral of the
 kernel ``autocorrelation``; only this module evaluates that kernel.
@@ -28,6 +29,14 @@ def unitary(phi) -> np.ndarray:
     phi.shape + (3, 3)."""
     phases = np.exp(-1j * np.multiply.outer(np.asarray(phi, dtype=float), _EIGENVALUES))
     return (_EIGENVECTORS * phases[..., None, :]) @ _EIGENVECTORS.T
+
+
+def random_state(rng) -> np.ndarray:
+    """Random 3x3 density matrix: normalized A A+ for a complex Gaussian A
+    drawn from the numpy Generator ``rng``."""
+    a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    rho = a @ a.conj().T
+    return rho / np.trace(rho).real
 
 
 def autocorrelation(spec, s, s_prime):

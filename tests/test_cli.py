@@ -987,6 +987,19 @@ def test_every_export_is_read_by_the_library():
     assert sorted(set(qutrit_dephasing.__all__) - loaded) == []
 
 
+def test_references_import_nothing_from_the_library():
+    # the references stay independent of the code they check: they import
+    # numpy, mpmath and math alone, never qutrit_dephasing
+    tree = ast.parse((ROOT / "tests" / "references.py").read_text(encoding="utf-8"))
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            modules.add("." * node.level + (node.module or ""))
+    assert modules == {"math", "mpmath", "numpy"}
+
+
 class TestEntryPoint:
     def test_run_freezes_the_import_heap(self, tmp_path):
         # run() moves the import-time heap to the permanent generation, so the

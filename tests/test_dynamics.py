@@ -13,21 +13,20 @@ from qutrit_dephasing import (
 )
 from qutrit_dephasing.dynamics import SX_EIGENVALUES, SX_EIGENVECTORS
 from qutrit_dephasing.metrics import purity_closed
-from references import SX, purity, unitary
+from references import SX, purity, random_state, unitary
 
 RNG = np.random.default_rng(20240817)
+
+
+def noiseless_states(t_grid, omega=1.0, r=1.0):
+    """The states from initial_state(r) under the noiseless field's phase law."""
+    _, _, chi = fluctuation_series(t_grid, omega)
+    return evolve_averaged(initial_state(r), chi(1), chi(2))
 
 
 def gaussian(var):
     """(chi1, chi2) of a zero-mean Gaussian phase of variance var."""
     return dephasing_factor(1, var), dephasing_factor(2, var)
-
-
-def random_state(rng):
-    """Random 3x3 density matrix: normalized A A+ for complex Gaussian A."""
-    a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    rho = a @ a.conj().T
-    return rho / np.trace(rho).real
 
 
 class TestSpinOperators:
@@ -78,17 +77,17 @@ class TestInitialState:
 
 
 class TestEvolveNoiseless:
-    """Noiseless evolution, as fluctuation_series gives it."""
+    """Noiseless evolution, as the point-mass law of fluctuation_series gives it."""
 
     def test_time_zero_identity(self):
         rho0 = initial_state(0.7)
-        out = fluctuation_series([0.0], r=0.7)[0]
+        out = noiseless_states([0.0], r=0.7)[0]
         assert np.max(np.abs(out - rho0)) <= 1e-15
 
     def test_matches_closed_form_matrix(self):
         # r=1: entries (3 + cos 2phi)/12, (4 +- i sqrt2 sin 2phi)/12, (6 - 2 cos 2phi)/12
         t = np.array([0.3, np.pi / 2, 2.2])
-        for phi, out in zip(t, fluctuation_series(t, omega=1.0)):
+        for phi, out in zip(t, noiseless_states(t, omega=1.0)):
             c2, s2 = np.cos(2 * phi), np.sin(2 * phi)
             expected = (
                 np.array(
@@ -103,12 +102,12 @@ class TestEvolveNoiseless:
             assert np.allclose(out, expected, atol=1e-12)
 
     def test_center_entry_at_half_pi(self):
-        out = fluctuation_series([np.pi / 2])[0]
+        out = noiseless_states([np.pi / 2])[0]
         assert out[1, 1].real == pytest.approx(2.0 / 3.0, abs=1e-12)
 
     def test_trace_and_spectrum_preserved(self):
         rho0 = initial_state(0.7)
-        out = fluctuation_series([3.2], r=0.7)[0]
+        out = noiseless_states([3.2], r=0.7)[0]
         assert np.trace(out).real == pytest.approx(1.0, abs=1e-12)
         assert np.allclose(
             np.linalg.eigvalsh(out), np.linalg.eigvalsh(rho0), atol=1e-10
@@ -255,8 +254,16 @@ class TestEvolveAveraged:
 
 
 class TestFluctuationSeries:
+    @pytest.mark.parametrize("omega", [0.5, 1.0, 3.7])
+    def test_law_is_the_point_mass(self, omega):
+        t = np.linspace(0.0, 15.0, 301)
+        beta, s, chi = fluctuation_series(t, omega)
+        assert np.array_equal(beta, np.zeros_like(t)) and np.array_equal(s, np.zeros_like(t))
+        for n in (1, 2):
+            assert np.array_equal(chi(n), np.exp(1j * n * omega * t))
+
     def test_single_point_grid(self):
-        series = fluctuation_series([0.0], r=0.6)
+        series = noiseless_states([0.0], r=0.6)
         rho0 = initial_state(0.6)
         for i in range(3):
             for j in range(3):
@@ -264,7 +271,7 @@ class TestFluctuationSeries:
 
     def test_entry_period_pi(self):
         t = np.linspace(0.0, 3.0 * np.pi, 1000)
-        series = fluctuation_series(t, omega=1.0)
+        series = noiseless_states(t, omega=1.0)
         corner = series[:, 0, 0].real
         shifted = np.interp(t[t <= 2.0 * np.pi] + np.pi, t, corner)
         assert np.allclose(shifted, np.interp(t[t <= 2.0 * np.pi], t, corner), atol=1e-6)
@@ -273,7 +280,7 @@ class TestFluctuationSeries:
         t = np.linspace(0.0, 15.0, 6000)
         counts = {}
         for omega in (0.5, 1.0):
-            series = fluctuation_series(t, omega=omega)
+            series = noiseless_states(t, omega=omega)
             signal = series[:, 0, 0].real - np.mean(series[:, 0, 0].real)
             counts[omega] = int(np.sum(np.diff(np.sign(signal)) != 0))
         assert counts[1.0] == pytest.approx(2 * counts[0.5], abs=1)
@@ -281,7 +288,7 @@ class TestFluctuationSeries:
     @pytest.mark.parametrize("omega, r", [(1.0, 1.0), (0.5, 0.6)])
     def test_matches_noiseless_evolution(self, omega, r):
         t = np.linspace(0.0, 15.0, 301)
-        series = fluctuation_series(t, omega, r)
+        series = noiseless_states(t, omega, r)
         assert series.shape == (t.size, 3, 3)
         rho0 = initial_state(r)
         u = unitary(omega * t)

@@ -23,7 +23,7 @@ from qutrit_dephasing import (
 )
 from qutrit_dephasing import cli, montecarlo
 from qutrit_dephasing.montecarlo import BLOCK
-from references import normal_pair, philox4x32, unitary
+from references import normal_pair, philox4x32, random_state, unitary
 
 
 def all_phases(ensemble):
@@ -126,6 +126,25 @@ class TestSampleTrajectories:
             )
         )
         assert got == expected
+
+    def test_ensemble_keeps_its_own_times(self):
+        # a later write to the caller's array must not move the reported tau
+        # away from the time the phases were drawn at
+        spec, taus = NoiseSpec("ou", g=1.0), np.array([1.0])
+        ensemble = sample_trajectories(spec, taus, 1000, 0)
+        taus[0] = 2.0
+        assert np.array_equal(ensemble.taus, [1.0])
+        fresh = sample_trajectories(spec, [1.0], 1000, 0)
+        got, expected = (
+            [(r.tau, r.analytic.tobytes(), r.empirical.tobytes()) for r in reports]
+            for reports in (
+                mc_average_state(initial_state(1.0), ensemble, 1.0),
+                mc_average_state(initial_state(1.0), fresh, 1.0),
+            )
+        )
+        assert got == expected
+        with pytest.raises(ValueError, match="read-only"):
+            ensemble.taus[0] = 3.0
 
     def test_indefinite_covariance_is_covariance_error(self):
         cov = np.array([[1.0, 2.0], [2.0, 1.0]])
@@ -298,12 +317,6 @@ class TestMcAverageState:
         return ensemble
 
     @staticmethod
-    def _random_state(rng):
-        a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        rho0 = a @ a.conj().T
-        return rho0 / np.trace(rho0).real
-
-    @staticmethod
     def _per_phase_average(rho0, phases, omega):
         u = unitary(omega * phases)
         return (u @ rho0 @ u.conj().transpose(0, 2, 1)).mean(axis=0)
@@ -332,7 +345,7 @@ class TestMcAverageState:
         # four drawn paths; the same four with each column scaled so that its
         # largest omega * phi is 1e3; one path with omega * phi = pi
         rng = np.random.default_rng(5)
-        rho0 = self._random_state(rng)
+        rho0 = random_state(rng)
         taus = (0.3, 0.7, 1.0)
         factor = np.tril(rng.normal(size=(3, 3)))
         omega = 1.3
@@ -357,7 +370,7 @@ class TestMcAverageState:
         spec = NoiseSpec("ou", g=1.0)
         worst = 0.0
         for seed in range(200):
-            rho0 = self._random_state(rng)
+            rho0 = random_state(rng)
             omega = rng.uniform(0.1, 20.0)
             ensemble = self._manual_ensemble(np.ones((1, 1)), 1, spec, seed=seed)
             u = propagator(omega * all_phases(ensemble)[0, 0])
@@ -366,7 +379,7 @@ class TestMcAverageState:
         assert worst < 1e-14
 
     def test_streamed_blocks_match_per_path_matrix_exponential(self):
-        rho0 = self._random_state(np.random.default_rng(8))
+        rho0 = random_state(np.random.default_rng(8))
         omega = 1.3
         ensemble = sample_trajectories(NoiseSpec("ou", g=2.0), [1.0], BLOCK + 37, 4)
         (report,) = mc_average_state(rho0, ensemble, omega)

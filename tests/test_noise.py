@@ -403,7 +403,7 @@ class TestDephasingFactor:
         monkeypatch.setattr(noise, "beta_closed", counted)
         spec = NoiseSpec("pl", g=3.0, alpha=3.0)
         grid = np.linspace(0.0, 2.0, 21)
-        experiments.sweep_rows(spec, grid, with_matrix=True)
+        experiments.sweep_rows(grid, noise.phase_law(spec, grid), with_matrix=True)
         assert calls == [spec]
         # at all twenty drawn times, one beta for the factor and one for the
         # analytic states
