@@ -31,9 +31,8 @@ SX_EIGENVECTORS = np.array(
     [[0.5, 1.0 / SQRT2, 0.5], [-1.0 / SQRT2, 0.0, 1.0 / SQRT2], [0.5, -1.0 / SQRT2, 0.5]]
 )
 SX_EIGENVALUES = np.array([-1.0, 0.0, 1.0])
-# lambda_k - lambda_j + 2: where entry (j, k) finds its factor in
-# (conj chi2, conj chi1, 1, chi1, chi2).
-_GAPS = (SX_EIGENVALUES - SX_EIGENVALUES[:, None]).astype(int) + 2
+# lambda_k - lambda_j: the signed gap whose factor chi_n damps entry (j, k).
+_GAPS = (SX_EIGENVALUES - SX_EIGENVALUES[:, None]).astype(int)
 # A rounded exp(i theta) has modulus up to 1 + 2.2e-16, and the point-mass
 # phase law of a constant field must pass the |chi| <= 1 check.
 _MODULUS_TOL = 4.0 * np.finfo(float).eps
@@ -94,21 +93,22 @@ def check_dephasing_factor(chi) -> np.ndarray:
     return chi
 
 
-def evolve_averaged(rho0: np.ndarray, chi1, chi2) -> np.ndarray:
+def evolve_averaged(rho0: np.ndarray, chi) -> np.ndarray:
     """Average of U(phi) rho0 U(phi)+ over a phase with characteristic
-    function chi_n = <exp(i n phi)>, for any phase law: real chi for a law
+    function chi(n) = <exp(i n phi)>, for any phase law: real chi for a law
     symmetric about zero, complex chi otherwise (exp(i n phi) for a fixed phi).
 
     Exact: in the Sx eigenbasis V the entry (j, k) of V^T rho0 V averages to
     itself times chi_n at the signed gap n = lambda_k - lambda_j, where
-    chi_0 = 1 and chi_{-n} = conj(chi_n).  chi1 and chi2 may be scalars or
-    broadcastable arrays; the result has their broadcast shape + (3, 3).
+    chi_0 = 1 and chi_{-n} = conj(chi_n).  chi(n), called at each gap n > 0,
+    may be a scalar or an array; the result has their broadcast shape + (3, 3).
     """
-    chi1, chi2 = np.broadcast_arrays(*map(check_dephasing_factor, (chi1, chi2)))
+    top = int(_GAPS.max())
+    chis = np.broadcast_arrays(*(check_dephasing_factor(chi(n)) for n in range(1, top + 1)))
     check_density_matrix(rho0)
     v = SX_EIGENVECTORS
-    factors = [chi2.conj(), chi1.conj(), np.ones_like(chi1), chi1, chi2]
-    damping = np.stack(factors, axis=-1)[..., _GAPS]
+    factors = [*(c.conj() for c in reversed(chis)), np.ones_like(chis[0]), *chis]
+    damping = np.stack(factors, axis=-1)[..., _GAPS + top]
     rho = v @ ((v.T @ rho0 @ v) * damping) @ v.T
     # Hermitian up to rounding; symmetrize away the residue.
     return 0.5 * (rho + rho.conj().swapaxes(-1, -2))

@@ -73,13 +73,13 @@ def write_rows(path: str, header: list[str], rows: np.ndarray) -> None:
 def sweep_rows(taus: np.ndarray, law, r: float = 1.0, with_matrix: bool = False) -> np.ndarray:
     """CSV rows (tau, beta, purity, entropy[, matrix]) of one phase law
     ``(beta, s, chi)`` at the times ``taus``, as one (T, ncols) array: the
-    metrics read the coherence loss s and the matrix alone reads the factors
-    chi(1), chi(2)."""
+    metrics read the coherence loss s and the matrix alone reads chi, through
+    ``evolve_averaged``."""
     beta, loss, chi = law
     columns = [taus, beta, purity_closed(loss, r), vn_entropy_closed(loss, r)]
     if with_matrix:
         # the (T, 3, 3) states as the (T, 18) real columns named by _MATRIX_COLUMNS
-        flat = evolve_averaged(initial_state(r), chi(1), chi(2)).reshape(-1, 9)
+        flat = evolve_averaged(initial_state(r), chi).reshape(-1, 9)
         columns.append(np.stack([flat.real, flat.imag], axis=-1).reshape(-1, 18))
     return np.column_stack(columns)
 

@@ -206,19 +206,19 @@ def mc_average_state(
     """Ensemble-averaged evolved states at every drawn time, vs the analytic
     states: one report per entry of ``ensemble.taus``, in order.
 
-    The analytic references, evolve_averaged with the factors chi_1, chi_2 of
-    the spec's phase law at each tau, are computed first, so a bad rho0 or
-    omega fails before the state sum.  One pass over the blocks sums
-    exp(i omega phi) and exp(2i omega phi) for every drawn column, in block
-    order.  Their means m1, m2 weight the states U(theta_j) rho0 U(theta_j)+
-    at theta_j = 2 pi j / 5, j = 0..4, and each weighted sum is exactly the
-    mean of the per-path states U(omega phi) rho0 U(omega phi)+ at its time.
-    Where omega * phi overflows, the sums are not finite: a ValueError.
+    The analytic references, evolve_averaged with the chi of the spec's phase
+    law at each tau, are computed first, so a bad rho0 or omega fails before
+    the state sum.  One pass over the blocks sums exp(i omega phi) and
+    exp(2i omega phi) for every drawn column, in block order.  Their means
+    m1, m2 weight the states U(theta_j) rho0 U(theta_j)+ at theta_j =
+    2 pi j / 5, j = 0..4, and each weighted sum is exactly the mean of the
+    per-path states U(omega phi) rho0 U(omega phi)+ at its time.  Where
+    omega * phi overflows, the sums are not finite: a ValueError.
     """
     rho0 = np.asarray(rho0, dtype=complex)
     taus = ensemble.taus
     _, _, chi = phase_law(ensemble.spec, taus, omega)
-    analytic = evolve_averaged(rho0, chi(1), chi(2))
+    analytic = evolve_averaged(rho0, chi)
     sums = np.zeros((2, taus.size), dtype=complex)
     for phases in ensemble.phases():
         # omega * phi may overflow to inf, and its phasor is then nan

@@ -217,10 +217,10 @@ def dephasing_factor(n: int, beta, omega: float = 1.0):
 
     The expectation is exp(-n^2 omega^2 beta / 2).  This is the factor
     damping the coherence between Sx eigenstates whose eigenvalues differ by
-    n in the averaged density matrix; ``evolve_averaged`` takes it for
-    n = 1, 2.  Past the float range of omega^2 beta it is 0, the dephased
-    state.  beta must be nonnegative and omega positive and finite; beta may
-    be a scalar (the result is a float) or an array.
+    n in the averaged density matrix: ``evolve_averaged`` reads it through
+    ``phase_law``'s chi.  Past the float range of omega^2 beta it is 0, the
+    dephased state.  beta must be nonnegative and omega positive and finite;
+    beta may be a scalar (the result is a float) or an array.
     """
     out = np.exp(-_half_exponent(n, beta, omega))
     return out if out.ndim else float(out)

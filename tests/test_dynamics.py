@@ -21,12 +21,17 @@ RNG = np.random.default_rng(20240817)
 def noiseless_states(t_grid, omega=1.0, r=1.0):
     """The states from initial_state(r) under the noiseless field's phase law."""
     _, _, chi = fluctuation_series(t_grid, omega)
-    return evolve_averaged(initial_state(r), chi(1), chi(2))
+    return evolve_averaged(initial_state(r), chi)
 
 
 def gaussian(var):
-    """(chi1, chi2) of a zero-mean Gaussian phase of variance var."""
-    return dephasing_factor(1, var), dephasing_factor(2, var)
+    """chi of a zero-mean Gaussian phase of variance var."""
+    return lambda n: dephasing_factor(n, var)
+
+
+def pair(chi1, chi2):
+    """chi of a phase law given by its factors at n = 1, 2."""
+    return {1: chi1, 2: chi2}.__getitem__
 
 
 class TestSpinOperators:
@@ -116,13 +121,13 @@ class TestEvolveNoiseless:
 
 class TestEvolveAveraged:
     def test_no_noise_limit(self):
-        out = evolve_averaged(initial_state(1.0), *gaussian(0.0))
+        out = evolve_averaged(initial_state(1.0), gaussian(0.0))
         assert np.allclose(out, np.full((3, 3), 1.0 / 3.0), atol=1e-14)
 
     def test_no_noise_equals_noiseless_any_state(self):
         for _ in range(5):
             rho0 = random_state(RNG)
-            assert np.max(np.abs(evolve_averaged(rho0, *gaussian(0.0)) - rho0)) <= 1e-15
+            assert np.max(np.abs(evolve_averaged(rho0, gaussian(0.0)) - rho0)) <= 1e-15
 
     def test_matches_gauss_hermite_average(self):
         # phi = mu + sqrt(var) x with x ~ N(0, 1); 160 nodes integrate the
@@ -137,23 +142,23 @@ class TestEvolveAveraged:
                     u = propagator(mu + np.sqrt(var) * nodes)
                     states = u @ rho0 @ u.conj().swapaxes(-1, -2)
                     reference = np.tensordot(weights, states, axes=1)
-                    chi1, chi2 = gaussian(var)
+                    chi = gaussian(var)
                     if mu:  # mu = 0 keeps the real factors of a symmetric law
-                        chi1, chi2 = chi1 * np.exp(1j * mu), chi2 * np.exp(2j * mu)
-                    assert np.max(np.abs(evolve_averaged(rho0, chi1, chi2) - reference)) <= 1e-14
+                        chi = pair(chi(1) * np.exp(1j * mu), chi(2) * np.exp(2j * mu))
+                    assert np.max(np.abs(evolve_averaged(rho0, chi) - reference)) <= 1e-14
 
     def test_infinite_variance_keeps_sx_diagonal_part(self):
-        out = evolve_averaged(initial_state(1.0), *gaussian(np.inf))
+        out = evolve_averaged(initial_state(1.0), gaussian(np.inf))
         assert np.all(np.isfinite(out))
         assert purity(out) == pytest.approx(purity_closed(1.0), abs=1e-15)
 
     @pytest.mark.parametrize("r", [0.0, 0.4, 1.0])
     def test_real_state_stays_real(self, r):
-        out = evolve_averaged(initial_state(r), *gaussian(np.array([0.0, 0.3, 5.0, np.inf])))
+        out = evolve_averaged(initial_state(r), gaussian(np.array([0.0, 0.3, 5.0, np.inf])))
         assert np.all(out.imag == 0.0)
 
     def test_strong_noise_limit(self):
-        out = evolve_averaged(initial_state(1.0), *gaussian(1e4))
+        out = evolve_averaged(initial_state(1.0), gaussian(1e4))
         expected = np.full((3, 3), 1.0 / 3.0, dtype=complex)
         expected[0, 0] = expected[2, 2] = expected[0, 2] = expected[2, 0] = 0.25
         expected[1, 1] = 0.5
@@ -162,7 +167,7 @@ class TestEvolveAveraged:
 
     def test_closed_form_matrix(self):
         beta = 0.5
-        out = evolve_averaged(initial_state(1.0), *gaussian(beta))
+        out = evolve_averaged(initial_state(1.0), gaussian(beta))
         corner = (3.0 + np.exp(-2.0 * beta)) / 12.0
         assert out[0, 0].real == pytest.approx(corner, abs=1e-13)
         assert out[1, 1].real == pytest.approx(0.5 - np.exp(-2.0 * beta) / 6.0, abs=1e-13)
@@ -170,34 +175,54 @@ class TestEvolveAveraged:
 
     @pytest.mark.parametrize("variance", [0.0, 0.1, 1.0, 7.5, 100.0])
     def test_valid_state_out(self, variance):
-        out = evolve_averaged(initial_state(1.0), *gaussian(variance))
+        out = evolve_averaged(initial_state(1.0), gaussian(variance))
         assert np.max(np.abs(out - out.conj().T)) < 1e-12
         assert np.trace(out).real == pytest.approx(1.0, abs=1e-12)
         assert np.linalg.eigvalsh(out).min() > -1e-10
 
     @pytest.mark.parametrize("variance", [0.0, 0.3, 2.0, 40.0])
     def test_rank_two_null_vector(self, variance):
-        out = evolve_averaged(initial_state(1.0), *gaussian(variance))
+        out = evolve_averaged(initial_state(1.0), gaussian(variance))
         null = np.array([1.0, 0.0, -1.0]) / np.sqrt(2.0)
         assert np.max(np.abs(out @ null)) < 1e-12
 
     def test_corner_deviation_shrinks_with_variance(self):
         limit = 0.25
         deviations = [
-            abs(evolve_averaged(initial_state(1.0), *gaussian(v))[0, 0] - limit)
+            abs(evolve_averaged(initial_state(1.0), gaussian(v))[0, 0] - limit)
             for v in (0.0, 0.5, 1.0, 2.0, 5.0)
         ]
         assert all(b <= a for a, b in zip(deviations, deviations[1:]))
 
+    def test_reads_chi_at_the_positive_gaps_only(self):
+        # the Sx gaps are 1 and 2, so chi is called at n = 1 and n = 2, once each
+        calls = []
+
+        def chi(n):
+            calls.append(n)
+            return dephasing_factor(n, 0.5)
+
+        out = evolve_averaged(initial_state(1.0), chi)
+        assert sorted(calls) == [1, 2]
+        assert np.array_equal(out, evolve_averaged(initial_state(1.0), gaussian(0.5)))
+
+    def test_error_of_chi_passes_through(self):
+        # a factor chi cannot resolve fails evolve_averaged with chi's own error
+        def chi(n):
+            raise ValueError(f"no factor at n={n}")
+
+        with pytest.raises(ValueError, match="no factor at n=1"):
+            evolve_averaged(initial_state(1.0), chi)
+
     def test_factor_outside_unit_interval_rejected(self):
         with pytest.raises(ValueError, match=r"must lie in \[-1, 1\]"):
-            evolve_averaged(initial_state(1.0), 1.1, 0.5)
+            evolve_averaged(initial_state(1.0), pair(1.1, 0.5))
         with pytest.raises(ValueError, match=r"must lie in \[-1, 1\]"):
-            evolve_averaged(initial_state(1.0), 0.5, np.array([0.0, -1.0, -1.0 - 1e-12]))
+            evolve_averaged(initial_state(1.0), pair(0.5, np.array([0.0, -1.0, -1.0 - 1e-12])))
 
     def test_complex_factor_outside_unit_disc_rejected(self):
         with pytest.raises(ValueError, match=r"or the unit disc if complex"):
-            evolve_averaged(initial_state(1.0), 0.5, (1.0 + 1e-12) * np.exp(0.3j))
+            evolve_averaged(initial_state(1.0), pair(0.5, (1.0 + 1e-12) * np.exp(0.3j)))
 
     @pytest.mark.parametrize(
         "rho, message",
@@ -209,7 +234,7 @@ class TestEvolveAveraged:
         ],
         ids=["shape", "hermitian", "trace", "negative"],
     )
-    @pytest.mark.parametrize("call", [lambda rho: evolve_averaged(rho, 0.5, 0.25)])
+    @pytest.mark.parametrize("call", [lambda rho: evolve_averaged(rho, pair(0.5, 0.25))])
     def test_invalid_density_matrix_rejected(self, call, rho, message):
         with pytest.raises(ValueError, match=message):
             call(rho)
@@ -217,10 +242,10 @@ class TestEvolveAveraged:
     def test_array_matches_stacked_scalars(self):
         rho0 = random_state(np.random.default_rng(11))
         variances = np.array([[0.0, 1e-9, 0.2], [1.0, 7.5, 300.0]])
-        out = evolve_averaged(rho0, *gaussian(variances))
+        out = evolve_averaged(rho0, gaussian(variances))
         assert out.shape == (2, 3, 3, 3)
         stacked = np.array(
-            [[evolve_averaged(rho0, *gaussian(v)) for v in row] for row in variances]
+            [[evolve_averaged(rho0, gaussian(v)) for v in row] for row in variances]
         )
         assert np.max(np.abs(out - stacked)) <= 1e-15
 
@@ -234,7 +259,7 @@ class TestEvolveAveraged:
         for _ in range(5):
             rho0 = random_state(rng)
             mean = np.mean(u @ rho0 @ u.conj().swapaxes(-1, -2), axis=0)
-            out = evolve_averaged(rho0, np.cos(a), np.cos(2.0 * a))
+            out = evolve_averaged(rho0, lambda n: np.cos(n * a))
             assert np.max(np.abs(out - mean)) <= 1e-14
 
     @pytest.mark.parametrize("a, b, p", [(1.0, 0.4, 0.3), (2.5, 1.2, 0.5), (0.2, 3.0, 0.9)])
@@ -249,7 +274,7 @@ class TestEvolveAveraged:
             states = u @ rho0 @ u.conj().swapaxes(-1, -2)
             mean = p * states[0] + (1.0 - p) * states[1]
             # a Python complex scalar is taken as it is, not cast to float
-            out = evolve_averaged(rho0, complex(chi1), chi2)
+            out = evolve_averaged(rho0, pair(complex(chi1), chi2))
             assert np.max(np.abs(out - mean)) <= 1e-15
 
 

@@ -22,8 +22,8 @@ BETAS = [0.0, 0.1, 0.5, 1.0, 2.0, 5.0, 20.0]
 
 
 def gaussian(var):
-    """(chi1, chi2) of a zero-mean Gaussian phase of variance var."""
-    return dephasing_factor(1, var), dephasing_factor(2, var)
+    """chi of a zero-mean Gaussian phase of variance var."""
+    return lambda n: dephasing_factor(n, var)
 
 
 def loss(var):
@@ -39,7 +39,7 @@ class TestPurity:
         assert purity(np.full((3, 3), 1.0 / 3.0)) == pytest.approx(1.0)
 
     def test_averaged_state_value(self):
-        rho = evolve_averaged(initial_state(1.0), *gaussian(0.5))
+        rho = evolve_averaged(initial_state(1.0), gaussian(0.5))
         assert purity(rho) == pytest.approx((17.0 + math.exp(-2.0)) / 18.0, abs=1e-12)
 
 
@@ -73,7 +73,7 @@ class TestVnEntropy:
         assert vn_entropy(np.eye(3) / 3.0) == pytest.approx(math.log(3.0), abs=1e-12)
 
     def test_saturation_value(self):
-        rho = evolve_averaged(initial_state(1.0), *gaussian(1e4))
+        rho = evolve_averaged(initial_state(1.0), gaussian(1e4))
         assert vn_entropy(rho) == pytest.approx(0.130, abs=1e-3)
         assert vn_entropy_closed(1.0) == pytest.approx(0.1298, abs=5e-4)
 
@@ -95,7 +95,7 @@ class TestVnEntropyClosed:
 
     @pytest.mark.parametrize("beta", BETAS + [1e-10, 1e-12])
     def test_matches_eigensolver(self, beta):
-        rho = evolve_averaged(initial_state(1.0), *gaussian(beta))
+        rho = evolve_averaged(initial_state(1.0), gaussian(beta))
         closed = vn_entropy_closed(loss(beta))
         assert closed == pytest.approx(vn_entropy(rho), abs=1e-10)
         # at tiny beta the small eigenvalue, ~ s/36, sets the whole entropy
@@ -126,7 +126,7 @@ def test_array_input_matches_scalar(closed, r):
 class TestConsistency:
     @pytest.mark.parametrize("beta", BETAS)
     def test_purity_closed_vs_matrix(self, beta):
-        rho = evolve_averaged(initial_state(1.0), *gaussian(beta))
+        rho = evolve_averaged(initial_state(1.0), gaussian(beta))
         assert abs(purity_closed(loss(beta)) - purity(rho)) <= 1e-10
 
     def test_monotone_in_beta(self):
@@ -153,7 +153,7 @@ class TestConsistency:
     def test_rank_deficiency_harmless(self):
         # zero eigenvalue contributes nothing at any beta
         for beta in BETAS:
-            rho = evolve_averaged(initial_state(1.0), *gaussian(beta))
+            rho = evolve_averaged(initial_state(1.0), gaussian(beta))
             eigs = np.linalg.eigvalsh(rho)
             assert abs(eigs[0]) < 1e-10
             nonzero = eigs[1:]

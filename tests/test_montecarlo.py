@@ -231,6 +231,29 @@ class TestSampleTrajectories:
             ensemble = sample_trajectories(NoiseSpec("fgn", hurst=hurst), taus, 5, 0)
             assert ensemble.cholesky[1] == 0.0
 
+    @pytest.mark.parametrize(
+        "spec, flags, tau",
+        [
+            (NoiseSpec("fgn", hurst=0.5), ["fgn", "--hurst", "0.5"], "1e-150"),
+            (NoiseSpec("ou", g=1.0), ["ou", "--g", "1"], "1e-300"),
+        ],
+        ids=["fgn_H0.5", "ou_g1"],
+    )
+    def test_underflowed_variance_takes_the_first_jitter(self, tmp_path, spec, flags, tau):
+        # beta rounds to 0 below tau ~ 1.95e-108 (fgn H 0.5) and ~ 2.2e-162
+        # (ou g 1); numpy rejects C = [[0]], so even at K = 1 the ladder's
+        # 1e-12 rung factors C, and the oracle stays within its bound
+        assert beta_closed(spec, float(tau)) == 0.0
+        assert phase_covariance(spec, [float(tau)]).tolist() == [[0.0]]
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(np.zeros((1, 1)))
+        argv = ["oracle", "--noise", *flags, "--tau-max", tau, "--samples", "1000",
+                "--seed", "1", "--out", str(tmp_path)]
+        assert cli.main(argv) == 0
+        report = (tmp_path / f"oracle_{spec.label()}.txt").read_text().splitlines()
+        assert "cholesky_jitter = 9.9999999999999998e-13" in report
+        assert "within_bound = True" in report
+
     @pytest.mark.parametrize("taus", [[2.0], TWENTY], ids=["K1", "K20"])
     @pytest.mark.parametrize(
         "spec",
