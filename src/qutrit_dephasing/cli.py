@@ -39,7 +39,6 @@ import sys
 
 from . import experiments
 from .experiments import (
-    CSV_HEADER,
     FIGURES,
     csv_text,
     fmt,
@@ -194,13 +193,13 @@ def _family(args: argparse.Namespace) -> dict:
 def _cmd_beta(args: argparse.Namespace) -> int:
     spec = NoiseSpec(args.noise, **_family(args))
     taus = tau_grid(args.tau_max, args.tau_steps)
-    rows = sweep_rows(taus, phase_law(spec, taus, args.omega), args.r)
+    table = sweep_rows(taus, phase_law(spec, taus, args.omega), args.r)
     if args.out:
         path = os.path.join(args.out, f"beta_{spec.label()}.csv")
-        write_rows(path, CSV_HEADER, rows)
+        write_rows(path, *table)
         print(path)
     else:
-        sys.stdout.write(csv_text(CSV_HEADER, rows))
+        sys.stdout.write(csv_text(*table))
     return EXIT_OK
 
 

@@ -70,18 +70,19 @@ def write_rows(path: str, header: list[str], rows: np.ndarray) -> None:
     _atomic_write(path, csv_text(header, rows))
 
 
-def sweep_rows(taus: np.ndarray, law, r: float = 1.0, with_matrix: bool = False) -> np.ndarray:
-    """CSV rows (tau, beta, purity, entropy[, matrix]) of one phase law
-    ``(beta, s, chi)`` at the times ``taus``, as one (T, ncols) array: the
-    metrics read the coherence loss s and the matrix alone reads chi, through
-    ``evolve_averaged``."""
+def sweep_rows(taus: np.ndarray, law, r: float = 1.0, with_matrix: bool = False) -> tuple:
+    """The CSV ``(header, rows)`` of one phase law ``(beta, s, chi)`` at the
+    times ``taus``: ``CSV_HEADER`` (plus ``_MATRIX_COLUMNS``) over one (T, ncols)
+    array.  The metrics read the coherence loss s and the matrix alone reads chi,
+    through ``evolve_averaged``."""
     beta, loss, chi = law
+    header = CSV_HEADER + (_MATRIX_COLUMNS if with_matrix else [])
     columns = [taus, beta, purity_closed(loss, r), vn_entropy_closed(loss, r)]
     if with_matrix:
         # the (T, 3, 3) states as the (T, 18) real columns named by _MATRIX_COLUMNS
         flat = evolve_averaged(initial_state(r), chi).reshape(-1, 9)
         columns.append(np.stack([flat.real, flat.imag], axis=-1).reshape(-1, 18))
-    return np.column_stack(columns)
+    return header, np.column_stack(columns)
 
 
 _PLOT_SCRIPT = '''\
@@ -143,9 +144,8 @@ def run_sweep(
         raise ValueError("the spec list is empty")
     if len(set(specs)) < len(specs):
         raise ValueError("the spec list repeats a spec")
-    header = CSV_HEADER + (_MATRIX_COLUMNS if with_matrix else [])
     laws = ((s.label(), phase_law(s, taus, omega)) for s in specs)
-    curves = ((f"sweep_{n}.csv", header, sweep_rows(taus, law, r, with_matrix)) for n, law in laws)
+    curves = ((f"sweep_{n}.csv", *sweep_rows(taus, law, r, with_matrix)) for n, law in laws)
     script = f"plot_sweep_{specs[0].kind}.py"
     return _write_curves(outputs, script, ["purity", "entropy"], curves)
 
@@ -285,9 +285,8 @@ def figure(name: str, outputs: str = ".") -> list[str]:
     if name == "noiseless":
         t = tau_grid(15.0, 1501)
         laws = {w: fluctuation_series(t, w) for w in (0.5, 1.0)}
-        header = CSV_HEADER + _MATRIX_COLUMNS
         curves = (
-            (f"noiseless_omega{w:g}.csv", header, sweep_rows(t, law, with_matrix=True))
+            (f"noiseless_omega{w:g}.csv", *sweep_rows(t, law, with_matrix=True))
             for w, law in laws.items()
         )
         ys = ["rho_re_00", "rho_re_02"]
@@ -298,17 +297,15 @@ def figure(name: str, outputs: str = ".") -> list[str]:
             NoiseSpec("fgn", hurst=0.5), NoiseSpec("gn", g=1.0),
             NoiseSpec("ou", g=1.0), NoiseSpec("pl", g=1.0, alpha=5.0),
         ]
-        header = CSV_HEADER + ["dephasing_n2"]
 
-        def phase_rows(spec: NoiseSpec) -> np.ndarray:
-            law = phase_law(spec, t)
-            _, _, chi = law
-            return np.column_stack([sweep_rows(t, law), chi(2)])
+        def phase_rows(law) -> tuple:
+            header, rows = sweep_rows(t, law)
+            return header + ["dephasing_n2"], np.column_stack([rows, law[2](2)])  # chi(2)
 
-        curves = ((f"noisephase_{s.label()}.csv", header, phase_rows(s)) for s in specs)
+        curves = ((f"noisephase_{s.label()}.csv", *phase_rows(phase_law(s, t))) for s in specs)
         return _write_curves(outputs, "plot_noisephase.py", ["dephasing_n2"], curves)
     # joint: gn, ou and pl (alpha=3) at small g on one long grid
     t = tau_grid(50.0, 501)
     specs = [NoiseSpec(kind, g=g) for g in (1e-3, 1e-2) for kind in ("gn", "ou", "pl")]
-    curves = ((f"joint_{s.label()}.csv", CSV_HEADER, sweep_rows(t, phase_law(s, t))) for s in specs)
+    curves = ((f"joint_{s.label()}.csv", *sweep_rows(t, phase_law(s, t))) for s in specs)
     return _write_curves(outputs, "plot_joint.py", ["purity", "entropy"], curves)

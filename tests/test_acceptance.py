@@ -6,6 +6,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the verdicts.
 import functools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -22,7 +23,7 @@ from qutrit_dephasing import (
 )
 from qutrit_dephasing.cli import main as cli_main
 from qutrit_dephasing.experiments import preservation_time, tau_grid
-from references import beta_quadrature, purity
+from references import beta_exact, beta_quadrature, purity
 
 PURITY_SAT = 17.0 / 18.0
 
@@ -138,6 +139,9 @@ SWEEP_SETS = (
 
 @criterion("07 monotone, revival-free decay on all sweeps")
 def test_criterion_07_monotone_decay():
+    # beta' is 1 - e^-x (ou), erf x (gn), 1 - (1+x)^(1-alpha) (pl) with
+    # x = g*tau, and tau^(2H+1) (fgn): all > 0 for tau > 0, so beta rises,
+    # the coherence loss with it, and this cannot fail for these four families
     taus = np.linspace(0.0, 2.0, 201)
     for spec in SWEEP_SETS:
         purities = [purity_closed(coherence_loss(2, beta_closed(spec, t))) for t in taus]
@@ -208,3 +212,24 @@ def test_criterion_13_ou_least_destructive():
             for spec in rivals:
                 rival = purity_closed(coherence_loss(2, beta_closed(spec, taus)))
                 assert np.all(ou >= rival), spec.label()
+    # The same claim in x = g*tau: at the default g = 1, beta_exact is
+    # f(x) = g*beta, and purity falls as f grows, so OU keeps the most purity
+    # wherever f_ou is least.  Only references are compared: at alpha = 3 and
+    # x = 1e8 the float gap between the two betas is one ulp.
+    def f(x, kind, **params):
+        return beta_exact(NoiseSpec(kind, **params), x)
+
+    with mpmath.workdps(60):
+        for x in np.logspace(-8.0, 8.0, 129):
+            ou = f(x, "ou")
+            # the smallest relative gap to gn, 4.4e-9, is at x = 1e8
+            assert f(x, "gn") > ou, x
+            for alpha in (3.0, 5.0, 10.0):
+                assert f(x, "pl", alpha=alpha) > ou, (alpha, x)
+        # at alpha = 3 the gap is exact: (1 - (1+x) e^-x) / (1+x)
+        for x in map(mpmath.mpf, (1e-3, 1.0, 30.0)):
+            gap = (1 - (1 + x) * mpmath.exp(-x)) / (1 + x)
+            assert abs(f(x, "pl", alpha=3.0) - f(x, "ou") - gap) <= 1e-40 * gap, x
+        # below alpha = 3 the order turns at x*, README's 2.32 on a 0.01 grid
+        crossing = mpmath.findroot(lambda x: f(x, "pl", alpha=2.5) - f(x, "ou"), 2.3)
+        assert abs(crossing - mpmath.mpf("2.31057135675369")) <= 1e-10

@@ -1,11 +1,20 @@
-"""Input rejections in experiments: grids, sweeps, preservation times, figures."""
+"""Input rejections in experiments (grids, sweeps, preservation times,
+figures) and the columns of its CSV rows."""
 
 import math
 
 import pytest
 
-from qutrit_dephasing import NoiseSpec
-from qutrit_dephasing.experiments import figure, preservation_time, run_sweep, tau_grid
+from qutrit_dephasing import NoiseSpec, fluctuation_series, phase_law
+from qutrit_dephasing.experiments import (
+    CSV_HEADER,
+    _MATRIX_COLUMNS,
+    figure,
+    preservation_time,
+    run_sweep,
+    sweep_rows,
+    tau_grid,
+)
 
 
 @pytest.mark.parametrize("tau_max", [0.0, -1.0, math.nan, math.inf])
@@ -35,6 +44,18 @@ def test_repeated_spec_rejected_before_any_write(specs, tmp_path):
     with pytest.raises(ValueError, match="the spec list repeats a spec"):
         run_sweep(specs, tau_grid(1.0, 3), outputs=str(tmp_path))
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("with_matrix", [False, True])
+@pytest.mark.parametrize("noiseless", [False, True])
+def test_sweep_rows_names_its_columns(noiseless, with_matrix):
+    # every CSV header comes from sweep_rows, one name per column of its rows
+    taus = tau_grid(2.0, 5)
+    law = fluctuation_series(taus, 0.5) if noiseless else phase_law(NoiseSpec("pl", g=3.0), taus)
+    header, rows = sweep_rows(taus, law, 0.5, with_matrix)
+    assert header == CSV_HEADER + (_MATRIX_COLUMNS if with_matrix else [])
+    assert len(header) == rows.shape[1]
+    assert rows.shape[0] == taus.size
 
 
 @pytest.mark.parametrize("delta", [0.0, -1e-3, math.nan])
