@@ -249,13 +249,10 @@ def _write_report(path: str, report: OracleReport, omega: float, r: float) -> No
         f"stderr_bound = {fmt(report.stderr_bound)}",
         f"within_bound = {report.within_bound}",
         "",
-        "analytic:",
     ]
-    for row in report.analytic:
-        lines.append("  " + "  ".join(f"{v.real:.17g}{v.imag:+.17g}j" for v in row))
-    lines.append("empirical:")
-    for row in report.empirical:
-        lines.append("  " + "  ".join(f"{v.real:.17g}{v.imag:+.17g}j" for v in row))
+    for name, state in (("analytic", report.analytic), ("empirical", report.empirical)):
+        lines.append(f"{name}:")
+        lines += ("  " + "  ".join(f"{v.real:.17g}{v.imag:+.17g}j" for v in row) for row in state)
     _atomic_write(path, "\n".join(lines) + "\n")
 
 

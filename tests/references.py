@@ -1,13 +1,15 @@
 """The independent references the suite checks the library against, each
 written once, on numpy and mpmath alone.
 
-The propagator comes from LAPACK's eigensolver applied to Sx; the noise
+The propagator and the propagated state come from LAPACK's eigensolver
+applied to Sx; the Gaussian phase law from its definition, as floats and to
+50 digits; the r = 1 averaged state written out entry by entry; the noise
 kernels from their definitions; the phases' covariance and the numerical
-beta from trapezoid quadrature of those kernels; beta and the
-averaged-state entropy from 50-digit mpmath; the matrix purity and entropy
-from the state's entries and eigenvalues; random test states as normalized
-A A+ of a complex Gaussian A; and the oracle's normals from a scalar
-Philox4x32-10 and Box-Muller on Python integers and ``math``.  None
+beta from trapezoid quadrature of those kernels; beta, the averaged-state
+entropy and the preservation time from 50-digit mpmath; the matrix purity
+and entropy from the state's entries and eigenvalues; random test states as
+normalized A A+ of a complex Gaussian A; and the oracle's normals from a
+scalar Philox4x32-10 and Box-Muller on Python integers and ``math``.  None
 of them calls the library or shares its code.  The library works from
 ``beta_closed`` alone, which is claimed to be the double integral of the
 kernel ``autocorrelation``; only this module evaluates that kernel.
@@ -29,6 +31,42 @@ def unitary(phi) -> np.ndarray:
     phi.shape + (3, 3)."""
     phases = np.exp(-1j * np.multiply.outer(np.asarray(phi, dtype=float), _EIGENVALUES))
     return (_EIGENVECTORS * phases[..., None, :]) @ _EIGENVECTORS.T
+
+
+def propagated(rho0, phi) -> np.ndarray:
+    """U rho0 U+ with U = unitary(phi): the state rho0 turned through the
+    phase phi, with shape phi.shape + (3, 3)."""
+    u = unitary(phi)
+    return u @ rho0 @ u.conj().swapaxes(-1, -2)
+
+
+def gaussian_chi(var):
+    """chi of a zero-mean Gaussian phase of variance var: chi(n) =
+    exp(-n^2 var / 2), for a scalar or array var, inf included."""
+    return lambda n: np.exp(-0.5 * n * n * var)
+
+
+def gaussian_law_exact(n, beta, omega=1.0) -> tuple[mpmath.mpf, mpmath.mpf]:
+    """(chi_n, s_n) of a zero-mean Gaussian phase of variance omega^2 beta
+    to 50 digits: chi_n = exp(-x) with x = n^2 omega^2 beta / 2, and
+    s_n = 1 - chi_n^2 = -expm1(-2x).  beta and omega are floats or mpfs.
+    From x = 800 on, chi_n, below 1e-347, is given as 0 and s_n as 1."""
+    with mpmath.workdps(50):
+        x = n * n * mpmath.mpf(omega) ** 2 * mpmath.mpf(beta) / 2
+        if x >= 800:
+            return mpmath.mpf(0), mpmath.mpf(1)
+        return mpmath.exp(-x), -mpmath.expm1(-2 * x)
+
+
+def averaged_state(chi2) -> np.ndarray:
+    """The averaged state from initial_state(1), all entries 1/3, under a
+    phase law whose second factor chi2 is real: corners (3 + chi2) / 12,
+    centre 1/2 - chi2 / 6, and 1/3 elsewhere.  That state puts no weight on
+    Sx's lambda = 0 eigenstate, so chi1 is absent."""
+    rho = np.full((3, 3), 1.0 / 3.0, dtype=complex)
+    rho[::2, ::2] = (3.0 + chi2) / 12.0
+    rho[1, 1] = 0.5 - chi2 / 6.0
+    return rho
 
 
 def random_state(rng) -> np.ndarray:
@@ -140,6 +178,28 @@ def entropy_exact(s, r=1.0) -> mpmath.mpf:
         mixed = (1 - r) / 3
         lams = [mixed + r * (3 + root) / 6, mixed + r * (3 - root) / 6, mixed]
         return -sum(lam * mpmath.log(lam) for lam in lams if lam > 0)
+
+
+def preservation_time_exact(spec, delta, measure, r, omega) -> float:
+    """tau at which the gap of the measure ("purity" or "entropy") of the
+    averaged state from initial_state(r) to its saturation falls to delta,
+    by bisection in 50-digit arithmetic."""
+    with mpmath.workdps(50):
+        r, delta = mpmath.mpf(r), mpmath.mpf(delta)
+
+        def gap(tau):
+            chi2, s = gaussian_law_exact(2, beta_exact(spec, tau), omega)
+            if measure == "purity":
+                return r * r * chi2**2 / 18
+            return entropy_exact(1, r) - entropy_exact(s, r)
+
+        lo, hi = mpmath.mpf(0), mpmath.mpf(1)
+        while gap(hi) > delta:
+            lo, hi = hi, 2 * hi
+        for _ in range(200):
+            mid = (lo + hi) / 2
+            lo, hi = (lo, mid) if gap(mid) <= delta else (mid, hi)
+        return float(hi)
 
 
 def purity(rho) -> float:

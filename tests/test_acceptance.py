@@ -17,13 +17,14 @@ from qutrit_dephasing import (
     evolve_averaged,
     initial_state,
     mc_average_state,
+    phase_law,
     purity_closed,
     sample_trajectories,
     vn_entropy_closed,
 )
 from qutrit_dephasing.cli import main as cli_main
 from qutrit_dephasing.experiments import preservation_time, tau_grid
-from references import beta_exact, beta_quadrature, purity
+from references import averaged_state, beta_exact, beta_quadrature, gaussian_chi, purity
 
 PURITY_SAT = 17.0 / 18.0
 
@@ -109,21 +110,16 @@ def test_criterion_04_oracle_equivalence():
 @criterion("05 analytic averaged-matrix identity to 1e-12")
 def test_criterion_05_matrix_identity():
     for beta in (0.0, 0.5, 2.0, 10.0):
-        rho = evolve_averaged(initial_state(1.0), lambda n: math.exp(-0.5 * n * n * beta))
-        corner = (3.0 + math.exp(-2.0 * beta)) / 12.0
-        center = 0.5 - math.exp(-2.0 * beta) / 6.0
-        expected = np.full((3, 3), 1.0 / 3.0, dtype=complex)
-        for i, j in ((0, 0), (2, 2), (0, 2), (2, 0)):
-            expected[i, j] = corner
-        expected[1, 1] = center
-        assert np.max(np.abs(rho - expected)) <= 1e-12
-        assert abs(purity(rho) - (17.0 + math.exp(-4.0 * beta)) / 18.0) <= 1e-12
+        chi = gaussian_chi(beta)
+        rho = evolve_averaged(initial_state(1.0), chi)
+        assert np.max(np.abs(rho - averaged_state(chi(2)))) <= 1e-12
+        assert abs(purity(rho) - (17.0 + chi(2) ** 2) / 18.0) <= 1e-12
 
 
 @criterion("06 averaged state is rank 2 at r=1")
 def test_criterion_06_rank_two():
     for beta in (0.0, 0.1, 0.5, 2.0, 10.0, 50.0):
-        rho = evolve_averaged(initial_state(1.0), lambda n: math.exp(-0.5 * n * n * beta))
+        rho = evolve_averaged(initial_state(1.0), gaussian_chi(beta))
         eigs = np.sort(np.abs(np.linalg.eigvalsh(rho)))
         assert eigs[0] <= 1e-10
 
@@ -144,22 +140,19 @@ def test_criterion_07_monotone_decay():
     # the coherence loss with it, and this cannot fail for these four families
     taus = np.linspace(0.0, 2.0, 201)
     for spec in SWEEP_SETS:
-        purities = [purity_closed(coherence_loss(2, beta_closed(spec, t))) for t in taus]
-        entropies = [vn_entropy_closed(coherence_loss(2, beta_closed(spec, t))) for t in taus]
-        assert all(b <= a for a, b in zip(purities, purities[1:])), spec.label()
-        assert all(b >= a for a, b in zip(entropies, entropies[1:])), spec.label()
+        _, s, _ = phase_law(spec, taus)
+        assert np.all(np.diff(purity_closed(s)) <= 0.0), spec.label()
+        assert np.all(np.diff(vn_entropy_closed(s)) >= 0.0), spec.label()
 
 
 @criterion("08 purity ordering g=1 > g=3 > g=10")
 def test_criterion_08_g_ordering():
     taus = np.linspace(0.0, 2.0, 201)[1:]
     for kind in ("gn", "ou", "pl"):
-        curves = [
-            [purity_closed(coherence_loss(2, beta_closed(NoiseSpec(kind, g=g), t))) for t in taus]
-            for g in (1.0, 3.0, 10.0)
-        ]
-        for t_idx in range(len(taus)):
-            assert curves[0][t_idx] > curves[1][t_idx] > curves[2][t_idx], kind
+        g1, g3, g10 = (
+            purity_closed(phase_law(NoiseSpec(kind, g=g), taus)[1]) for g in (1.0, 3.0, 10.0)
+        )
+        assert np.all(g1 > g3) and np.all(g3 > g10), kind
 
 
 @criterion("09 fGn Hurst crossover in beta")

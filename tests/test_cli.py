@@ -12,7 +12,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import mpmath
 import numpy as np
 import pytest
 
@@ -20,7 +19,9 @@ import qutrit_dephasing
 from qutrit_dephasing import cli, montecarlo
 from qutrit_dephasing.experiments import FIGURES
 from qutrit_dephasing.noise import PARAMETERS, NoiseSpec, beta_closed
-from references import beta_exact, entropy_exact, purity, unitary, vn_entropy
+from references import (
+    beta_exact, gaussian_chi, preservation_time_exact, propagated, purity, vn_entropy
+)
 
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
@@ -320,27 +321,6 @@ class TestPreservation:
         assert beta_closed(spec, tau_star * (1.0 - 1e-12)) <= target
         assert beta_closed(spec, tau_star) >= target
 
-    @staticmethod
-    def _tau_star_reference(spec, delta, measure, r, omega):
-        """tau at which the metric's gap to saturation falls to delta, by
-        bisection in 50-digit arithmetic."""
-        with mpmath.workdps(50):
-            r, omega, delta = mpmath.mpf(r), mpmath.mpf(omega), mpmath.mpf(delta)
-
-            def gap(tau):
-                x = 4 * omega**2 * beta_exact(spec, tau)  # chi2^2 = exp(-x)
-                if measure == "purity":
-                    return r * r * mpmath.exp(-x) / 18
-                return entropy_exact(1, r) - entropy_exact(-mpmath.expm1(-x), r)
-
-            lo, hi = mpmath.mpf(0), mpmath.mpf(1)
-            while gap(hi) > delta:
-                lo, hi = hi, 2 * hi
-            for _ in range(200):
-                mid = (lo + hi) / 2
-                lo, hi = (lo, mid) if gap(mid) <= delta else (mid, hi)
-            return float(hi)
-
     @pytest.mark.parametrize(
         "spec, delta, measure, r, omega",
         [
@@ -361,7 +341,7 @@ class TestPreservation:
              "--measure", measure, "--r", str(r), "--omega", str(omega)]
         ) == 0
         tau_star = float(capsys.readouterr().out.split("tau_star=")[1])
-        exact = self._tau_star_reference(spec, delta, measure, r, omega)
+        exact = preservation_time_exact(spec, delta, measure, r, omega)
         assert abs(tau_star / exact - 1.0) <= 1e-16 / delta
 
     def test_tiny_g_reaches_saturation(self, capsys):
@@ -415,7 +395,7 @@ class TestPreservation:
         # at omega = 1e-150 the crossing, ~1.44e100, keeps beta finite
         assert run(["preservation", "--noise", "fgn", "--omega", "1e-150"]) == 0
         tau_star = float(capsys.readouterr().out.split("tau_star=")[1])
-        exact = self._tau_star_reference(NoiseSpec("fgn"), 1e-3, "purity", 1.0, 1e-150)
+        exact = preservation_time_exact(NoiseSpec("fgn"), 1e-3, "purity", 1.0, 1e-150)
         assert abs(tau_star / exact - 1.0) <= 1e-13
 
     def test_entropy_measure(self, capsys):
@@ -622,7 +602,7 @@ class TestFigure:
             assert list(rows[0]) == header and len(rows) == count, file_name
             if name == "noisephase":
                 for row in rows:
-                    expected = math.exp(-2.0 * float(row["beta"]))
+                    expected = gaussian_chi(float(row["beta"]))(2)
                     assert abs(float(row["dephasing_n2"]) - expected) <= 1e-15
 
     def test_unknown_name(self):
@@ -644,8 +624,7 @@ class TestFigure:
             rows = read_csv(tmp_path / f"noiseless_omega{omega:g}.csv")
             assert {(r["beta"], r["purity"], r["entropy"]) for r in rows} == {("0", "1", "0")}
             for row in rows:
-                u = unitary(omega * float(row["tau"]))
-                exact = (u @ rho0 @ u.conj().T).ravel()
+                exact = propagated(rho0, omega * float(row["tau"])).ravel()
                 rho = [complex(float(row[f"rho_re_{c}"]), float(row[f"rho_im_{c}"])) for c in CELLS]
                 assert np.max(np.abs(np.array(rho) - exact)) <= 4e-15
 

@@ -5,7 +5,6 @@ import pytest
 from numpy.polynomial.hermite_e import hermegauss
 
 from qutrit_dephasing import (
-    dephasing_factor,
     evolve_averaged,
     fluctuation_series,
     initial_state,
@@ -13,7 +12,7 @@ from qutrit_dephasing import (
 )
 from qutrit_dephasing.dynamics import SX_EIGENVALUES, SX_EIGENVECTORS
 from qutrit_dephasing.metrics import purity_closed
-from references import SX, purity, random_state, unitary
+from references import SX, averaged_state, gaussian_chi, propagated, purity, random_state, unitary
 
 RNG = np.random.default_rng(20240817)
 
@@ -22,11 +21,6 @@ def noiseless_states(t_grid, omega=1.0, r=1.0):
     """The states from initial_state(r) under the noiseless field's phase law."""
     _, _, chi = fluctuation_series(t_grid, omega)
     return evolve_averaged(initial_state(r), chi)
-
-
-def gaussian(var):
-    """chi of a zero-mean Gaussian phase of variance var."""
-    return lambda n: dephasing_factor(n, var)
 
 
 def pair(chi1, chi2):
@@ -121,13 +115,13 @@ class TestEvolveNoiseless:
 
 class TestEvolveAveraged:
     def test_no_noise_limit(self):
-        out = evolve_averaged(initial_state(1.0), gaussian(0.0))
+        out = evolve_averaged(initial_state(1.0), gaussian_chi(0.0))
         assert np.allclose(out, np.full((3, 3), 1.0 / 3.0), atol=1e-14)
 
     def test_no_noise_equals_noiseless_any_state(self):
         for _ in range(5):
             rho0 = random_state(RNG)
-            assert np.max(np.abs(evolve_averaged(rho0, gaussian(0.0)) - rho0)) <= 1e-15
+            assert np.max(np.abs(evolve_averaged(rho0, gaussian_chi(0.0)) - rho0)) <= 1e-15
 
     def test_matches_gauss_hermite_average(self):
         # phi = mu + sqrt(var) x with x ~ N(0, 1); 160 nodes integrate the
@@ -139,72 +133,64 @@ class TestEvolveAveraged:
             rho0 = random_state(RNG)
             for var in (0.0, 1e-9, 0.3, 1.0, 5.0, 50.0):
                 for mu in (0.0, 0.7, -2.5):
-                    u = propagator(mu + np.sqrt(var) * nodes)
-                    states = u @ rho0 @ u.conj().swapaxes(-1, -2)
+                    states = propagated(rho0, mu + np.sqrt(var) * nodes)
                     reference = np.tensordot(weights, states, axes=1)
-                    chi = gaussian(var)
+                    chi = gaussian_chi(var)
                     if mu:  # mu = 0 keeps the real factors of a symmetric law
                         chi = pair(chi(1) * np.exp(1j * mu), chi(2) * np.exp(2j * mu))
                     assert np.max(np.abs(evolve_averaged(rho0, chi) - reference)) <= 1e-14
 
     def test_infinite_variance_keeps_sx_diagonal_part(self):
-        out = evolve_averaged(initial_state(1.0), gaussian(np.inf))
+        out = evolve_averaged(initial_state(1.0), gaussian_chi(np.inf))
         assert np.all(np.isfinite(out))
         assert purity(out) == pytest.approx(purity_closed(1.0), abs=1e-15)
 
     @pytest.mark.parametrize("r", [0.0, 0.4, 1.0])
     def test_real_state_stays_real(self, r):
-        out = evolve_averaged(initial_state(r), gaussian(np.array([0.0, 0.3, 5.0, np.inf])))
+        out = evolve_averaged(initial_state(r), gaussian_chi(np.array([0.0, 0.3, 5.0, np.inf])))
         assert np.all(out.imag == 0.0)
 
     def test_strong_noise_limit(self):
-        out = evolve_averaged(initial_state(1.0), gaussian(1e4))
-        expected = np.full((3, 3), 1.0 / 3.0, dtype=complex)
-        expected[0, 0] = expected[2, 2] = expected[0, 2] = expected[2, 0] = 0.25
-        expected[1, 1] = 0.5
-        expected[0, 1] = expected[1, 0] = expected[1, 2] = expected[2, 1] = 1.0 / 3.0
-        assert np.allclose(out, expected, atol=1e-12)
+        out = evolve_averaged(initial_state(1.0), gaussian_chi(1e4))
+        assert np.allclose(out, averaged_state(0.0), atol=1e-12)
 
     def test_closed_form_matrix(self):
-        beta = 0.5
-        out = evolve_averaged(initial_state(1.0), gaussian(beta))
-        corner = (3.0 + np.exp(-2.0 * beta)) / 12.0
-        assert out[0, 0].real == pytest.approx(corner, abs=1e-13)
-        assert out[1, 1].real == pytest.approx(0.5 - np.exp(-2.0 * beta) / 6.0, abs=1e-13)
-        assert out[0, 1] == pytest.approx(1.0 / 3.0, abs=1e-13)
+        chi = gaussian_chi(0.5)
+        out = evolve_averaged(initial_state(1.0), chi)
+        assert np.max(np.abs(out - averaged_state(chi(2)))) <= 1e-13
 
     @pytest.mark.parametrize("variance", [0.0, 0.1, 1.0, 7.5, 100.0])
     def test_valid_state_out(self, variance):
-        out = evolve_averaged(initial_state(1.0), gaussian(variance))
+        out = evolve_averaged(initial_state(1.0), gaussian_chi(variance))
         assert np.max(np.abs(out - out.conj().T)) < 1e-12
         assert np.trace(out).real == pytest.approx(1.0, abs=1e-12)
         assert np.linalg.eigvalsh(out).min() > -1e-10
 
     @pytest.mark.parametrize("variance", [0.0, 0.3, 2.0, 40.0])
     def test_rank_two_null_vector(self, variance):
-        out = evolve_averaged(initial_state(1.0), gaussian(variance))
+        out = evolve_averaged(initial_state(1.0), gaussian_chi(variance))
         null = np.array([1.0, 0.0, -1.0]) / np.sqrt(2.0)
         assert np.max(np.abs(out @ null)) < 1e-12
 
     def test_corner_deviation_shrinks_with_variance(self):
         limit = 0.25
         deviations = [
-            abs(evolve_averaged(initial_state(1.0), gaussian(v))[0, 0] - limit)
+            abs(evolve_averaged(initial_state(1.0), gaussian_chi(v))[0, 0] - limit)
             for v in (0.0, 0.5, 1.0, 2.0, 5.0)
         ]
         assert all(b <= a for a, b in zip(deviations, deviations[1:]))
 
     def test_reads_chi_at_the_positive_gaps_only(self):
         # the Sx gaps are 1 and 2, so chi is called at n = 1 and n = 2, once each
-        calls = []
+        calls, law = [], gaussian_chi(0.5)
 
         def chi(n):
             calls.append(n)
-            return dephasing_factor(n, 0.5)
+            return law(n)
 
         out = evolve_averaged(initial_state(1.0), chi)
         assert sorted(calls) == [1, 2]
-        assert np.array_equal(out, evolve_averaged(initial_state(1.0), gaussian(0.5)))
+        assert np.array_equal(out, evolve_averaged(initial_state(1.0), law))
 
     def test_error_of_chi_passes_through(self):
         # a factor chi cannot resolve fails evolve_averaged with chi's own error
@@ -242,10 +228,10 @@ class TestEvolveAveraged:
     def test_array_matches_stacked_scalars(self):
         rho0 = random_state(np.random.default_rng(11))
         variances = np.array([[0.0, 1e-9, 0.2], [1.0, 7.5, 300.0]])
-        out = evolve_averaged(rho0, gaussian(variances))
+        out = evolve_averaged(rho0, gaussian_chi(variances))
         assert out.shape == (2, 3, 3, 3)
         stacked = np.array(
-            [[evolve_averaged(rho0, gaussian(v)) for v in row] for row in variances]
+            [[evolve_averaged(rho0, gaussian_chi(v)) for v in row] for row in variances]
         )
         assert np.max(np.abs(out - stacked)) <= 1e-15
 
@@ -254,11 +240,10 @@ class TestEvolveAveraged:
     def test_two_point_phase_law(self, a):
         # phi = +-a with equal weights: chi_n = cos(n a), negative for these a
         assert min(np.cos(a), np.cos(2.0 * a)) < 0.0
-        u = propagator(np.array([a, -a]))
         rng = np.random.default_rng(5)
         for _ in range(5):
             rho0 = random_state(rng)
-            mean = np.mean(u @ rho0 @ u.conj().swapaxes(-1, -2), axis=0)
+            mean = np.mean(propagated(rho0, np.array([a, -a])), axis=0)
             out = evolve_averaged(rho0, lambda n: np.cos(n * a))
             assert np.max(np.abs(out - mean)) <= 1e-14
 
@@ -266,12 +251,11 @@ class TestEvolveAveraged:
     def test_asymmetric_two_point_phase_law(self, a, b, p):
         # phi = a with weight p, -b with weight 1 - p: complex chi_n, and
         # entry (j, k) takes chi at the signed gap lambda_k - lambda_j
-        u = propagator(np.array([a, -b]))
         chi1, chi2 = (p * np.exp(1j * n * a) + (1.0 - p) * np.exp(-1j * n * b) for n in (1, 2))
         rng = np.random.default_rng(7)
         for _ in range(200):
             rho0 = random_state(rng)
-            states = u @ rho0 @ u.conj().swapaxes(-1, -2)
+            states = propagated(rho0, np.array([a, -b]))
             mean = p * states[0] + (1.0 - p) * states[1]
             # a Python complex scalar is taken as it is, not cast to float
             out = evolve_averaged(rho0, pair(complex(chi1), chi2))
@@ -315,9 +299,7 @@ class TestFluctuationSeries:
         t = np.linspace(0.0, 15.0, 301)
         series = noiseless_states(t, omega, r)
         assert series.shape == (t.size, 3, 3)
-        rho0 = initial_state(r)
-        u = unitary(omega * t)
-        direct = u @ rho0 @ u.conj().transpose(0, 2, 1)
+        direct = propagated(initial_state(r), omega * t)
         assert np.max(np.abs(series - direct)) <= 1e-13
 
     def test_empty_grid_rejected(self):

@@ -9,21 +9,14 @@ from qutrit_dephasing import (
     NoiseSpec,
     beta_closed,
     coherence_loss,
-    dephasing_factor,
     evolve_averaged,
     initial_state,
-    propagator,
     purity_closed,
     vn_entropy_closed,
 )
-from references import entropy_exact, purity, vn_entropy
+from references import entropy_exact, gaussian_chi, propagated, purity, vn_entropy
 
 BETAS = [0.0, 0.1, 0.5, 1.0, 2.0, 5.0, 20.0]
-
-
-def gaussian(var):
-    """chi of a zero-mean Gaussian phase of variance var."""
-    return lambda n: dephasing_factor(n, var)
 
 
 def loss(var):
@@ -39,7 +32,7 @@ class TestPurity:
         assert purity(np.full((3, 3), 1.0 / 3.0)) == pytest.approx(1.0)
 
     def test_averaged_state_value(self):
-        rho = evolve_averaged(initial_state(1.0), gaussian(0.5))
+        rho = evolve_averaged(initial_state(1.0), gaussian_chi(0.5))
         assert purity(rho) == pytest.approx((17.0 + math.exp(-2.0)) / 18.0, abs=1e-12)
 
 
@@ -73,7 +66,7 @@ class TestVnEntropy:
         assert vn_entropy(np.eye(3) / 3.0) == pytest.approx(math.log(3.0), abs=1e-12)
 
     def test_saturation_value(self):
-        rho = evolve_averaged(initial_state(1.0), gaussian(1e4))
+        rho = evolve_averaged(initial_state(1.0), gaussian_chi(1e4))
         assert vn_entropy(rho) == pytest.approx(0.130, abs=1e-3)
         assert vn_entropy_closed(1.0) == pytest.approx(0.1298, abs=5e-4)
 
@@ -95,7 +88,7 @@ class TestVnEntropyClosed:
 
     @pytest.mark.parametrize("beta", BETAS + [1e-10, 1e-12])
     def test_matches_eigensolver(self, beta):
-        rho = evolve_averaged(initial_state(1.0), gaussian(beta))
+        rho = evolve_averaged(initial_state(1.0), gaussian_chi(beta))
         closed = vn_entropy_closed(loss(beta))
         assert closed == pytest.approx(vn_entropy(rho), abs=1e-10)
         # at tiny beta the small eigenvalue, ~ s/36, sets the whole entropy
@@ -126,7 +119,7 @@ def test_array_input_matches_scalar(closed, r):
 class TestConsistency:
     @pytest.mark.parametrize("beta", BETAS)
     def test_purity_closed_vs_matrix(self, beta):
-        rho = evolve_averaged(initial_state(1.0), gaussian(beta))
+        rho = evolve_averaged(initial_state(1.0), gaussian_chi(beta))
         assert abs(purity_closed(loss(beta)) - purity(rho)) <= 1e-10
 
     def test_monotone_in_beta(self):
@@ -153,7 +146,7 @@ class TestConsistency:
     def test_rank_deficiency_harmless(self):
         # zero eigenvalue contributes nothing at any beta
         for beta in BETAS:
-            rho = evolve_averaged(initial_state(1.0), gaussian(beta))
+            rho = evolve_averaged(initial_state(1.0), gaussian_chi(beta))
             eigs = np.linalg.eigvalsh(rho)
             assert abs(eigs[0]) < 1e-10
             nonzero = eigs[1:]
@@ -167,8 +160,7 @@ class TestConsistency:
     def test_two_point_phase_law(self, a, r):
         # phi = +-a with equal weights: chi_n = cos(n a), negative for these a,
         # so s = 1 - cos(2a)^2 = sin(2a)^2
-        u = propagator(np.array([a, -a]))
-        rho = np.mean(u @ initial_state(r) @ u.conj().swapaxes(-1, -2), axis=0)
+        rho = np.mean(propagated(initial_state(r), np.array([a, -a])), axis=0)
         s = np.sin(2.0 * a) ** 2
         assert purity_closed(s, r) == pytest.approx(purity(rho), abs=1e-14)
         assert vn_entropy_closed(s, r) == pytest.approx(vn_entropy(rho), abs=1e-14)
@@ -177,8 +169,7 @@ class TestConsistency:
     @pytest.mark.parametrize("a, b, p", [(1.0, 0.4, 0.3), (2.5, 1.2, 0.5), (0.2, 3.0, 0.9)])
     def test_asymmetric_two_point_phase_law(self, a, b, p, r):
         # phi = a with weight p, -b with weight 1 - p: a complex chi2
-        u = propagator(np.array([a, -b]))
-        states = u @ initial_state(r) @ u.conj().swapaxes(-1, -2)
+        states = propagated(initial_state(r), np.array([a, -b]))
         rho = p * states[0] + (1.0 - p) * states[1]
         chi2 = p * np.exp(2j * a) + (1.0 - p) * np.exp(-2j * b)
         s = 1.0 - abs(chi2) ** 2

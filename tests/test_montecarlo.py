@@ -18,12 +18,11 @@ from qutrit_dephasing import (
     initial_state,
     mc_average_state,
     phase_covariance,
-    propagator,
     sample_trajectories,
 )
 from qutrit_dephasing import cli, montecarlo
 from qutrit_dephasing.montecarlo import BLOCK
-from references import normal_pair, philox4x32, random_state, unitary
+from references import normal_pair, philox4x32, propagated, random_state
 
 
 def all_phases(ensemble):
@@ -339,11 +338,6 @@ class TestMcAverageState:
         ensemble.__dict__["cholesky"] = (np.asarray(factor, float), 0.0)
         return ensemble
 
-    @staticmethod
-    def _per_phase_average(rho0, phases, omega):
-        u = unitary(omega * phases)
-        return (u @ rho0 @ u.conj().transpose(0, 2, 1)).mean(axis=0)
-
     def test_single_zero_path_is_noiseless(self):
         ensemble = self._manual_ensemble(np.zeros((1, 1)), 1, NoiseSpec("ou", g=1.0))
         rho0 = initial_state(0.8)
@@ -383,7 +377,7 @@ class TestMcAverageState:
                 phases = all_phases(ensemble)
                 assert np.allclose(np.max(omega * phases, axis=0), peak, rtol=1e-14)
             for column, report in enumerate(mc_average_state(rho0, ensemble, omega)):
-                expected = self._per_phase_average(rho0, phases[:, column], omega)
+                expected = propagated(rho0, omega * phases[:, column]).mean(axis=0)
                 assert np.max(np.abs(report.empirical - expected)) < 1e-13, (n, peak)
 
     def test_five_node_interpolant_is_the_state_at_one_phase(self):
@@ -396,9 +390,9 @@ class TestMcAverageState:
             rho0 = random_state(rng)
             omega = rng.uniform(0.1, 20.0)
             ensemble = self._manual_ensemble(np.ones((1, 1)), 1, spec, seed=seed)
-            u = propagator(omega * all_phases(ensemble)[0, 0])
+            expected = propagated(rho0, omega * all_phases(ensemble)[0, 0])
             (report,) = mc_average_state(rho0, ensemble, omega)
-            worst = max(worst, np.max(np.abs(report.empirical - u @ rho0 @ u.conj().T)))
+            worst = max(worst, np.max(np.abs(report.empirical - expected)))
         assert worst < 1e-14
 
     def test_streamed_blocks_match_per_path_matrix_exponential(self):
@@ -406,7 +400,7 @@ class TestMcAverageState:
         omega = 1.3
         ensemble = sample_trajectories(NoiseSpec("ou", g=2.0), [1.0], BLOCK + 37, 4)
         (report,) = mc_average_state(rho0, ensemble, omega)
-        expected = self._per_phase_average(rho0, all_phases(ensemble)[:, 0], omega)
+        expected = propagated(rho0, omega * all_phases(ensemble)[:, 0]).mean(axis=0)
         assert np.max(np.abs(report.empirical - expected)) < 1e-13
 
     @pytest.mark.parametrize("rows", [1, 2, 1023, 1024, 1025, 1297, 1298, 2049, BLOCK])
@@ -423,9 +417,9 @@ class TestMcAverageState:
             assert np.array_equal(phi, np.einsum("ij,kj->ik", rows_z, ensemble.cholesky[0]))
 
     def test_report_bits_do_not_depend_on_blas_threads(self, tmp_path):
-        # the gn kernel is numerically rank-deficient, so an M x M factor of it
-        # moves with the BLAS thread count; the phases' K x K one does not, and
-        # the state sum is fixed-order sums of moments with no matmul at all
+        # the phases, the moment sums and the node sums are fixed-order einsum
+        # and sum calls that never reach the BLAS, and the phases' K x K factor
+        # is too small for it to thread: one or two threads give the same bits
         src = os.path.dirname(os.path.dirname(qutrit_dephasing.__file__))
         reports = []
         for threads in ("1", "2"):

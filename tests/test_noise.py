@@ -32,6 +32,7 @@ from references import (
     beta_exact,
     beta_quadrature,
     entropy_exact,
+    gaussian_law_exact,
     grid_covariance,
 )
 
@@ -384,11 +385,10 @@ class TestDephasingFactor:
         assert abs(chi1 / 0.010970998366931497 - 1.0) <= 1e-15
         for beta in (2.3e-308, 5e-308, 1e-307):
             for n in (1, 2):
-                with mpmath.workdps(50):
-                    x = n * n * mpmath.mpf(9.5e153) ** 2 * mpmath.mpf(beta) / 2
-                    chi, s = float(mpmath.exp(-x)), float(-mpmath.expm1(-2 * x))
-                # exp(-x) carries x times the relative error of x
-                assert abs(dephasing_factor(n, beta, 9.5e153) - chi) <= 4e-16 * float(x) * chi
+                chi, s = map(float, gaussian_law_exact(n, beta, 9.5e153))
+                # exp(-x) carries x = -ln chi times the relative error of x
+                x = -math.log(chi)
+                assert abs(dephasing_factor(n, beta, 9.5e153) - chi) <= 4e-16 * x * chi
                 assert abs(coherence_loss(n, beta, 9.5e153) - s) <= 4e-16 * s
 
     def test_one_beta_per_spec(self, monkeypatch):
@@ -468,8 +468,7 @@ class TestCoherenceLoss:
         spec = NoiseSpec("ou", g=g)
         values = vn_entropy_closed(coherence_loss(2, beta_closed(spec, taus)), r)
         for tau, value in zip(taus, values):
-            with mpmath.workdps(50):
-                s = -mpmath.expm1(-4 * beta_exact(spec, tau))
+            _, s = gaussian_law_exact(2, beta_exact(spec, tau))
             exact = float(entropy_exact(s, r))
             assert abs(value - exact) <= 4e-15 * exact, tau
 
@@ -513,15 +512,13 @@ def domain_errors(spec: NoiseSpec, tau: float, omega: float) -> list[tuple[float
         return []
     beta = beta_closed(spec, tau)
     errors = [(relative_error(beta, exact_beta), "beta")]
+    chi1, _ = gaussian_law_exact(1, exact_beta, omega)
+    _, s = gaussian_law_exact(2, exact_beta, omega)
     with mpmath.workdps(50):
-        x = mpmath.mpf(omega) ** 2 * exact_beta / 2
-        # s = 1 - chi2^2 = 1 - exp(-8 x); past x = 800, chi1 is far below the
-        # normal floats and s is 1 to 50 digits
-        chi1 = mpmath.exp(-x) if x < 800 else mpmath.mpf(0)
-        s = -mpmath.expm1(-8 * x) if x < 800 else mpmath.mpf(1)
         purity = 1 - s / 18
     if is_normal(chi1):
         got = dephasing_factor(1, beta, omega)
+        x = -mpmath.log(chi1)
         errors.append((relative_error(got, chi1) / max(1.0, float(x)), "chi1"))
     if not is_normal(s):
         return errors
