@@ -241,7 +241,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         seed=args.seed,
         omega=args.omega,
         r=args.r,
-        outputs=args.out,
+        outputs=args.out or None,
     )
     if path:
         print(path)

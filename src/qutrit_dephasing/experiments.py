@@ -226,7 +226,7 @@ def run_oracle(
     """
     rho0 = initial_state(r)
     ensemble = sample_trajectories(spec, [tau], n, seed)
-    (report,) = mc_average_state(rho0, ensemble, omega)
+    report = mc_average_state(rho0, ensemble, omega)
     path = None
     if outputs is not None:
         path = os.path.join(outputs, f"oracle_{spec.label()}.txt")
@@ -236,9 +236,10 @@ def run_oracle(
 
 def _write_report(path: str, report: OracleReport, omega: float, r: float) -> None:
     ensemble = report.ensemble
+    (tau,) = ensemble.taus
     lines = [
         f"noise = {ensemble.spec.label()}",
-        f"tau = {fmt(report.tau)}",
+        f"tau = {fmt(tau)}",
         f"omega = {fmt(omega)}",
         f"r = {fmt(r)}",
         f"n_samples = {ensemble.n_paths}",
@@ -250,7 +251,7 @@ def _write_report(path: str, report: OracleReport, omega: float, r: float) -> No
         f"within_bound = {report.within_bound}",
         "",
     ]
-    for name, state in (("analytic", report.analytic), ("empirical", report.empirical)):
+    for name, (state,) in (("analytic", report.analytic), ("empirical", report.empirical)):
         lines.append(f"{name}:")
         lines += ("  " + "  ".join(f"{v.real:.17g}{v.imag:+.17g}j" for v in row) for row in state)
     _atomic_write(path, "\n".join(lines) + "\n")

@@ -6,8 +6,8 @@ reference state does, through the factors chi_n of ``noise.phase_law``.  The
 phases at the K chosen times are jointly Gaussian with the exact covariance
 C of ``noise.phase_covariance``, so the oracle needs no paths and no time
 grid.  A ``TrajectoryEnsemble`` stores four inputs (times, count, seed,
-spec), holds every rule on them, and derives from them, once, the Cholesky
-factor F of C; its phases are drawn as ``Z F^T``.  The state
+spec), holds every rule on them, and, when it is built, derives from them the
+Cholesky factor F of C; its phases are drawn as ``Z F^T``.  The state
 U(phi) rho0 U(phi)+ is a degree-2 trigonometric polynomial in phi, so its
 ensemble mean depends on the paths only through the two moments
 m_n = mean exp(i n omega phi), n = 1, 2.  It is the sum of the states at
@@ -15,7 +15,7 @@ five equispaced phases theta_j, built with the closed-form ``propagator``,
 with weights (1 + 2 Re(m1 exp(-i theta_j) + m2 exp(-2i theta_j))) / 5: the
 mean of the polynomial's interpolant on those nodes.  One pass over the
 blocks keeps the two moment sums of every drawn column, so
-``mc_average_state`` reports all K times at once.  Agreement with
+``mc_average_state`` returns one report over all K times.  Agreement with
 ``evolve_averaged`` within the 3/sqrt(N) bound is the independent check of
 the analytic averaging rule, whose eigenbasis the empirical side never uses.
 
@@ -71,7 +71,7 @@ class TrajectoryEnsemble:
     before omega) of ``spec`` at positive, strictly increasing, finite times
     ``taus``, with a seed in [0, 2**128).  Only these four inputs are stored,
     the times as a read-only copy that no later write can move, checked by
-    every construction (``replace`` too); ``cholesky`` derives F."""
+    every construction (``replace`` too), which then factors C (``cholesky``)."""
 
     taus: np.ndarray
     n_paths: int
@@ -96,6 +96,7 @@ class TrajectoryEnsemble:
             raise ValueError(f"need at least one path, got {self.n_paths}")
         if not 0 <= self.seed < 2**SEED_BITS:
             raise ValueError(f"seed must lie in [0, 2**{SEED_BITS}), got {self.seed}")
+        self.cholesky
 
     @cached_property
     def cholesky(self) -> tuple[np.ndarray, float]:
@@ -154,12 +155,12 @@ def _normals(seed: int, first: int, count: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class OracleReport:
-    """The analytic averaged state at tau against the average over ensemble."""
+    """The (K, 3, 3) analytic averaged states against the averages over
+    ``ensemble``, row k at ``ensemble.taus[k]``; the figures cover all K."""
 
     analytic: np.ndarray
     empirical: np.ndarray
     ensemble: TrajectoryEnsemble
-    tau: float
 
     @property
     def max_abs_deviation(self) -> float:
@@ -192,19 +193,15 @@ def _cholesky_with_jitter(cov: np.ndarray, spec: NoiseSpec) -> tuple[np.ndarray,
 
 def sample_trajectories(spec: NoiseSpec, taus, n: int, seed: int) -> TrajectoryEnsemble:
     """n draws of the zero-mean Gaussian phases of ``spec`` at ``taus``, each
-    accumulated from 0; the ensemble checks every input.  Factors their
-    covariance once, so a bad one fails here; the phases themselves are drawn
-    block by block when the ensemble is read (``phases``)."""
-    ensemble = TrajectoryEnsemble(taus, n, seed, spec)
-    ensemble.cholesky
-    return ensemble
+    accumulated from 0, drawn block by block when read (``phases``).  A module
+    function, not the bare constructor: perfbench's tracer times it as the
+    ``montecarlo.sample_trajectories`` span that its tests pin."""
+    return TrajectoryEnsemble(taus, n, seed, spec)
 
 
-def mc_average_state(
-    rho0: np.ndarray, ensemble: TrajectoryEnsemble, omega: float
-) -> list[OracleReport]:
+def mc_average_state(rho0: np.ndarray, ensemble: TrajectoryEnsemble, omega: float) -> OracleReport:
     """Ensemble-averaged evolved states at every drawn time, vs the analytic
-    states: one report per entry of ``ensemble.taus``, in order.
+    states: one report, whose (K, 3, 3) states follow ``ensemble.taus``.
 
     The analytic references, evolve_averaged with the chi of the spec's phase
     law at each tau, are computed first, so a bad rho0 or omega fails before
@@ -231,6 +228,4 @@ def mc_average_state(
     weights = (1.0 + 2.0 * (m1 * np.exp(-1j * _NODES) + m2 * np.exp(-2j * _NODES)).real) / 5.0
     u = propagator(_NODES)
     empirical = np.einsum("kn,nij,jl,nml->kim", weights, u, rho0, u.conj())
-    return [
-        OracleReport(a, e, ensemble, float(tau)) for a, e, tau in zip(analytic, empirical, taus)
-    ]
+    return OracleReport(analytic, empirical, ensemble)

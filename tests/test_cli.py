@@ -432,6 +432,21 @@ class TestOracle:
         assert b"rng_algorithm" in first
         assert b"within_bound = True" in first
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_empty_out_writes_no_report(self, source, tmp_path, monkeypatch, capsys):
+        # an empty --out is no --out, as for every other subcommand: the
+        # summary line alone, and no report in the working directory
+        config = tmp_path / "run.cfg"
+        config.write_text("out =\n")
+        flags = {"flag": ["--out", ""], "config": ["--config", str(config)]}[source]
+        cwd = tmp_path / "cwd"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        assert run(["oracle", "--noise", "ou", "--samples", "10", *flags]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("max_abs_deviation=")
+        assert list(cwd.iterdir()) == []
+
     def test_tau_steps_is_usage_error(self, tmp_path, capsys):
         # the oracle draws the exact law at --tau-max alone: it has no grid
         argv = ["oracle", "--noise", "ou", "--tau-steps", "51", "--samples", "10"]
@@ -566,7 +581,7 @@ class TestOracle:
             taus=[1.0], n_paths=10000, seed=0, spec=NoiseSpec("ou", g=1.0)
         )
         ensemble.__dict__["cholesky"] = (np.zeros((1, 1)), 0.0)
-        (report,) = mc_average_state(initial_state(1.0), ensemble, 1.0)
+        report = mc_average_state(initial_state(1.0), ensemble, 1.0)
         assert report.max_abs_deviation > report.stderr_bound == 0.03
         monkeypatch.setattr(cli, "run_oracle", lambda *a, **k: (report, None))
         assert run(["oracle", "--noise", "ou", "--tau-max", "1"]) == 3

@@ -15,9 +15,11 @@ from qutrit_dephasing import (
     NoiseSpec,
     TrajectoryEnsemble,
     beta_closed,
+    evolve_averaged,
     initial_state,
     mc_average_state,
     phase_covariance,
+    phase_law,
     sample_trajectories,
 )
 from qutrit_dephasing import cli, montecarlo
@@ -61,6 +63,17 @@ class TestSampleTrajectories:
         # fgn's beta overflows at tau ~ 1e200: an invalid numerical input
         with pytest.raises(ValueError, match="covariance for fgn_H0.5 is not finite"):
             sample_trajectories(NoiseSpec("fgn", hurst=0.5), [5e199, 1e200], 10, 0)
+
+    @pytest.mark.parametrize("build", ["constructor", "replace"])
+    def test_every_construction_factors_the_covariance(self, build):
+        # the factor is derived when the ensemble is built, not at its first
+        # draw, so no way of building one defers the failure
+        spec, taus = NoiseSpec("fgn", hurst=0.5), [5e199, 1e200]
+        with pytest.raises(ValueError, match="covariance for fgn_H0.5 is not finite"):
+            if build == "constructor":
+                TrajectoryEnsemble(taus, 10, 0, spec)
+            else:
+                dataclasses.replace(sample_trajectories(spec, [1.0, 2.0], 10, 0), taus=taus)
 
     def test_needs_a_path(self):
         with pytest.raises(ValueError, match="need at least one path"):
@@ -118,8 +131,8 @@ class TestSampleTrajectories:
         fresh = sample_trajectories(inputs["spec"], inputs["taus"], 500, 7)
         replaced = dataclasses.replace(ensemble, **{field: value})
         got, expected = (
-            [(r.tau, r.analytic.tobytes(), r.empirical.tobytes()) for r in reports]
-            for reports in (
+            (r.ensemble.taus.tobytes(), r.analytic.tobytes(), r.empirical.tobytes())
+            for r in (
                 mc_average_state(initial_state(1.0), replaced, 1.0),
                 mc_average_state(initial_state(1.0), fresh, 1.0),
             )
@@ -135,8 +148,8 @@ class TestSampleTrajectories:
         assert np.array_equal(ensemble.taus, [1.0])
         fresh = sample_trajectories(spec, [1.0], 1000, 0)
         got, expected = (
-            [(r.tau, r.analytic.tobytes(), r.empirical.tobytes()) for r in reports]
-            for reports in (
+            (r.ensemble.taus.tobytes(), r.analytic.tobytes(), r.empirical.tobytes())
+            for r in (
                 mc_average_state(initial_state(1.0), ensemble, 1.0),
                 mc_average_state(initial_state(1.0), fresh, 1.0),
             )
@@ -341,12 +354,12 @@ class TestMcAverageState:
     def test_single_zero_path_is_noiseless(self):
         ensemble = self._manual_ensemble(np.zeros((1, 1)), 1, NoiseSpec("ou", g=1.0))
         rho0 = initial_state(0.8)
-        (report,) = mc_average_state(rho0, ensemble, 1.0)
+        report = mc_average_state(rho0, ensemble, 1.0)
         assert np.max(np.abs(report.empirical - rho0)) < 1e-14
 
     def test_report_figures_are_python_scalars(self):
         ensemble = self._manual_ensemble(np.zeros((1, 1)), 9, NoiseSpec("ou", g=1.0))
-        (report,) = mc_average_state(initial_state(0.8), ensemble, 1.0)
+        report = mc_average_state(initial_state(0.8), ensemble, 1.0)
         assert type(report.max_abs_deviation) is float
         assert type(report.stderr_bound) is float and report.stderr_bound == 1.0
         assert report.within_bound is True
@@ -376,9 +389,10 @@ class TestMcAverageState:
                 ensemble = self._manual_ensemble(scaled, n, spec, taus)
                 phases = all_phases(ensemble)
                 assert np.allclose(np.max(omega * phases, axis=0), peak, rtol=1e-14)
-            for column, report in enumerate(mc_average_state(rho0, ensemble, omega)):
+            report = mc_average_state(rho0, ensemble, omega)
+            for column, empirical in enumerate(report.empirical):
                 expected = propagated(rho0, omega * phases[:, column]).mean(axis=0)
-                assert np.max(np.abs(report.empirical - expected)) < 1e-13, (n, peak)
+                assert np.max(np.abs(empirical - expected)) < 1e-13, (n, peak)
 
     def test_five_node_interpolant_is_the_state_at_one_phase(self):
         # one path: the moments are exp(i n omega phi) themselves, so the
@@ -391,17 +405,17 @@ class TestMcAverageState:
             omega = rng.uniform(0.1, 20.0)
             ensemble = self._manual_ensemble(np.ones((1, 1)), 1, spec, seed=seed)
             expected = propagated(rho0, omega * all_phases(ensemble)[0, 0])
-            (report,) = mc_average_state(rho0, ensemble, omega)
-            worst = max(worst, np.max(np.abs(report.empirical - expected)))
+            (empirical,) = mc_average_state(rho0, ensemble, omega).empirical
+            worst = max(worst, np.max(np.abs(empirical - expected)))
         assert worst < 1e-14
 
     def test_streamed_blocks_match_per_path_matrix_exponential(self):
         rho0 = random_state(np.random.default_rng(8))
         omega = 1.3
         ensemble = sample_trajectories(NoiseSpec("ou", g=2.0), [1.0], BLOCK + 37, 4)
-        (report,) = mc_average_state(rho0, ensemble, omega)
+        (empirical,) = mc_average_state(rho0, ensemble, omega).empirical
         expected = propagated(rho0, omega * all_phases(ensemble)[:, 0]).mean(axis=0)
-        assert np.max(np.abs(report.empirical - expected)) < 1e-13
+        assert np.max(np.abs(empirical - expected)) < 1e-13
 
     @pytest.mark.parametrize("rows", [1, 2, 1023, 1024, 1025, 1297, 1298, 2049, BLOCK])
     def test_chunked_draw_matches_one_block_product(self, rows):
@@ -434,6 +448,30 @@ class TestMcAverageState:
             reports.append((out / "oracle_gn_g1.txt").read_bytes())
         assert reports[0] == reports[1]
 
+    def test_twenty_time_report_bits_do_not_depend_on_blas_threads(self):
+        # at K = 20 the factor is 20 x 20, wide enough for a product that
+        # reached the BLAS to thread: one or two threads still give the same bits
+        src = os.path.dirname(os.path.dirname(qutrit_dephasing.__file__))
+        code = (
+            "import hashlib, numpy as np\n"
+            "from qutrit_dephasing import NoiseSpec, initial_state, mc_average_state, "
+            "sample_trajectories\n"
+            "taus = np.linspace(0.1, 2.0, 20)\n"
+            "ensemble = sample_trajectories(NoiseSpec('gn', g=1.0), taus, 20000, 3)\n"
+            "report = mc_average_state(initial_state(1.0), ensemble, 1.0)\n"
+            "states = report.analytic.tobytes() + report.empirical.tobytes()\n"
+            "print(hashlib.sha256(states).hexdigest())\n"
+        )
+        digests = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
+            run = subprocess.run(
+                [sys.executable, "-c", code], env=env, capture_output=True, text=True
+            )
+            assert run.returncode == 0, run.stderr
+            digests.append(run.stdout)
+        assert digests[0] == digests[1]
+
     def test_memory_bounded_by_one_block(self):
         # eight blocks of paths, but never more than one block in memory:
         # sixteen float64 per path and time of one block, O(BLOCK K)
@@ -460,18 +498,31 @@ class TestMcAverageState:
     def test_empirical_state_well_formed(self):
         spec = NoiseSpec("gn", g=1.0)
         ensemble = sample_trajectories(spec, [1.0], 500, 9)
-        (report,) = mc_average_state(initial_state(1.0), ensemble, 1.0)
-        emp = report.empirical
+        (emp,) = mc_average_state(initial_state(1.0), ensemble, 1.0).empirical
         assert abs(np.trace(emp).real - 1.0) < 1e-12
         assert np.max(np.abs(emp - emp.conj().T)) < 1e-12
 
     def test_every_drawn_time_within_bound(self):
         ensemble = sample_trajectories(NoiseSpec("gn", g=1.0), TWENTY, 20000, 13)
         assert ensemble.cholesky[1] > 0.0
-        reports = mc_average_state(initial_state(1.0), ensemble, 1.0)
-        assert [report.tau for report in reports] == list(TWENTY)
-        for tau, report in zip(TWENTY, reports):
-            assert report.within_bound, tau
+        report = mc_average_state(initial_state(1.0), ensemble, 1.0)
+        assert np.array_equal(report.ensemble.taus, TWENTY)
+        deviations = np.max(np.abs(report.empirical - report.analytic), axis=(1, 2))
+        assert report.within_bound, deviations
+
+    def test_one_report_over_twenty_times(self):
+        # row k is the state at TWENTY[k]; the rows are one joint draw, so the
+        # deviation is the largest over the rows
+        spec = NoiseSpec("gn", g=1.0)
+        rho0 = initial_state(1.0)
+        report = mc_average_state(rho0, sample_trajectories(spec, TWENTY, 2000, 13), 1.0)
+        assert report.analytic.shape == report.empirical.shape == (20, 3, 3)
+        for analytic, tau in zip(report.analytic, TWENTY):
+            expected = evolve_averaged(rho0, phase_law(spec, tau)[2])
+            assert np.max(np.abs(analytic - expected)) <= 1e-15, tau
+        rows = np.max(np.abs(report.empirical - report.analytic), axis=(1, 2))
+        assert type(report.max_abs_deviation) is float
+        assert report.max_abs_deviation == np.max(rows)
 
     def test_dephasing_factor_cross_check(self):
         spec = NoiseSpec("ou", g=1.0)
@@ -499,7 +550,7 @@ class TestMcAverageState:
             deviations = []
             for seed in range(40):
                 ensemble = sample_trajectories(spec, [1.0], n, seed)
-                (report,) = mc_average_state(rho0, ensemble, 1.0)
+                report = mc_average_state(rho0, ensemble, 1.0)
                 deviations.append(report.max_abs_deviation)
             medians[n] = np.median(deviations)
         ratio = medians[400] / medians[1600]
@@ -517,7 +568,8 @@ class TestMcAverageState:
             return normals(seed, first, count)
 
         monkeypatch.setattr(montecarlo, "_normals", counting)
-        assert len(mc_average_state(initial_state(1.0), ensemble, 1.0)) == 20
+        report = mc_average_state(initial_state(1.0), ensemble, 1.0)
+        assert report.empirical.shape == (20, 3, 3)
         assert drawn == [(6, 0, 20 * BLOCK), (6, 20 * BLOCK, 20 * BLOCK), (6, 40 * BLOCK, 20)]
 
     def test_empty_ensemble(self):
