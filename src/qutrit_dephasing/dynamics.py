@@ -115,15 +115,16 @@ def evolve_averaged(rho0: np.ndarray, chi) -> np.ndarray:
 
 
 def fluctuation_series(t_grid, omega: float = 1.0):
-    """The noiseless field's phase law (beta, s, chi) along a time grid: the
-    field is eta = 1, so the phase at time t is omega * t, beta = s = 0 and
-    chi(n) = exp(i n omega t) is the point mass of evolve_averaged."""
+    """The noiseless field's phase law (beta, s, chi) at a time or along a time
+    grid: the field is eta = 1, so the phase at time t is omega * t, beta = s =
+    0 and chi(n) = exp(i n omega t) is the point mass of evolve_averaged."""
     if not 0.0 < omega < math.inf:  # nan fails too
         raise ValueError(f"omega must be positive and finite, got {omega}")
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.size == 0:
         raise ValueError("time grid must be nonempty")
-    if not (np.all(np.diff(t_grid) >= 0.0) and 0.0 <= t_grid.min() <= t_grid.max() < math.inf):
+    flat = t_grid.ravel()  # a 0-d time is a grid of one
+    if not (np.all(np.diff(flat) >= 0.0) and 0.0 <= flat.min() <= flat.max() < math.inf):
         raise ValueError("time grid must be sorted, nonnegative and finite, not nan")
     phase = omega * t_grid
     return np.zeros_like(phase), np.zeros_like(phase), lambda n: np.exp(1j * n * phase)

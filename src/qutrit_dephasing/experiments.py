@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 
 import numpy as np
 
@@ -161,9 +162,9 @@ def preservation_time(
 
     The state starts from initial_state(r); the saturation level is the
     closed form at s = 1, the dephased state.  Monotone beta makes the
-    crossing unique; it is located by doubling, then by bisection until the
-    bracket holds two adjacent floats, and the upper one is returned.  The
-    remaining error comes from the rounding of metric - saturation and grows
+    crossing unique; it is located by doubling up to the largest float, then
+    by bisection until the bracket holds two adjacent floats, and the upper
+    one is returned.  The remaining error comes from the rounding of metric - saturation and grows
     roughly as 1e-16 / delta, relative.  That gap is 0 or at least one float
     spacing of the saturation level, so a delta below that spacing is
     rejected: it would return where the metric first rounds to saturation.
@@ -198,10 +199,11 @@ def preservation_time(
         )
     lo, hi = 0.0, 1.0
     while not satisfied(hi):
-        lo, hi = hi, 2.0 * hi
-        if hi == math.inf:
+        if hi == sys.float_info.max:
             raise ValueError("saturation is not reached at any finite tau")
-    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        lo, hi = hi, min(2.0 * hi, sys.float_info.max)
+    # lo + (hi - lo) / 2 cannot overflow, where lo + hi can above 2**1023
+    while lo < (mid := lo + 0.5 * (hi - lo)) < hi:
         if satisfied(mid):
             hi = mid
         else:
@@ -245,7 +247,9 @@ def _write_report(path: str, report: OracleReport, omega: float, r: float) -> No
         f"n_samples = {ensemble.n_paths}",
         f"seed = {ensemble.seed}",
         f"rng_algorithm = {RNG_ALGORITHM}",
-        f"cholesky_jitter = {fmt(ensemble.cholesky[1])}",
+        # C takes no jitter; perfbench/workloads.py's check_oracle reads this key,
+        # and ROADMAP item 1 drops both
+        "cholesky_jitter = 0",
         f"max_abs_deviation = {fmt(report.max_abs_deviation)}",
         f"stderr_bound = {fmt(report.stderr_bound)}",
         f"within_bound = {report.within_bound}",

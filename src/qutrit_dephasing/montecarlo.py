@@ -6,8 +6,8 @@ reference state does, through the factors chi_n of ``noise.phase_law``.  The
 phases at the K chosen times are jointly Gaussian with the exact covariance
 C of ``noise.phase_covariance``, so the oracle needs no paths and no time
 grid.  A ``TrajectoryEnsemble`` stores four inputs (times, count, seed,
-spec), holds every rule on them, and, when it is built, derives from them the
-Cholesky factor F of C; its phases are drawn as ``Z F^T``.  The state
+spec), holds every rule on them, and, when it is built, factors C exactly as
+F F^T (``_factor``); its phases ``Z F^T`` have the law C.  The state
 U(phi) rho0 U(phi)+ is a degree-2 trigonometric polynomial in phi, so its
 ensemble mean depends on the paths only through the two moments
 m_n = mean exp(i n omega phi), n = 1, 2.  It is the sum of the states at
@@ -28,10 +28,9 @@ counter read exactly SEED_BITS = 128 bits of seed, so an ensemble takes a
 seed in [0, 2**128) only: any other would draw the paths of one of those.
 Sampling and averaging stream over blocks of BLOCK = 4096 paths, which
 bounds the memory and is no part of the stream.
-The phases, the moment sums and the node sums are plain ``np.einsum``
-and ``sum`` calls, which sum in one fixed order and never call the BLAS, and
-the K x K factor is too small for the BLAS to thread; that a report is the
-same bits for any BLAS thread count is pinned by a test
+The phases are one BLAS product ``z @ F.T`` per block; the moment sums and
+node sums are ``np.einsum`` and ``sum`` calls in one fixed order.  That a
+report is the same bits for one or two BLAS threads is pinned by tests
 (``test_report_bits_do_not_depend_on_blas_threads``).  One block is in
 memory at a time, so memory is O(BLOCK * K).
 """
@@ -60,7 +59,6 @@ _WORD = 0xFFFFFFFF
 _PHILOX_M = (0xD2511F53, 0xCD9E8D57)
 _PHILOX_W = (0x9E3779B9, 0xBB67AE85)
 
-_JITTERS = (0.0, 1e-12, 1e-10, 1e-8)
 # theta_j = 2 pi j / 5, the phases at which mc_average_state evaluates states.
 _NODES = 2.0 * np.pi / 5.0 * np.arange(5)
 
@@ -71,7 +69,7 @@ class TrajectoryEnsemble:
     before omega) of ``spec`` at positive, strictly increasing, finite times
     ``taus``, with a seed in [0, 2**128).  Only these four inputs are stored,
     the times as a read-only copy that no later write can move, checked by
-    every construction (``replace`` too), which then factors C (``cholesky``)."""
+    every construction (``replace`` too), which then factors C (``factor``)."""
 
     taus: np.ndarray
     n_paths: int
@@ -96,23 +94,20 @@ class TrajectoryEnsemble:
             raise ValueError(f"need at least one path, got {self.n_paths}")
         if not 0 <= self.seed < 2**SEED_BITS:
             raise ValueError(f"seed must lie in [0, 2**{SEED_BITS}), got {self.seed}")
-        self.cholesky
+        self.factor
 
     @cached_property
-    def cholesky(self) -> tuple[np.ndarray, float]:
-        """(F, jitter) with F F^T = C + jitter scale I, C the phases' covariance."""
-        cov = phase_covariance(self.spec, self.taus)
-        return _cholesky_with_jitter(cov, self.spec)
+    def factor(self) -> np.ndarray:
+        """F with F F^T = C, C the phases' covariance (``_factor``)."""
+        return _factor(phase_covariance(self.spec, self.taus), self.spec)
 
     def phases(self) -> Iterator[np.ndarray]:
         """Each block's (rows, K) phases ``Z_b F^T``: the block of paths
         start .. start + rows - 1 takes normals start K .. (start + rows) K - 1."""
-        factor, _ = self.cholesky
         k = self.taus.size
         for start in range(0, self.n_paths, BLOCK):
             rows = min(BLOCK, self.n_paths - start)
-            z = _normals(self.seed, start * k, rows * k).reshape(rows, k)
-            yield np.einsum("ij,kj->ik", z, factor)
+            yield _normals(self.seed, start * k, rows * k).reshape(rows, k) @ self.factor.T
 
 
 def _philox(x0, x1, x2, x3, k0, k1):
@@ -175,20 +170,19 @@ class OracleReport:
         return self.max_abs_deviation <= self.stderr_bound
 
 
-def _cholesky_with_jitter(cov: np.ndarray, spec: NoiseSpec) -> tuple[np.ndarray, float]:
+def _factor(cov: np.ndarray, spec: NoiseSpec) -> np.ndarray:
+    """F with F F^T = C: numpy's Cholesky factor wherever numpy accepts C, else
+    C's eigenvectors times sqrt(max(lambda, 0)), the nearest semidefinite law
+    (Higham 1988), unless lambda_min < -K eps lambda_max: then C is no law."""
     if not np.all(np.isfinite(cov)):
         raise ValueError(f"covariance for {spec.label()} is not finite")
-    scale = max(np.max(np.abs(np.diag(cov))), 1.0)
-    for jitter in _JITTERS:
-        try:
-            factor = np.linalg.cholesky(cov + jitter * scale * np.eye(cov.shape[0]))
-            return factor, jitter
-        except np.linalg.LinAlgError:
-            continue
-    raise ValueError(
-        f"covariance for {spec.label()} is not positive semidefinite "
-        f"even with diagonal jitter up to {_JITTERS[-1]:g}"
-    )
+    try:
+        return np.linalg.cholesky(cov)
+    except np.linalg.LinAlgError:
+        lam, vec = np.linalg.eigh(cov)
+    if lam[0] < -cov.shape[0] * np.finfo(float).eps * max(lam[-1], 0.0):
+        raise ValueError(f"covariance for {spec.label()} is not positive semidefinite")
+    return vec * np.sqrt(np.maximum(lam, 0.0))
 
 
 def sample_trajectories(spec: NoiseSpec, taus, n: int, seed: int) -> TrajectoryEnsemble:

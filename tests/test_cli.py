@@ -331,6 +331,9 @@ class TestPreservation:
             (NoiseSpec("fgn", hurst=0.5), 1e-3, "purity", 1.0, 1.0),
             (NoiseSpec("ou", g=1e-3), 1e-3, "entropy", 1.0, 1.0),
             (NoiseSpec("gn", g=1.0), 1e-6, "entropy", 0.5, 1.7),
+            # crossings above 2**1023, where doubling and lo + hi overflow
+            (NoiseSpec("ou", g=1.0), 1e-3, "purity", 1.0, 9.2e-155),
+            (NoiseSpec("gn", g=1.0), 1e-3, "purity", 1.0, 9e-155),
         ],
         ids=lambda value: value.label() if isinstance(value, NoiseSpec) else None,
     )
@@ -580,7 +583,7 @@ class TestOracle:
         ensemble = TrajectoryEnsemble(
             taus=[1.0], n_paths=10000, seed=0, spec=NoiseSpec("ou", g=1.0)
         )
-        ensemble.__dict__["cholesky"] = (np.zeros((1, 1)), 0.0)
+        ensemble.__dict__["factor"] = np.zeros((1, 1))
         report = mc_average_state(initial_state(1.0), ensemble, 1.0)
         assert report.max_abs_deviation > report.stderr_bound == 0.03
         monkeypatch.setattr(cli, "run_oracle", lambda *a, **k: (report, None))

@@ -271,6 +271,12 @@ class TestFluctuationSeries:
         for n in (1, 2):
             assert np.array_equal(chi(n), np.exp(1j * n * omega * t))
 
+    def test_scalar_time_gives_the_0d_law(self):
+        # a scalar time passes the grid rule, as phase_law's tau does
+        beta, s, chi = fluctuation_series(0.5, 2.0)
+        assert beta.shape == s.shape == () and chi(1) == np.exp(1j)
+        assert evolve_averaged(initial_state(1.0), chi).shape == (3, 3)
+
     def test_single_point_grid(self):
         series = noiseless_states([0.0], r=0.6)
         rho0 = initial_state(0.6)

@@ -160,9 +160,9 @@ class TestSampleTrajectories:
 
     def test_indefinite_covariance_is_covariance_error(self):
         cov = np.array([[1.0, 2.0], [2.0, 1.0]])
-        message = "not positive semidefinite even with diagonal jitter up to 1e-08"
-        with pytest.raises(ValueError, match=message):
-            montecarlo._cholesky_with_jitter(cov, NoiseSpec("ou", g=1.0))
+        message = "covariance for ou_g1 is not positive semidefinite"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            montecarlo._factor(cov, NoiseSpec("ou", g=1.0))
 
     def test_deterministic_for_seed(self):
         spec = NoiseSpec("gn", g=1.0)
@@ -196,7 +196,7 @@ class TestSampleTrajectories:
         z = montecarlo._normals(11, 0, 3 * (2 * BLOCK + 5)).reshape(-1, 3)
         for b, phi in enumerate(blocks):
             rows = z[b * BLOCK : b * BLOCK + len(phi)]
-            assert np.array_equal(phi, np.einsum("ij,kj->ik", rows, ensemble.cholesky[0]))
+            assert np.array_equal(phi, rows @ ensemble.factor.T)
         # a seed + b scheme would draw block 1 of seed 11 as block 0 of seed 12
         (first,) = sample_trajectories(spec, taus, BLOCK, 12).phases()
         assert not np.array_equal(blocks[1], first)
@@ -238,10 +238,13 @@ class TestSampleTrajectories:
 
     @pytest.mark.parametrize("hurst", [0.1, 0.3, 0.9])
     def test_fgn_needs_no_jitter(self, hurst):
-        # fBm has zero variance at t=0, but the phases never include t=0
+        # fBm has zero variance at t=0, but the phases never include t=0, so
+        # numpy accepts C and F is its Cholesky factor
+        spec = NoiseSpec("fgn", hurst=hurst)
         for taus in ([1.0], np.linspace(0.1, 1.0, 10)):
-            ensemble = sample_trajectories(NoiseSpec("fgn", hurst=hurst), taus, 5, 0)
-            assert ensemble.cholesky[1] == 0.0
+            ensemble = sample_trajectories(spec, taus, 5, 0)
+            cov = phase_covariance(spec, taus)
+            assert np.array_equal(ensemble.factor, np.linalg.cholesky(cov))
 
     @pytest.mark.parametrize(
         "spec, flags, tau",
@@ -251,19 +254,21 @@ class TestSampleTrajectories:
         ],
         ids=["fgn_H0.5", "ou_g1"],
     )
-    def test_underflowed_variance_takes_the_first_jitter(self, tmp_path, spec, flags, tau):
+    def test_zero_covariance_draws_exact_zeros(self, tmp_path, spec, flags, tau):
         # beta rounds to 0 below tau ~ 1.95e-108 (fgn H 0.5) and ~ 2.2e-162
-        # (ou g 1); numpy rejects C = [[0]], so even at K = 1 the ladder's
-        # 1e-12 rung factors C, and the oracle stays within its bound
+        # (ou g 1); numpy rejects C = [[0]], whose clipped eigen factor is
+        # [[0]], so every phase is exactly 0, as the law states
         assert beta_closed(spec, float(tau)) == 0.0
         assert phase_covariance(spec, [float(tau)]).tolist() == [[0.0]]
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.cholesky(np.zeros((1, 1)))
+        ensemble = sample_trajectories(spec, [float(tau)], 1000, 1)
+        assert np.array_equal(all_phases(ensemble), np.zeros((1000, 1)))
         argv = ["oracle", "--noise", *flags, "--tau-max", tau, "--samples", "1000",
                 "--seed", "1", "--out", str(tmp_path)]
         assert cli.main(argv) == 0
         report = (tmp_path / f"oracle_{spec.label()}.txt").read_text().splitlines()
-        assert "cholesky_jitter = 9.9999999999999998e-13" in report
+        assert "cholesky_jitter = 0" in report
         assert "within_bound = True" in report
 
     @pytest.mark.parametrize("taus", [[2.0], TWENTY], ids=["K1", "K20"])
@@ -283,14 +288,29 @@ class TestSampleTrajectories:
     def test_factor_reconstructs_covariance(self, spec, taus):
         ensemble = sample_trajectories(spec, taus, 5, 0)
         cov = phase_covariance(spec, taus)
-        scale = max(np.max(np.diag(cov)), 1.0)
-        factor, jitter = ensemble.cholesky
-        shifted = cov + jitter * scale * np.eye(len(taus))
-        assert np.max(np.abs(factor @ factor.T - shifted)) <= 1e-14 * np.max(cov)
+        factor = ensemble.factor
+        assert np.max(np.abs(factor @ factor.T - cov)) <= 1e-14 * np.max(cov)
         # at 20 times on (0, 2] the smooth gn g=1 covariance is singular to
-        # rounding: its smallest eigenvalue is -1e-17 of its largest
-        needs_jitter = spec == NoiseSpec("gn", g=1.0) and len(taus) == 20
-        assert (jitter > 0.0) == needs_jitter
+        # rounding: its smallest eigenvalue is -1e-17 of its largest, so
+        # numpy rejects it; wherever numpy accepts C, F is its factor
+        if spec == NoiseSpec("gn", g=1.0) and len(taus) == 20:
+            with pytest.raises(np.linalg.LinAlgError):
+                np.linalg.cholesky(cov)
+        else:
+            assert np.array_equal(factor, np.linalg.cholesky(cov))
+
+    @pytest.mark.parametrize("k", [20, 200])
+    @pytest.mark.parametrize("g", [1.0, 0.01])
+    def test_singular_covariance_is_factored_exactly(self, g, k):
+        # smooth gn covariances at K evenly spaced times in (0, 2] (TWENTY at
+        # K = 20) are singular to rounding, so numpy rejects them; the clipped
+        # eigen factor must reproduce C to rounding
+        spec, taus = NoiseSpec("gn", g=g), np.linspace(2.0 / k, 2.0, k)
+        cov = phase_covariance(spec, taus)
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(cov)
+        factor = sample_trajectories(spec, taus, 1, 0).factor
+        assert np.max(np.abs(factor @ factor.T - cov)) <= 1e-14 * np.max(np.abs(cov))
 
 
 class TestNormals:
@@ -348,7 +368,7 @@ class TestMcAverageState:
     def _manual_ensemble(self, factor, n, spec, taus=(1.0,), seed=0):
         ensemble = TrajectoryEnsemble(taus, n, seed, spec)
         # the given factor stands in for the one the spec would give
-        ensemble.__dict__["cholesky"] = (np.asarray(factor, float), 0.0)
+        ensemble.__dict__["factor"] = np.asarray(factor, float)
         return ensemble
 
     def test_single_zero_path_is_noiseless(self):
@@ -428,12 +448,12 @@ class TestMcAverageState:
         z = montecarlo._normals(9, 0, 20 * (BLOCK + rows)).reshape(-1, 20)
         for phi, start in zip(chunks, (0, BLOCK)):
             rows_z = z[start : start + len(phi)]
-            assert np.array_equal(phi, np.einsum("ij,kj->ik", rows_z, ensemble.cholesky[0]))
+            assert np.array_equal(phi, rows_z @ ensemble.factor.T)
 
     def test_report_bits_do_not_depend_on_blas_threads(self, tmp_path):
-        # the phases, the moment sums and the node sums are fixed-order einsum
-        # and sum calls that never reach the BLAS, and the phases' K x K factor
-        # is too small for it to thread: one or two threads give the same bits
+        # the moment sums and the node sums are fixed-order einsum and sum
+        # calls that never reach the BLAS, and the phases' product with the
+        # 1 x 1 factor sums nothing: one or two threads give the same bits
         src = os.path.dirname(os.path.dirname(qutrit_dephasing.__file__))
         reports = []
         for threads in ("1", "2"):
@@ -449,8 +469,8 @@ class TestMcAverageState:
         assert reports[0] == reports[1]
 
     def test_twenty_time_report_bits_do_not_depend_on_blas_threads(self):
-        # at K = 20 the factor is 20 x 20, wide enough for a product that
-        # reached the BLAS to thread: one or two threads still give the same bits
+        # at K = 20 the phases are a BLAS product with the 20 x 20 factor,
+        # wide enough to thread: one or two threads still give the same bits
         src = os.path.dirname(os.path.dirname(qutrit_dephasing.__file__))
         code = (
             "import hashlib, numpy as np\n"
@@ -503,8 +523,11 @@ class TestMcAverageState:
         assert np.max(np.abs(emp - emp.conj().T)) < 1e-12
 
     def test_every_drawn_time_within_bound(self):
-        ensemble = sample_trajectories(NoiseSpec("gn", g=1.0), TWENTY, 20000, 13)
-        assert ensemble.cholesky[1] > 0.0
+        # numpy rejects this C, so its eigenvalues are clipped
+        spec = NoiseSpec("gn", g=1.0)
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(phase_covariance(spec, TWENTY))
+        ensemble = sample_trajectories(spec, TWENTY, 20000, 13)
         report = mc_average_state(initial_state(1.0), ensemble, 1.0)
         assert np.array_equal(report.ensemble.taus, TWENTY)
         deviations = np.max(np.abs(report.empirical - report.analytic), axis=(1, 2))
